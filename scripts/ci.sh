@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry points.
-#   ./scripts/ci.sh          tier-1 verify: configure, build, full ctest run
+#   ./scripts/ci.sh          tier-1 verify: the perfbench unit tests, then
+#                            configure, build, full ctest run
 #                            (vector tier), then the kernel/bit-identity
 #                            suites again under HADAD_FORCE_SCALAR=1 so both
 #                            dispatch arms stay green on any CI hardware
@@ -39,6 +40,8 @@ mode="${1:-tier1}"
 
 case "$mode" in
   tier1)
+    # The repository benchmark's own unit tests (pure python3, no build).
+    python3 -m unittest discover -s perfbench -p 'test_*.py'
     cmake -B build -S .
     cmake --build build -j
     cd build

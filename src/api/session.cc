@@ -1,6 +1,7 @@
 #include "api/session.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -536,10 +537,10 @@ void Session::WaitForAdaptiveViews() const {
 
 namespace {
 
-// Workspace name the appended rows ride under while a user-view delta
-// evaluates (reserved; never visible to queries — it exists only inside the
-// unique state lock).
-constexpr char kUserDeltaName[] = "__delta_rows";
+// Prefix of the workspace names a batch's appended rows ride under while
+// user-view deltas evaluate, one entry per appended leaf (reserved; never
+// visible to queries — each exists only inside the unique state lock).
+constexpr char kUserDeltaPrefix[] = "__delta_rows_";
 
 bool ReferencesAny(const la::Expr& e, const std::set<std::string>& names) {
   std::set<std::string> leaves;
@@ -559,87 +560,32 @@ Result<matrix::Matrix> Session::EvaluateDefinition(
 }
 
 Status Session::Update(const std::string& name, matrix::Matrix m) {
-  obs::ScopedSpan root(trace_.get(), "Update", "session");
-  root.Annotate("name", name);
-  common::WriterMutexLock state(&views_mu_);
-  return MutateLocked(name, MutationKind::kUpdate, &m, nullptr, root.id());
+  return MutateOne("Update", Mutation::Update(name, std::move(m)));
 }
 
 Status Session::Append(const std::string& name, const matrix::Matrix& rows) {
-  obs::ScopedSpan root(trace_.get(), "Append", "session");
-  root.Annotate("name", name);
-  common::WriterMutexLock state(&views_mu_);
-  return MutateLocked(name, MutationKind::kAppend, nullptr, &rows,
-                      root.id());
+  return MutateOne("Append", Mutation::Append(name, rows));
 }
 
 Status Session::Remove(const std::string& name) {
-  obs::ScopedSpan root(trace_.get(), "Remove", "session");
-  root.Annotate("name", name);
-  common::WriterMutexLock state(&views_mu_);
-  return MutateLocked(name, MutationKind::kRemove, nullptr, nullptr,
-                      root.id());
+  return MutateOne("Remove", Mutation::Remove(name));
 }
 
 Status Session::Put(const std::string& name, matrix::Matrix m) {
-  obs::ScopedSpan root(trace_.get(), "Put", "session");
-  root.Annotate("name", name);
+  return MutateOne("Put", Mutation::Put(name, std::move(m)));
+}
+
+Status Session::MutateOne(const char* span_name, Mutation mutation) {
+  obs::ScopedSpan root(trace_.get(), span_name, "session");
+  root.Annotate("name", mutation.name);
+  std::vector<Mutation> batch;
+  batch.push_back(std::move(mutation));
   common::WriterMutexLock state(&views_mu_);
-  if (workspace_.Find(name) != nullptr) {
-    // An existing base name keeps full Update semantics: dependent views
-    // refresh, failures roll back, adaptive views invalidate. (Views and
-    // Morpheus names are rejected there.)
-    return MutateLocked(name, MutationKind::kUpdate, &m, nullptr, root.id());
-  }
-  if (name.empty()) {
-    return Status::InvalidArgument("cannot bind a matrix with an empty name");
-  }
-  if (name.rfind("__delta", 0) == 0) {
-    return Status::InvalidArgument(
-        "name '" + name + "' uses the reserved '__delta' prefix");
-  }
-  if (morpheus_names_.contains(name)) {
-    // Normalized matrices live in the Morpheus engine, not the workspace,
-    // so the existence check above does not cover them.
-    return Status::InvalidArgument(
-        "'" + name + "' is bound into a Morpheus declaration; declared "
-        "factorizations are immutable");
-  }
-  workspace_.Put(name, std::move(m));
-  la::MatrixMeta meta = engine::Workspace::MetaFor(*workspace_.Find(name),
-                                                   flag_detect_limit_);
-  Status added = optimizer_->AddBaseMeta(name, meta);
-  if (!added.ok()) {
-    // Nothing else was applied yet; unbind to keep the layers consistent.
-    workspace_.Erase(name);
-    return added;
-  }
-  if (executor_ != nullptr) exec_catalog_[name] = meta;
-  // No cached plan can reference a name that did not exist when it was
-  // prepared (Prepare fails on unknown names), so warm plans stay valid;
-  // the fresh epoch stamped by workspace_.Put covers any future ones.
-  mutations_->Inc();
-  return Status::OK();
+  return MutateBatchLocked(&batch, root.id());
 }
 
 Status Session::Mutate(std::vector<Mutation> mutations) {
   if (mutations.empty()) return Status::OK();
-  if (mutations.size() == 1) {
-    // Single-entry batches keep the exact semantics of the public mutators
-    // (including incremental view refresh for appends).
-    Mutation& m = mutations.front();
-    switch (m.op) {
-      case Mutation::Op::kUpdate:
-        return Update(m.name, std::move(m.value));
-      case Mutation::Op::kAppend:
-        return Append(m.name, m.value);
-      case Mutation::Op::kRemove:
-        return Remove(m.name);
-      case Mutation::Op::kPut:
-        return Put(m.name, std::move(m.value));
-    }
-    return Status::InvalidArgument("unknown mutation op");
-  }
   obs::ScopedSpan root(trace_.get(), "Mutate", "session");
   root.Annotate("batch_size", static_cast<int64_t>(mutations.size()));
   common::WriterMutexLock state(&views_mu_);
@@ -648,15 +594,21 @@ Status Session::Mutate(std::vector<Mutation> mutations) {
 
 Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
                                   obs::SpanId parent) {
+  // A one-entry batch (a public mutator call, or a one-entry Mutate) reports
+  // errors as a single mutation: no batch index.
+  const bool single = mutations->size() == 1;
   // --- Validation against a simulated catalog: nothing is applied until
   //     the whole batch is known to leave every layer well-defined.
   //     Entries apply in order, so the simulation threads state through
   //     them (a Put can introduce a name a later Append grows). ----------
   la::MetaCatalog trial = optimizer_->catalog();
   std::set<std::string> trial_changed;
+  std::map<std::string, int> entries;  // Batch entries per name.
   for (size_t i = 0; i < mutations->size(); ++i) {
     const Mutation& m = (*mutations)[i];
-    const std::string at = "Mutate[" + std::to_string(i) + "]: ";
+    const std::string at =
+        single ? "" : "Mutate[" + std::to_string(i) + "]: ";
+    ++entries[m.name];
     if (morpheus_names_.contains(m.name)) {
       return Status::InvalidArgument(
           at + "'" + m.name + "' is bound into a Morpheus declaration; "
@@ -739,7 +691,10 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
     if (!ReferencesAny(*def, trial_changed)) continue;
     Result<la::MatrixMeta> shape = la::InferShape(*def, trial);
     if (!shape.ok()) {
-      return Status::InvalidArgument("Mutate: batch breaks view '" + vname +
+      const std::string subject =
+          single ? "mutation of '" + mutations->front().name + "'"
+                 : "Mutate: batch";
+      return Status::InvalidArgument(subject + " breaks view '" + vname +
                                      "': " + shape.status().message());
     }
     trial[vname] = std::move(shape).value();
@@ -752,8 +707,9 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
   //     versions and never see the batch half-applied. -------------------
   std::vector<BaseChange> journal;
   journal.reserve(mutations->size());
-  std::set<std::string> changed;
+  views::DataChange change;
   std::vector<RefreshedView> refreshed;  // In registration order.
+  std::vector<std::string> staged;       // Delta rows staged for user views.
 
   for (size_t i = 0; i < mutations->size(); ++i) {
     Mutation& m = (*mutations)[i];
@@ -777,7 +733,7 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
         c.old_rows = workspace_.Find(m.name)->rows();
         Status appended = workspace_.Append(m.name, m.value);
         if (!appended.ok()) {
-          RollbackBatch(&journal, &refreshed);
+          RollbackBatch(&journal, &refreshed, staged);
           return appended;
         }
         break;
@@ -790,34 +746,44 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
     }
     const bool added = c.added;
     journal.push_back(std::move(c));
-    changed.insert(m.name);
+    if (m.op == Mutation::Op::kAppend && entries[m.name] == 1) {
+      change.appended.emplace(m.name, &m.value);  // Append keeps its rows.
+    } else {
+      change.changed.insert(m.name);
+    }
     if (m.op != Mutation::Op::kRemove) {
       la::MatrixMeta meta = engine::Workspace::MetaFor(
           *workspace_.Find(m.name), flag_detect_limit_);
       Status registered = added ? optimizer_->AddBaseMeta(m.name, meta)
                                 : optimizer_->UpdateBaseMeta(m.name, meta);
       if (!registered.ok()) {
-        RollbackBatch(&journal, &refreshed);
+        RollbackBatch(&journal, &refreshed, staged);
         return registered;
       }
       if (executor_ != nullptr) exec_catalog_[m.name] = meta;
     }
   }
 
-  // --- ONE view-refresh wave over the whole batch, in registration order
-  //     (refreshed values cascade through views over views). Batches
-  //     re-evaluate definitions fully — with several entries potentially
-  //     touching one view, a per-entry append delta no longer applies. ---
+  // --- ONE view-refresh wave over the whole batch, in registration order.
+  //     views::PlanRefresh picks delta or full per view; each refreshed
+  //     view joins `changed`, so views over it recompute in full. --------
+  const char* rolled_back =
+      single ? " (mutation rolled back)" : " (batch rolled back)";
   for (const auto& [vname, def] : user_views_) {
-    if (!ReferencesAny(*def, changed)) continue;
+    const views::RefreshPlan plan =
+        views::PlanRefresh(def, change, kUserDeltaPrefix);
+    if (plan.mode == views::RefreshMode::kUntouched) continue;
     obs::ScopedSpan refresh(trace_.get(), "view_refresh", "views", parent);
     refresh.Annotate("view", vname);
-    Result<matrix::Matrix> fresh = EvaluateDefinition(def);
+    refresh.Annotate(
+        "mode", plan.mode == views::RefreshMode::kDelta ? "delta" : "full");
+    Result<matrix::Matrix> fresh =
+        ComputeViewRefresh(vname, def, plan, change, &staged);
     if (!fresh.ok()) {
-      RollbackBatch(&journal, &refreshed);
+      RollbackBatch(&journal, &refreshed, staged);
       return Status(fresh.status().code(),
                     "refreshing view '" + vname + "': " +
-                        fresh.status().message() + " (batch rolled back)");
+                        fresh.status().message() + rolled_back);
     }
     refreshed.push_back(
         RefreshedView{vname, def, std::move(*workspace_.Take(vname))});
@@ -825,231 +791,33 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
     Status reregistered = optimizer_->RemoveView(vname);
     if (reregistered.ok()) reregistered = optimizer_->AddView(vname, def);
     if (!reregistered.ok()) {
-      RollbackBatch(&journal, &refreshed);
+      RollbackBatch(&journal, &refreshed, staged);
       return Status(reregistered.code(),
                     "re-registering view '" + vname + "': " +
-                        reregistered.message() + " (batch rolled back)");
+                        reregistered.message() + rolled_back);
     }
     if (executor_ != nullptr) {
       exec_catalog_[vname] =
           engine::Workspace::MetaFor(*workspace_.Find(vname));
     }
-    changed.insert(vname);
+    change.changed.insert(vname);
   }
+  for (const std::string& name : staged) workspace_.Erase(name);
 
   // --- ONE adaptive propagation for the whole batch. --------------------
   if (adaptive_ != nullptr) {
     obs::ScopedSpan propagate(trace_.get(), "mutation_propagation", "views",
                               parent);
-    adaptive_->OnDataMutation(changed, nullptr, nullptr);
+    adaptive_->OnDataMutation(change);
   }
   mutations_->Inc(static_cast<int64_t>(mutations->size()));
   return Status::OK();
 }
 
-Status Session::MutateLocked(const std::string& name, MutationKind kind,
-                             matrix::Matrix* value,
-                             const matrix::Matrix* rows,
-                             obs::SpanId parent) {
-  // --- Validation: nothing is applied until the whole mutation is known
-  //     to leave every layer well-defined. ---------------------------------
-  if (morpheus_names_.contains(name)) {
-    return Status::InvalidArgument(
-        "'" + name + "' is bound into a Morpheus declaration; declared "
-        "factorizations are immutable");
-  }
-  for (const auto& [vname, def] : user_views_) {
-    if (vname == name) {
-      return Status::InvalidArgument(
-          "'" + name + "' is a view; views are derived — mutate the base "
-          "matrices their definitions reference");
-    }
-  }
-  if (adaptive_ != nullptr && adaptive_->IsAdaptiveViewName(name)) {
-    return Status::InvalidArgument(
-        "'" + name + "' is an adaptive view; mutate base matrices instead");
-  }
-  const matrix::Matrix* existing = workspace_.Find(name);
-  if (existing == nullptr) {
-    return Status::NotFound("no matrix named '" + name + "' in workspace");
-  }
-  if (kind == MutationKind::kAppend && rows->cols() != existing->cols()) {
-    return Status::DimensionMismatch(
-        "cannot append " + std::to_string(rows->rows()) + "x" +
-        std::to_string(rows->cols()) + " rows to '" + name + "' (" +
-        std::to_string(existing->rows()) + "x" +
-        std::to_string(existing->cols()) + ")");
-  }
-  if (kind == MutationKind::kRemove) {
-    for (const auto& [vname, def] : user_views_) {
-      if (la::ReferencesMatrix(*def, name)) {
-        return Status::InvalidArgument("cannot remove '" + name +
-                                       "': view '" + vname +
-                                       "' references it");
-      }
-    }
-  }
-
-  // Dry-run shape inference: every dependent user view must stay
-  // well-typed against the mutated catalog (a view over inv(X) breaks if X
-  // stops being square, a product breaks if an appended dimension no
-  // longer matches). Rejecting here keeps mutations atomic.
-  {
-    la::MetaCatalog trial = optimizer_->catalog();
-    std::set<std::string> trial_changed = {name};
-    switch (kind) {
-      case MutationKind::kUpdate:
-        trial[name].rows = value->rows();
-        trial[name].cols = value->cols();
-        trial[name].nnz = -1.0;
-        break;
-      case MutationKind::kAppend:
-        trial[name].rows += rows->rows();
-        break;
-      case MutationKind::kRemove:
-        trial.erase(name);
-        break;
-    }
-    for (const auto& [vname, def] : user_views_) {
-      if (!ReferencesAny(*def, trial_changed)) continue;
-      Result<la::MatrixMeta> shape = la::InferShape(*def, trial);
-      if (!shape.ok()) {
-        return Status::InvalidArgument(
-            "mutation of '" + name + "' breaks view '" + vname +
-            "': " + shape.status().message());
-      }
-      trial[vname] = std::move(shape).value();
-      trial_changed.insert(vname);
-    }
-  }
-
-  // --- Apply the base mutation, keeping what a rollback needs: the shape
-  //     dry-run above cannot catch value-level refresh failures (e.g. a
-  //     singular matrix under inv), and a half-applied mutation would let
-  //     queries silently serve stale views. -------------------------------
-  const int64_t old_rows = existing->rows();
-  std::optional<matrix::Matrix> old_base;  // kUpdate only.
-  switch (kind) {
-    case MutationKind::kUpdate:
-      old_base = workspace_.Take(name);
-      workspace_.Put(name, std::move(*value));
-      break;
-    case MutationKind::kAppend:
-      HADAD_RETURN_IF_ERROR(workspace_.Append(name, *rows));
-      break;
-    case MutationKind::kRemove:
-      // Nothing after this point can fail for a removal: no user view
-      // references the name (validated above), so no rollback is needed.
-      workspace_.Erase(name);
-      HADAD_RETURN_IF_ERROR(optimizer_->RemoveBaseMeta(name));
-      exec_catalog_.erase(name);
-      break;
-  }
-  if (kind != MutationKind::kRemove) {
-    la::MatrixMeta meta = engine::Workspace::MetaFor(*workspace_.Find(name),
-                                                     flag_detect_limit_);
-    HADAD_RETURN_IF_ERROR(optimizer_->UpdateBaseMeta(name, meta));
-    if (executor_ != nullptr) exec_catalog_[name] = meta;
-  }
-
-  // --- User-view maintenance, in registration order (later definitions
-  //     may reference earlier names, so refreshed values cascade). On a
-  //     refresh failure everything applied so far is restored — optimizer
-  //     and exec-catalog entries re-derive from the restored values. ------
-  std::vector<RefreshedView> refreshed;  // In registration order.
-  bool delta_staged = false;
-  matrix::Matrix* old_base_ptr =
-      old_base.has_value() ? &*old_base : nullptr;
-
-  std::set<std::string> changed;  // Names whose value changed arbitrarily.
-  if (kind != MutationKind::kAppend) changed.insert(name);
-  for (const auto& [vname, def] : user_views_) {
-    const bool touches_changed = ReferencesAny(*def, changed);
-    const bool touches_append = kind == MutationKind::kAppend &&
-                                la::ReferencesMatrix(*def, name);
-    if (!touches_changed && !touches_append) continue;
-    obs::ScopedSpan refresh(trace_.get(), "view_refresh", "views", parent);
-    refresh.Annotate("view", vname);
-    Result<matrix::Matrix> fresh = ComputeViewRefresh(
-        vname, def, touches_changed, name, rows, &delta_staged);
-    if (!fresh.ok()) {
-      RollbackMutation(name, kind, old_rows, old_base_ptr, &refreshed,
-                       delta_staged);
-      return Status(fresh.status().code(), "refreshing view '" + vname +
-                                               "': " +
-                                               fresh.status().message() +
-                                               " (mutation rolled back)");
-    }
-    refreshed.push_back(
-        RefreshedView{vname, def, std::move(*workspace_.Take(vname))});
-    workspace_.Put(vname, std::move(*fresh));
-    // Re-register so the catalog entry and view-IO constraints track the
-    // refreshed value.
-    Status reregistered = optimizer_->RemoveView(vname);
-    if (reregistered.ok()) reregistered = optimizer_->AddView(vname, def);
-    if (!reregistered.ok()) {
-      RollbackMutation(name, kind, old_rows, old_base_ptr, &refreshed,
-                       delta_staged);
-      return Status(reregistered.code(),
-                    "re-registering view '" + vname + "': " +
-                        reregistered.message() + " (mutation rolled back)");
-    }
-    if (executor_ != nullptr) {
-      exec_catalog_[vname] =
-          engine::Workspace::MetaFor(*workspace_.Find(vname));
-    }
-    changed.insert(vname);
-  }
-  if (delta_staged) workspace_.Erase(kUserDeltaName);
-
-  // --- Adaptive propagation: invalidate or queue delta refreshes. ---------
-  if (adaptive_ != nullptr) {
-    obs::ScopedSpan propagate(trace_.get(), "mutation_propagation", "views",
-                              parent);
-    adaptive_->OnDataMutation(
-        changed, kind == MutationKind::kAppend ? &name : nullptr,
-        kind == MutationKind::kAppend ? rows : nullptr);
-  }
-  mutations_->Inc();
-  return Status::OK();
-}
-
-void Session::RollbackMutation(const std::string& name, MutationKind kind,
-                               int64_t old_rows, matrix::Matrix* old_base,
-                               std::vector<RefreshedView>* refreshed,
-                               bool delta_staged) {
-  if (delta_staged) workspace_.Erase(kUserDeltaName);
-  // Restore every workspace value first — view catalog entries derive
-  // from the catalog, so re-registration must wait until the base facts
-  // (and all earlier values) describe the restored state again.
-  for (RefreshedView& v : *refreshed) {
-    workspace_.Put(v.name, std::move(v.old_value));
-  }
-  if (kind == MutationKind::kUpdate) {
-    workspace_.Put(name, std::move(*old_base));
-  } else {  // kAppend: drop the appended rows in place.
-    std::optional<matrix::Matrix> grown = workspace_.Take(name);
-    (void)matrix::TruncateRows(&*grown, old_rows);
-    workspace_.Put(name, std::move(*grown));
-  }
-  la::MatrixMeta meta = engine::Workspace::MetaFor(*workspace_.Find(name),
-                                                   flag_detect_limit_);
-  (void)optimizer_->UpdateBaseMeta(name, meta);
-  if (executor_ != nullptr) exec_catalog_[name] = meta;
-  // Re-register in forward registration order, as Build() did: each
-  // entry's shape/constraints then derive from already-restored names.
-  for (const RefreshedView& v : *refreshed) {
-    (void)optimizer_->RemoveView(v.name);
-    (void)optimizer_->AddView(v.name, v.def);
-    if (executor_ != nullptr) {
-      exec_catalog_[v.name] =
-          engine::Workspace::MetaFor(*workspace_.Find(v.name));
-    }
-  }
-}
-
 void Session::RollbackBatch(std::vector<BaseChange>* journal,
-                            std::vector<RefreshedView>* refreshed) {
+                            std::vector<RefreshedView>* refreshed,
+                            const std::vector<std::string>& staged) {
+  for (const std::string& name : staged) workspace_.Erase(name);
   // Restore every workspace value first — refreshed view values, then
   // bases in reverse journal order so repeated mutations of one name
   // unwind to the pre-batch state.
@@ -1107,25 +875,18 @@ void Session::RollbackBatch(std::vector<BaseChange>* journal,
 }
 
 Result<matrix::Matrix> Session::ComputeViewRefresh(
-    const std::string& vname, const la::ExprPtr& def, bool touches_changed,
-    const std::string& name, const matrix::Matrix* rows,
-    bool* delta_staged) {
-  if (!touches_changed) {
-    // Only the appended leaf moved: refresh incrementally when the
-    // definition is append-additive in it. The delta rows are staged
-    // into the workspace once per mutation, not once per view.
-    std::optional<la::ExprPtr> delta_expr =
-        views::BuildAppendDelta(def, name, kUserDeltaName);
-    if (delta_expr.has_value()) {
-      if (!*delta_staged) {
-        workspace_.Put(kUserDeltaName, *rows);
-        *delta_staged = true;
-      }
-      Result<matrix::Matrix> delta = EvaluateDefinition(*delta_expr);
-      if (delta.ok()) {
-        return matrix::Add(*workspace_.Find(vname), *delta);
-      }
+    const std::string& vname, const la::ExprPtr& def,
+    const views::RefreshPlan& plan, const views::DataChange& change,
+    std::vector<std::string>* staged) {
+  if (plan.mode == views::RefreshMode::kDelta) {
+    // The appended rows are staged once per leaf, not once per view.
+    const std::string delta_name = kUserDeltaPrefix + plan.leaf;
+    if (workspace_.Find(delta_name) == nullptr) {
+      workspace_.Put(delta_name, *change.appended.at(plan.leaf));
+      staged->push_back(delta_name);
     }
+    Result<matrix::Matrix> delta = EvaluateDefinition(plan.delta);
+    if (delta.ok()) return matrix::Add(*workspace_.Find(vname), *delta);
   }
   return EvaluateDefinition(def);
 }
@@ -1343,7 +1104,8 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
         m.AddCounter("hadad_session_fused_ops_eliminated_total",
         "Operator nodes eliminated by fusion. Unit: nodes.");
     raw->mutations_ = m.AddCounter("hadad_session_mutations_total",
-        "Successful Update/Append/Remove/Put calls. Unit: mutations.");
+        "Mutation entries applied by successful Update/Append/Remove/Put "
+        "calls (Mutate batches count per entry). Unit: mutations.");
     raw->workspace_retired_ = m.AddCounter("hadad_workspace_retired_total",
         "Matrix versions retired by MVCC mutations since session build "
         "(refreshed on scrape). Unit: versions.");

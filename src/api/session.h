@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "pacb/optimizer.h"
 #include "views/adaptive.h"
+#include "views/maintenance.h"
 
 namespace hadad::api {
 
@@ -58,7 +59,8 @@ struct SessionStats {
   // in engine::ExecStats.
   int64_t fused_nodes = 0;
   int64_t fused_ops_eliminated = 0;
-  // Successful Update()/Append()/Remove()/Put() calls — mutations.
+  // Mutation entries applied by successful Update()/Append()/Remove()/
+  // Put() calls, with Mutate() batches counting per entry — mutations.
   int64_t data_mutations = 0;
   // The adaptive_* fields mirror the adaptive-view subsystem (all zero
   // unless SessionBuilder::AdaptiveViews was called).
@@ -268,23 +270,26 @@ class Session : public std::enable_shared_from_this<Session> {
   // facts (shape, nnz, structural flags up to the flag-detect limit) and
   // the exec leaf catalog its entry, so the very next Prepare() can plan
   // over it — while cached plans for unrelated leaves stay warm (the new
-  // name's epoch was never stamped into them). An existing base name takes
-  // the full Update path instead (view refresh, rollback, adaptive
-  // propagation). InvalidArgument for empty/reserved names, view names, and
+  // name's epoch was never stamped into them). An existing base name is
+  // replaced as by Update (view refresh, rollback, adaptive propagation).
+  // InvalidArgument for empty/reserved names, view names, and
   // Morpheus-declared names.
   Status Put(const std::string& name, matrix::Matrix m)
       HADAD_EXCLUDES(views_mu_);
 
   // Applies a batch of mutations atomically: every entry installs under ONE
   // writer critical section, dependent user views refresh once (one wave,
-  // in registration order, full re-evaluation), cached plans see one epoch
-  // move per touched leaf, and the adaptive subsystem gets one propagation.
+  // in registration order), cached plans see one epoch move per touched
+  // leaf, and the adaptive subsystem gets one propagation. A view that
+  // reads exactly one name whose only entry is an Append, and no other
+  // mutated name, refreshes incrementally when its definition is
+  // append-additive (V ← V + f(Δ)); other dependent views re-materialize.
   // All-or-nothing: a validation or refresh failure rolls the whole batch
-  // back and returns the failing entry's error (annotated with its index).
-  // A single-entry batch behaves exactly like the corresponding
-  // Update/Append/Remove/Put call (including incremental view refresh for
-  // appends); an empty batch is OK(). Entries apply in order, so later
-  // entries may reference names an earlier Put introduced.
+  // back and returns the failing entry's error (annotated with its index
+  // when the batch has several entries).
+  // An empty batch is OK(). Entries apply in order, so later entries may
+  // reference names an earlier Put introduced. Update/Append/Remove/Put
+  // are one-entry batches.
   Status Mutate(std::vector<Mutation> mutations) HADAD_EXCLUDES(views_mu_);
 
   // Read-only view of the session's data catalog. Do not hold the
@@ -349,8 +354,6 @@ class Session : public std::enable_shared_from_this<Session> {
   friend class PreparedQuery;
   Session() = default;
 
-  enum class MutationKind { kUpdate, kAppend, kRemove };
-
   // Refresh bookkeeping for one user view restored on rollback.
   struct RefreshedView {
     std::string name;
@@ -386,41 +389,34 @@ class Session : public std::enable_shared_from_this<Session> {
   // True when the plan's view generation matches and none of its recorded
   // leaf epochs moved. Lock-free fast path on the verified generation.
   bool PlanFresh(const PreparedPlan& plan) const;
-  // The shared mutation path. `value` is consumed for kUpdate; `rows`
-  // borrowed for kAppend.
-  Status MutateLocked(const std::string& name, MutationKind kind,
-                      matrix::Matrix* value, const matrix::Matrix* rows,
-                      obs::SpanId parent = obs::kNoSpan)
-      HADAD_REQUIRES(views_mu_);
-  // The multi-entry Mutate path: validates the whole batch against a
-  // simulated catalog, applies every base mutation (journaling prior state),
-  // runs ONE view-refresh wave, and rolls everything back on any failure.
+  // A public mutator call: a one-entry batch under its own root span
+  // (`span_name`, annotated with the mutated name).
+  Status MutateOne(const char* span_name, Mutation mutation)
+      HADAD_EXCLUDES(views_mu_);
+  // The one mutation path: validates the whole batch against a simulated
+  // catalog, applies every base mutation (journaling prior state), runs ONE
+  // view-refresh wave (delta or full per views::PlanRefresh), propagates
+  // once to the adaptive views, and rolls everything back on any failure.
   // Consumes `mutations`.
   Status MutateBatchLocked(std::vector<Mutation>* mutations,
                            obs::SpanId parent) HADAD_REQUIRES(views_mu_);
-  // Undoes a half-applied Mutate batch: restores refreshed view values,
-  // then bases in reverse journal order, then re-derives the optimizer and
-  // exec-catalog facts and view registrations from the restored state.
+  // Undoes a half-applied batch: erases the `staged` delta rows, restores
+  // refreshed view values, then bases in reverse journal order, then
+  // re-derives the optimizer and exec-catalog facts and view registrations
+  // from the restored state.
   void RollbackBatch(std::vector<BaseChange>* journal,
-                     std::vector<RefreshedView>* refreshed)
+                     std::vector<RefreshedView>* refreshed,
+                     const std::vector<std::string>& staged)
       HADAD_REQUIRES(views_mu_);
-  // Undoes a half-applied mutation of `name` after a view-refresh failure:
-  // restores the refreshed views' old values and the base matrix, then
-  // re-derives the dependent optimizer/exec-catalog entries.
-  void RollbackMutation(const std::string& name, MutationKind kind,
-                        int64_t old_rows, matrix::Matrix* old_base,
-                        std::vector<RefreshedView>* refreshed,
-                        bool delta_staged) HADAD_REQUIRES(views_mu_);
-  // The refreshed value of user view `vname` under the mutation of `name`:
-  // incremental (V + f(Δ), staging the delta rows once) when only the
-  // appended leaf moved and the definition allows, full re-evaluation
-  // otherwise.
+  // The refreshed value of user view `vname` under `plan`: V + f(Δ) for a
+  // delta refresh — staging the appended rows once per leaf and recording
+  // the staged name in `staged` — and the full definition otherwise (or
+  // when the delta fails to evaluate).
   Result<matrix::Matrix> ComputeViewRefresh(const std::string& vname,
                                             const la::ExprPtr& def,
-                                            bool touches_changed,
-                                            const std::string& name,
-                                            const matrix::Matrix* rows,
-                                            bool* delta_staged)
+                                            const views::RefreshPlan& plan,
+                                            const views::DataChange& change,
+                                            std::vector<std::string>* staged)
       HADAD_REQUIRES(views_mu_);
   // Evaluates a view definition over the current workspace (Morpheus-aware).
   Result<matrix::Matrix> EvaluateDefinition(const la::ExprPtr& def) const

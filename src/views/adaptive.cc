@@ -58,9 +58,7 @@ void AdaptiveViewManager::OnExecution(const la::ExprPtr& executed,
   MaybeScheduleMaterializations();
 }
 
-void AdaptiveViewManager::OnDataMutation(const std::set<std::string>& changed,
-                                         const std::string* appended,
-                                         const matrix::Matrix* delta_rows) {
+void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
   obs::ScopedSpan propagate(host_.trace, "adaptive_propagation", "views");
   int64_t invalidated_here = 0;
   int64_t refreshes_queued = 0;
@@ -74,49 +72,38 @@ void AdaptiveViewManager::OnDataMutation(const std::set<std::string>& changed,
 
     bool views_changed = false;
     for (const std::string& name : names) {
-      const StoredView& view = store_.views().at(name);
-      la::ExprPtr def = view.definition;
-      std::set<std::string> leaves;
-      la::CollectMatrixRefs(*def, &leaves);
-      bool touches_changed = false;
-      for (const std::string& leaf : leaves) {
-        if (changed.contains(leaf)) {
-          touches_changed = true;
-          break;
-        }
-      }
-      const bool touches_append =
-          appended != nullptr && leaves.contains(*appended);
-      if (!touches_changed && !touches_append) continue;
+      la::ExprPtr def = store_.views().at(name).definition;
+      // Unique per refresh task, so tasks over one leaf never read or erase
+      // each other's staged rows.
+      const std::string temp_prefix =
+          "__delta_" + std::to_string(refresh_seq_) + "_";
+      const RefreshPlan plan = PlanRefresh(def, change, temp_prefix);
+      if (plan.mode == RefreshMode::kUntouched) continue;
 
-      // Incremental path: only the appended leaf moved, and the definition
-      // is append-additive in it.
-      if (!touches_changed && delta_rows != nullptr) {
-        const std::string temp_name =
-            "__delta_" + std::to_string(refresh_seq_++);
-        std::optional<la::ExprPtr> delta =
-            BuildAppendDelta(def, *appended, temp_name);
-        if (delta.has_value()) {
-          auto detached = store_.Detach(name);
-          if (detached.ok()) {
-            (void)host_.optimizer->RemoveView(name);
-            if (host_.exec_catalog != nullptr) host_.exec_catalog->erase(name);
-            views_changed = true;
-            // The delta rows ride along in the workspace under a reserved
-            // name until the background task installs (and erases it).
-            host_.workspace->Put(temp_name, *delta_rows);
-            RefreshTask task;
-            task.meta = std::move(detached->first);
-            task.old_value = std::move(detached->second);
-            task.delta_expr = *delta;
-            task.temp_name = temp_name;
-            task.deps = host_.workspace->SnapshotFor(
-                std::vector<std::string>(leaves.begin(), leaves.end()));
-            pending_.insert(RefreshKey(task.meta.name));
-            refreshes.push_back(std::move(task));
-            ++refreshes_queued;
-            continue;
-          }
+      if (plan.mode == RefreshMode::kDelta) {
+        auto detached = store_.Detach(name);
+        if (detached.ok()) {
+          ++refresh_seq_;
+          (void)host_.optimizer->RemoveView(name);
+          if (host_.exec_catalog != nullptr) host_.exec_catalog->erase(name);
+          views_changed = true;
+          // The delta rows ride along in the workspace under a reserved
+          // name until the background task installs (and erases it).
+          RefreshTask task;
+          task.temp_name = temp_prefix + plan.leaf;
+          host_.workspace->Put(task.temp_name,
+                               *change.appended.at(plan.leaf));
+          task.meta = std::move(detached->first);
+          task.old_value = std::move(detached->second);
+          task.delta_expr = plan.delta;
+          std::set<std::string> leaves;
+          la::CollectMatrixRefs(*def, &leaves);
+          task.deps = host_.workspace->SnapshotFor(
+              std::vector<std::string>(leaves.begin(), leaves.end()));
+          pending_.insert(RefreshKey(task.meta.name));
+          refreshes.push_back(std::move(task));
+          ++refreshes_queued;
+          continue;
         }
       }
 

@@ -20,6 +20,7 @@
 #include "obs/trace.h"
 #include "pacb/optimizer.h"
 #include "views/advisor.h"
+#include "views/maintenance.h"
 #include "views/view_store.h"
 #include "views/workload_monitor.h"
 
@@ -118,22 +119,16 @@ class AdaptiveViewManager {
   void OnExecution(const la::ExprPtr& executed,
                    const engine::ExecStats* stats) HADAD_EXCLUDES(admin_mu_);
 
-  // Propagates a base-data mutation into the store. MUST be called under
-  // the host's *unique* state lock (the session's mutation path holds it).
+  // Propagates a mutation batch into the store. MUST be called under the
+  // host's *unique* state lock (the session's mutation path holds it).
   //
-  // `changed` holds every name whose value changed arbitrarily (the mutated
-  // base plus any user views refreshed from it): stored views referencing
-  // one are invalidated — evicted from the store/optimizer/exec catalog,
-  // with WorkloadMonitor::Forget keeping advisor stats honest. When the
-  // mutation was a row-append, `appended`/`delta_rows` name the grown leaf:
-  // a view whose definition is append-additive in it (and touches no
-  // `changed` name) is detached and queued for an incremental delta refresh
-  // (V ← V + f(Δ)) on the background worker instead of recomputation; it is
-  // invisible to rewrites until the refresh installs.
-  void OnDataMutation(const std::set<std::string>& changed,
-                      const std::string* appended,
-                      const matrix::Matrix* delta_rows)
-      HADAD_EXCLUDES(admin_mu_);
+  // Each stored view follows views::PlanRefresh. A delta-refreshable view
+  // is detached and queued for an incremental refresh (V ← V + f(Δ)) on
+  // the background worker instead of recomputation; it is invisible to
+  // rewrites until the refresh installs. Any other view reading a changed
+  // or appended name is invalidated — evicted from the store/optimizer/exec
+  // catalog, with WorkloadMonitor::Forget keeping advisor stats honest.
+  void OnDataMutation(const DataChange& change) HADAD_EXCLUDES(admin_mu_);
 
   // Blocks until every queued materialization has been installed (or
   // failed). Foreground queries never need this; tests and benchmarks use

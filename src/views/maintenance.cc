@@ -121,4 +121,33 @@ std::optional<la::ExprPtr> BuildAppendDelta(const la::ExprPtr& definition,
   }
 }
 
+RefreshPlan PlanRefresh(const la::ExprPtr& definition,
+                        const DataChange& change,
+                        const std::string& delta_prefix) {
+  std::set<std::string> leaves;
+  la::CollectMatrixRefs(*definition, &leaves);
+  RefreshPlan plan;
+  int appended_leaves = 0;
+  for (const std::string& leaf : leaves) {
+    if (change.changed.contains(leaf)) {
+      plan.mode = RefreshMode::kFull;
+      return plan;
+    }
+    if (change.appended.contains(leaf)) {
+      plan.leaf = leaf;
+      ++appended_leaves;
+    }
+  }
+  if (appended_leaves == 0) return plan;
+  plan.mode = RefreshMode::kFull;
+  if (appended_leaves > 1) return plan;
+  std::optional<ExprPtr> delta =
+      BuildAppendDelta(definition, plan.leaf, delta_prefix + plan.leaf);
+  if (delta.has_value()) {
+    plan.mode = RefreshMode::kDelta;
+    plan.delta = *delta;
+  }
+  return plan;
+}
+
 }  // namespace hadad::views

@@ -1,10 +1,13 @@
 #ifndef HADAD_VIEWS_MAINTENANCE_H_
 #define HADAD_VIEWS_MAINTENANCE_H_
 
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "la/expr.h"
+#include "matrix/matrix.h"
 
 namespace hadad::views {
 
@@ -45,6 +48,38 @@ namespace hadad::views {
 std::optional<la::ExprPtr> BuildAppendDelta(const la::ExprPtr& definition,
                                             const std::string& leaf,
                                             const std::string& delta_name);
+
+// What one mutation batch did to the data, as view maintenance sees it. A
+// name whose only entry in the batch is one row append is *appended* and
+// maps to its rows (borrowed from the batch). Every other name whose value
+// moved is *changed*: updated, put, removed, mutated by several entries,
+// or a view the batch refreshed.
+struct DataChange {
+  std::set<std::string> changed;
+  std::map<std::string, const matrix::Matrix*> appended;
+};
+
+enum class RefreshMode {
+  kUntouched,  // Reads no changed or appended name: the value still holds.
+  kDelta,      // V ← V + f(Δ) over one appended leaf.
+  kFull,       // Recomputed (user views) or invalidated (adaptive views).
+};
+
+struct RefreshPlan {
+  RefreshMode mode = RefreshMode::kUntouched;
+  // kDelta only: the appended leaf, and f(Δ) reading its rows from the
+  // workspace entry `delta_prefix + leaf` (see PlanRefresh).
+  std::string leaf;
+  la::ExprPtr delta;
+};
+
+// The one maintenance rule, shared by the session's user views and the
+// adaptive view store: a view that reads no changed name and exactly one
+// appended name refreshes by delta when its definition is append-additive
+// in that name; any other view reading a changed or appended name is kFull.
+RefreshPlan PlanRefresh(const la::ExprPtr& definition,
+                        const DataChange& change,
+                        const std::string& delta_prefix);
 
 }  // namespace hadad::views
 

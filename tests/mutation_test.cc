@@ -599,42 +599,57 @@ TEST(AdaptiveMutationTest, AppendDeltaRefreshMatchesFullRecompute) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(f.session->Run(kAdaptivePipeline).ok());
   }
-  std::vector<views::StoredView> stored = f.session->adaptive()->StoredViews();
-  ASSERT_FALSE(stored.empty());
+  ASSERT_FALSE(f.session->adaptive()->StoredViews().empty());
 
+  // First a public Append, then a Mutate batch that also Puts a new name Z
+  // no stored view reads: X's only entry is still one Append, so the batch
+  // delta-refreshes the views too.
   Rng rng(33);
-  matrix::Matrix extra = matrix::RandomDense(rng, 15, 10);
-  ASSERT_TRUE(f.session->Append("X", extra).ok());
-  f.session->WaitForAdaptiveViews();
-
-  // t(X) %*% X is append-additive in X: the view was refreshed in place
-  // (V ← V + t(Δ)Δ), not recomputed or dropped.
-  api::SessionStats stats = f.session->stats();
-  EXPECT_GE(stats.adaptive_views_refreshed, 1);
-  std::vector<views::StoredView> after = f.session->adaptive()->StoredViews();
-  ASSERT_EQ(after.size(), stored.size());
-  EXPECT_LE(stats.adaptive_bytes_in_use, stats.adaptive_budget_bytes);
-
-  // The refreshed value matches a full recomputation at 1e-9, and serving
-  // agrees with a fresh session on the grown data.
   matrix::Matrix grown = f.x;
-  ASSERT_TRUE(matrix::AppendRows(&grown, extra).ok());
-  for (const views::StoredView& v : after) {
-    engine::Workspace scratch;
-    scratch.Put("X", grown);
-    scratch.Put("R", f.r);
-    auto full = engine::Execute(*v.definition, scratch);
-    ASSERT_TRUE(full.ok());
-    const matrix::Matrix* resident = f.session->workspace().Find(v.name);
-    ASSERT_NE(resident, nullptr);
-    EXPECT_TRUE(resident->ApproxEquals(*full, 1e-9));
+  for (const bool batched : {false, true}) {
+    const api::SessionStats before = f.session->stats();
+    const size_t views_before = f.session->adaptive()->StoredViews().size();
+    matrix::Matrix extra = matrix::RandomDense(rng, 15, 10);
+    Status st = batched ? f.session->Mutate(
+                              {api::Mutation::Append("X", extra),
+                               api::Mutation::Put("Z", Constant(3, 3, 1.0))})
+                        : f.session->Append("X", extra);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    f.session->WaitForAdaptiveViews();
+    ASSERT_TRUE(matrix::AppendRows(&grown, extra).ok());
+
+    // t(X) %*% X is append-additive in X: the view was refreshed in place
+    // (V ← V + t(Δ)Δ), not recomputed or dropped.
+    api::SessionStats stats = f.session->stats();
+    EXPECT_GT(stats.adaptive_views_refreshed, before.adaptive_views_refreshed)
+        << "batched=" << batched;
+    EXPECT_EQ(stats.adaptive_views_invalidated,
+              before.adaptive_views_invalidated)
+        << "batched=" << batched;
+    std::vector<views::StoredView> after =
+        f.session->adaptive()->StoredViews();
+    ASSERT_EQ(after.size(), views_before);
+    EXPECT_LE(stats.adaptive_bytes_in_use, stats.adaptive_budget_bytes);
+
+    // The refreshed value matches a full recomputation at 1e-9, and serving
+    // agrees with a fresh session on the grown data.
+    for (const views::StoredView& v : after) {
+      engine::Workspace scratch;
+      scratch.Put("X", grown);
+      scratch.Put("R", f.r);
+      auto full = engine::Execute(*v.definition, scratch);
+      ASSERT_TRUE(full.ok());
+      const matrix::Matrix* resident = f.session->workspace().Find(v.name);
+      ASSERT_NE(resident, nullptr);
+      EXPECT_TRUE(resident->ApproxEquals(*full, 1e-9));
+    }
+    auto fresh =
+        api::SessionBuilder().Put("X", grown).Put("R", f.r).Build().value();
+    auto expected = fresh->Run(kAdaptivePipeline);
+    auto got = f.session->Run(kAdaptivePipeline);
+    ASSERT_TRUE(expected.ok() && got.ok());
+    EXPECT_TRUE(got->ApproxEquals(*expected, 1e-9));
   }
-  auto fresh =
-      api::SessionBuilder().Put("X", grown).Put("R", f.r).Build().value();
-  auto expected = fresh->Run(kAdaptivePipeline);
-  auto got = f.session->Run(kAdaptivePipeline);
-  ASSERT_TRUE(expected.ok() && got.ok());
-  EXPECT_TRUE(got->ApproxEquals(*expected, 1e-9));
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -276,6 +277,106 @@ TEST(MutateBatchTest, ViewRefreshFailureRollsBackWholeBatch) {
   auto inv = session->Run("inv(X)");
   ASSERT_TRUE(inv.ok()) << inv.status().ToString();
   EXPECT_EQ(inv->At(1, 1), 0.5);
+  EXPECT_EQ(session->stats().data_mutations, 0);
+}
+
+// The refresh mode each view_refresh span recorded, by view name.
+std::map<std::string, std::string> RefreshModes(const api::Session& session) {
+  std::map<std::string, std::string> modes;
+  for (const obs::Span& s : session.trace()->Snapshot()) {
+    if (s.name != "view_refresh") continue;
+    std::string view;
+    std::string mode;
+    for (const auto& [k, v] : s.attrs) {
+      if (k == "view") view = v;
+      if (k == "mode") mode = v;
+    }
+    modes[view] = mode;
+  }
+  return modes;
+}
+
+TEST(MutateBatchTest, BatchedAppendRefreshesAdditiveViewByDelta) {
+  Rng rng(13);
+  const matrix::Matrix a = matrix::RandomDense(rng, 30, 5);
+  const matrix::Matrix w = matrix::RandomDense(rng, 8, 4);
+  const matrix::Matrix w2 = matrix::RandomDense(rng, 8, 4);
+  const matrix::Matrix extra = matrix::RandomDense(rng, 6, 5);
+  auto session = api::SessionBuilder()
+                     .Put("A", a)
+                     .Put("W", w)
+                     .AddView("G", "t(A) %*% A")
+                     .AddView("S", "colSums(W)")
+                     .Tracing()
+                     .Build()
+                     .value();
+
+  // A's only entry is one Append and G reads nothing else the batch moved:
+  // G refreshes by delta, while S over the updated W recomputes.
+  Status st = session->Mutate({api::Mutation::Update("W", w2),
+                               api::Mutation::Append("A", extra)});
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const std::map<std::string, std::string> modes = RefreshModes(*session);
+  EXPECT_EQ(modes.size(), 2u);
+  EXPECT_EQ(modes.at("G"), "delta");
+  EXPECT_EQ(modes.at("S"), "full");
+
+  matrix::Matrix grown = a;
+  ASSERT_TRUE(matrix::AppendRows(&grown, extra).ok());
+  auto fresh = api::SessionBuilder()
+                   .Put("A", grown)
+                   .Put("W", w2)
+                   .AddView("G", "t(A) %*% A")
+                   .AddView("S", "colSums(W)")
+                   .Build()
+                   .value();
+  for (const char* view : {"G", "S"}) {
+    auto got = session->Run(view);
+    auto want = fresh->Run(view);
+    ASSERT_TRUE(got.ok() && want.ok()) << view;
+    EXPECT_TRUE(got->ApproxEquals(*want, 1e-9)) << view;
+  }
+}
+
+TEST(MutateBatchTest, FailedBatchRollsBackDeltaRefreshedView) {
+  Rng rng(17);
+  const matrix::Matrix a = matrix::RandomDense(rng, 12, 4);
+  const matrix::Matrix y = matrix::RandomDense(rng, 3, 3);
+  matrix::DenseMatrix x(2, 2);
+  x.At(0, 0) = 2.0;
+  x.At(1, 1) = 2.0;
+  // G registers before VI, so the batch delta-refreshes G (staging A's
+  // rows) before VI's refresh fails on the singular X.
+  auto session = api::SessionBuilder()
+                     .Put("A", a)
+                     .Put("X", matrix::Matrix(std::move(x)))
+                     .Put("Y", y)
+                     .AddView("G", "t(A) %*% A")
+                     .AddView("VI", "inv(X)")
+                     .Build()
+                     .value();
+  const matrix::Matrix g_before = *session->workspace().Find("G");
+
+  Status st = session->Mutate(
+      {api::Mutation::Append("A", matrix::RandomDense(rng, 5, 4)),
+       api::Mutation::Remove("Y"),
+       api::Mutation::Update("X", Constant(2, 2, 0.0))});
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("rolled back"), std::string::npos)
+      << st.ToString();
+
+  // All three entries are undone, and so is G's delta refresh.
+  EXPECT_TRUE(BitEqual(*session->workspace().Find("A"), a));
+  auto y_served = session->Run("Y");
+  ASSERT_TRUE(y_served.ok()) << y_served.status().ToString();
+  EXPECT_TRUE(BitEqual(*y_served, y));
+  EXPECT_TRUE(BitEqual(*session->workspace().Find("G"), g_before));
+  auto vi = session->Run("VI");
+  ASSERT_TRUE(vi.ok()) << vi.status().ToString();
+  EXPECT_EQ(vi->At(0, 0), 0.5);
+  for (const auto& [name, value] : session->workspace().data()) {
+    EXPECT_NE(name.rfind("__delta", 0), 0u) << name;
+  }
   EXPECT_EQ(session->stats().data_mutations, 0);
 }
 

@@ -449,26 +449,48 @@ TEST(SessionTracingTest, MutationEmitsViewSpans) {
   auto built = api::SessionBuilder()
                    .Put("M", matrix::RandomDense(rng, 20, 6))
                    .AddView("V", "t(M)")
+                   .AddView("S", "colSums(M)")
                    .AdaptiveViews(int64_t{16} << 20, /*min_hits=*/2)
                    .Tracing()
                    .Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   std::shared_ptr<api::Session> session = *built;
   ASSERT_TRUE(session->Update("M", matrix::RandomDense(rng, 20, 6)).ok());
+  ASSERT_TRUE(session->Append("M", matrix::RandomDense(rng, 3, 6)).ok());
 
-  bool saw_refresh = false;
+  const std::vector<Span> spans = session->trace()->Snapshot();
   bool saw_propagation = false;
-  bool saw_update_root = false;
-  for (const Span& s : session->trace()->Snapshot()) {
-    if (s.category == "views" && s.name == "view_refresh") saw_refresh = true;
+  for (const Span& s : spans) {
     if (s.category == "views" && s.name == "mutation_propagation") {
       saw_propagation = true;
     }
-    if (s.category == "session" && s.name == "Update") saw_update_root = true;
   }
-  EXPECT_TRUE(saw_refresh);
   EXPECT_TRUE(saw_propagation);
-  EXPECT_TRUE(saw_update_root);
+
+  // The `mode` of view `view`'s refresh span under the mutation root span
+  // named `root` ("none" when there is no such span).
+  auto mode_of = [&spans](const std::string& root, const std::string& view) {
+    for (const Span& r : spans) {
+      if (r.category != "session" || r.name != root) continue;
+      for (const Span& s : spans) {
+        if (s.parent != r.id || s.name != "view_refresh") continue;
+        std::string refreshed;
+        std::string mode;
+        for (const auto& [k, v] : s.attrs) {
+          if (k == "view") refreshed = v;
+          if (k == "mode") mode = v;
+        }
+        if (refreshed == view) return mode;
+      }
+    }
+    return std::string("none");
+  };
+  // The Update recomputes both views; the Append refreshes the additive
+  // colSums(M) by delta and recomputes t(M), whose shape grows with M.
+  EXPECT_EQ(mode_of("Update", "V"), "full");
+  EXPECT_EQ(mode_of("Update", "S"), "full");
+  EXPECT_EQ(mode_of("Append", "V"), "full");
+  EXPECT_EQ(mode_of("Append", "S"), "delta");
 }
 
 TEST(SessionTracingTest, DumpTraceWritesFile) {

@@ -681,12 +681,13 @@ TEST(AdaptiveSnapshotRaceTest, StaleDeltaRefreshIsDiscardedNotInstalled) {
   // delta evaluation then races a conflicting update of X.
   Rng rng(33);
   matrix::Matrix extra = matrix::RandomDense(rng, 15, 12);
-  const std::string appended = "X";
+  DataChange change;
+  change.appended.emplace("X", &extra);
   {
     common::WriterMutexLock lock(&h.state_mu);
     ASSERT_TRUE(h.ws.Append("X", extra).ok());
     h.inject.store(true);
-    h.manager->OnDataMutation({}, &appended, &extra);
+    h.manager->OnDataMutation(change);
   }
   h.manager->Drain();
 
