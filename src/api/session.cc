@@ -595,7 +595,7 @@ Status Session::Mutate(std::vector<Mutation> mutations) {
 Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
                                   obs::SpanId parent) {
   // A one-entry batch (a public mutator call, or a one-entry Mutate) reports
-  // errors as a single mutation: no batch index.
+  // validation errors without a batch index.
   const bool single = mutations->size() == 1;
   // --- Validation against a simulated catalog: nothing is applied until
   //     the whole batch is known to leave every layer well-defined.
@@ -691,10 +691,7 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
     if (!ReferencesAny(*def, trial_changed)) continue;
     Result<la::MatrixMeta> shape = la::InferShape(*def, trial);
     if (!shape.ok()) {
-      const std::string subject =
-          single ? "mutation of '" + mutations->front().name + "'"
-                 : "Mutate: batch";
-      return Status::InvalidArgument(subject + " breaks view '" + vname +
+      return Status::InvalidArgument("mutation breaks view '" + vname +
                                      "': " + shape.status().message());
     }
     trial[vname] = std::move(shape).value();
@@ -767,8 +764,6 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
   // --- ONE view-refresh wave over the whole batch, in registration order.
   //     views::PlanRefresh picks delta or full per view; each refreshed
   //     view joins `changed`, so views over it recompute in full. --------
-  const char* rolled_back =
-      single ? " (mutation rolled back)" : " (batch rolled back)";
   for (const auto& [vname, def] : user_views_) {
     const views::RefreshPlan plan =
         views::PlanRefresh(def, change, kUserDeltaPrefix);
@@ -783,7 +778,7 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
       RollbackBatch(&journal, &refreshed, staged);
       return Status(fresh.status().code(),
                     "refreshing view '" + vname + "': " +
-                        fresh.status().message() + rolled_back);
+                        fresh.status().message() + " (rolled back)");
     }
     refreshed.push_back(
         RefreshedView{vname, def, std::move(*workspace_.Take(vname))});
@@ -794,7 +789,7 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
       RollbackBatch(&journal, &refreshed, staged);
       return Status(reregistered.code(),
                     "re-registering view '" + vname + "': " +
-                        reregistered.message() + rolled_back);
+                        reregistered.message() + " (rolled back)");
     }
     if (executor_ != nullptr) {
       exec_catalog_[vname] =
@@ -880,10 +875,9 @@ Result<matrix::Matrix> Session::ComputeViewRefresh(
     std::vector<std::string>* staged) {
   if (plan.mode == views::RefreshMode::kDelta) {
     // The appended rows are staged once per leaf, not once per view.
-    const std::string delta_name = kUserDeltaPrefix + plan.leaf;
-    if (workspace_.Find(delta_name) == nullptr) {
-      workspace_.Put(delta_name, *change.appended.at(plan.leaf));
-      staged->push_back(delta_name);
+    if (workspace_.Find(plan.delta_name) == nullptr) {
+      workspace_.Put(plan.delta_name, *change.appended.at(plan.leaf));
+      staged->push_back(plan.delta_name);
     }
     Result<matrix::Matrix> delta = EvaluateDefinition(plan.delta);
     if (delta.ok()) return matrix::Add(*workspace_.Find(vname), *delta);

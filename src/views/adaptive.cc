@@ -90,7 +90,7 @@ void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
           // The delta rows ride along in the workspace under a reserved
           // name until the background task installs (and erases it).
           RefreshTask task;
-          task.temp_name = temp_prefix + plan.leaf;
+          task.temp_name = plan.delta_name;
           host_.workspace->Put(task.temp_name,
                                *change.appended.at(plan.leaf));
           task.meta = std::move(detached->first);

@@ -141,10 +141,12 @@ RefreshPlan PlanRefresh(const la::ExprPtr& definition,
   if (appended_leaves == 0) return plan;
   plan.mode = RefreshMode::kFull;
   if (appended_leaves > 1) return plan;
+  const std::string delta_name = delta_prefix + plan.leaf;
   std::optional<ExprPtr> delta =
-      BuildAppendDelta(definition, plan.leaf, delta_prefix + plan.leaf);
+      BuildAppendDelta(definition, plan.leaf, delta_name);
   if (delta.has_value()) {
     plan.mode = RefreshMode::kDelta;
+    plan.delta_name = delta_name;
     plan.delta = *delta;
   }
   return plan;

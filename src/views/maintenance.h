@@ -67,9 +67,10 @@ enum class RefreshMode {
 
 struct RefreshPlan {
   RefreshMode mode = RefreshMode::kUntouched;
-  // kDelta only: the appended leaf, and f(Δ) reading its rows from the
-  // workspace entry `delta_prefix + leaf` (see PlanRefresh).
+  // kDelta only: the appended leaf, the reserved workspace name its rows
+  // must be staged under (`delta_prefix + leaf`), and f(Δ) reading them.
   std::string leaf;
+  std::string delta_name;
   la::ExprPtr delta;
 };
 
