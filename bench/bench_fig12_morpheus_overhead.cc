@@ -34,25 +34,23 @@ int main() {
         config.d_s = 20;
         config.tuple_ratio = tr;
         config.feature_ratio = fr;
-        morpheus::NormalizedMatrix nm = morpheus::GeneratePkFk(rng, config);
-        engine::Workspace ws;
-        morpheus::MorpheusEngine morpheus_engine(&ws);
-        morpheus_engine.Register("M", nm);
-        la::MetaCatalog catalog;
-        catalog["M"] = {.rows = nm.rows(), .cols = nm.cols(),
-                        .nnz = static_cast<double>(nm.rows() * nm.cols())};
-        pacb::Optimizer optimizer(catalog);
-        auto rewrite = optimizer.OptimizeText(c.text);
-        if (!rewrite.ok()) return 1;
+        auto session =
+            api::SessionBuilder()
+                .AddNormalizedMatrix("M", morpheus::GeneratePkFk(rng, config))
+                .Build();
+        if (!session.ok()) return 1;
+        // Prepare pays RW_find; ExecuteOriginal is Q_exec, the pipeline as
+        // stated on the factorized DAG route.
+        auto prepared = (*session)->Prepare(c.text);
+        if (!prepared.ok()) return 1;
+        const double rw_find = prepared->rewrite().optimize_seconds;
         engine::ExecStats stats;
-        auto out = morpheus_engine.Run(
-            la::ParseExpression(c.text).value(), &stats);
+        auto out = prepared->ExecuteOriginal(&stats);
         if (!out.ok()) return 1;
-        const double total = stats.seconds + rewrite->optimize_seconds;
+        const double total = stats.seconds + rw_find;
         std::printf("%6.0f %6.0f %12.3f %12.3f %9.2f\n", tr, fr,
-                    stats.seconds * 1e3, rewrite->optimize_seconds * 1e3,
-                    total > 0 ? 100.0 * rewrite->optimize_seconds / total
-                              : 0.0);
+                    stats.seconds * 1e3, rw_find * 1e3,
+                    total > 0 ? 100.0 * rw_find / total : 0.0);
       }
     }
   }

@@ -4,8 +4,8 @@
 // P2.10, up to 20x for P2.11 (sum distribution over the element-wise add
 // Morpheus cannot factorize) and up to 4.5x for P2.15.
 
+#include <algorithm>
 #include <cstdio>
-#include <memory>
 
 #include "core/hadad.h"
 
@@ -19,12 +19,14 @@ struct GridCase {
   const char* paper;
 };
 
-double TimeMorpheus(const morpheus::MorpheusEngine& engine,
-                    const la::ExprPtr& expr) {
+// Best of two executions of the pipeline as stated (Morpheus alone) or of
+// HADAD's rewriting, both on the session's factorized DAG route.
+double TimeMorpheus(const api::PreparedQuery& query, bool as_stated) {
   double best = 1e300;
   for (int i = 0; i < 2; ++i) {
     engine::ExecStats stats;
-    auto out = engine.Run(expr, &stats);
+    auto out = as_stated ? query.ExecuteOriginal(&stats)
+                         : query.Execute(&stats);
     HADAD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
     best = std::min(best, stats.seconds);
   }
@@ -59,35 +61,35 @@ int main() {
         config.tuple_ratio = tr;
         config.feature_ratio = fr;
         morpheus::NormalizedMatrix nm = morpheus::GeneratePkFk(rng, config);
-        engine::Workspace ws;
-        ws.Put("G", matrix::RandomDense(rng, nm.cols(), 100));
-        ws.Put("G2", matrix::RandomDense(rng, 100, nm.rows()));
-        ws.Put("G3", matrix::RandomDense(rng, nm.rows(), nm.cols()));
-        morpheus::MorpheusEngine morpheus_engine(&ws);
-        morpheus_engine.Register("M", nm);
-
-        la::MetaCatalog catalog = ws.BuildMetaCatalog();
-        catalog["M"] = {.rows = nm.rows(), .cols = nm.cols(),
-                        .nnz = static_cast<double>(nm.rows() * nm.cols())};
-        pacb::Optimizer optimizer(catalog);
-        auto rewrite = optimizer.OptimizeText(c.original);
-        if (!rewrite.ok()) {
+        const int64_t rows = nm.rows();
+        const int64_t cols = nm.cols();
+        matrix::Matrix g = matrix::RandomDense(rng, cols, 100);
+        matrix::Matrix g2 = matrix::RandomDense(rng, 100, rows);
+        matrix::Matrix g3 = matrix::RandomDense(rng, rows, cols);
+        auto session = api::SessionBuilder()
+                           .AddNormalizedMatrix("M", std::move(nm))
+                           .Put("G", std::move(g))
+                           .Put("G2", std::move(g2))
+                           .Put("G3", std::move(g3))
+                           .Build();
+        HADAD_CHECK_MSG(session.ok(), session.status().ToString().c_str());
+        auto prepared = (*session)->Prepare(c.original);
+        if (!prepared.ok()) {
           std::printf("optimize failed: %s\n",
-                      rewrite.status().ToString().c_str());
+                      prepared.status().ToString().c_str());
           return 1;
         }
-        la::ExprPtr original = la::ParseExpression(c.original).value();
-        const double base = TimeMorpheus(morpheus_engine, original);
-        const double with_hadad = TimeMorpheus(morpheus_engine, rewrite->best);
+        const double base = TimeMorpheus(*prepared, /*as_stated=*/true);
+        const double with_hadad = TimeMorpheus(*prepared, /*as_stated=*/false);
         // Sanity: values agree.
-        auto a = morpheus_engine.Run(original);
-        auto b = morpheus_engine.Run(rewrite->best);
+        auto a = prepared->ExecuteOriginal();
+        auto b = prepared->Execute();
         HADAD_CHECK(a->ApproxEquals(*b, 1e-6));
         std::printf("%6.0f %6.0f %14.3f %14.3f %10.3f %8.2fx  %s\n", tr, fr,
                     base * 1e3, with_hadad * 1e3,
-                    rewrite->optimize_seconds * 1e3,
+                    prepared->rewrite().optimize_seconds * 1e3,
                     with_hadad > 0 ? base / with_hadad : 1.0,
-                    la::ToString(rewrite->best).c_str());
+                    la::ToString(prepared->plan()).c_str());
       }
     }
   }

@@ -16,7 +16,8 @@
 #                            benchmark drivers, then diffs the merged
 #                            results against the committed baseline with
 #                            scripts/bench_diff.py (speedup regressions
-#                            beyond 15% fail)
+#                            beyond 15% fail); also smoke-runs the Fig. 9
+#                            and Fig. 12 factorized benches
 #   ./scripts/ci.sh trace    Observability validation: builds and runs
 #                            examples/trace_demo with tracing on, then
 #                            validates the emitted Chrome trace-event JSON
@@ -103,7 +104,13 @@ case "$mode" in
       -DBUILD_TESTING=OFF \
       -DHADAD_BUILD_EXAMPLES=OFF
     cmake --build build-bench -j --target bench_session_cache \
-      bench_update_refresh bench_server_concurrency bench_simd_kernels
+      bench_update_refresh bench_server_concurrency bench_simd_kernels \
+      bench_fig9_morpheus bench_fig12_morpheus_overhead
+    # Factorized smoke: both figures run on a Session over a normalized M
+    # (nm_* DAG kernels); fig9 aborts when the rewritten and as-stated
+    # results disagree beyond 1e-6.
+    ./build-bench/bench/bench_fig9_morpheus
+    ./build-bench/bench/bench_fig12_morpheus_overhead
     ./build-bench/bench/bench_session_cache \
       --json=build-bench/bench_session_cache.json
     ./build-bench/bench/bench_update_refresh \

@@ -8,7 +8,6 @@
 
 #include "common/mutex.h"
 #include "common/timer.h"
-#include "engine/evaluator.h"
 #include "la/parser.h"
 #include "matrix/simd.h"
 #include "obs/explain.h"
@@ -30,7 +29,7 @@ Result<matrix::Matrix> PreparedQuery::ExecuteOriginal(
 }
 
 Result<std::string> PreparedQuery::ExplainAnalyze() const {
-  return session_->ExplainAnalyzePlan(*plan_);
+  return session_->ExplainAnalyzePlan(plan_);
 }
 
 std::string PreparedQuery::Explain() const {
@@ -195,59 +194,13 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
   return it->second;
 }
 
-Result<matrix::Matrix> Session::ExecuteExpr(const la::ExprPtr& expr,
-                                            engine::ExecStats* stats,
-                                            obs::SpanId parent,
-                                            const exec::CancelToken* cancel)
-    const {
-  if (morpheus_ != nullptr &&
-      (executor_ == nullptr || morpheus_->ReferencesNormalized(*expr))) {
-    // Factorized data lives inside the Morpheus engine, so expressions
-    // touching it must evaluate there — but it borrows the executor's pool
-    // (and the trace recorder) so pushdown kernels still parallelize and
-    // show up as per-kernel spans. Expressions over plain workspace names
-    // fall through to the DAG engine below.
-    const obs::TraceContext ctx{trace_.get(), parent};
-    return morpheus_->Run(expr, stats,
-                          executor_ != nullptr ? executor_->range_runner()
-                                               : matrix::RangeRunner(nullptr),
-                          &ctx);
-  }
-  if (executor_ != nullptr) {
-    HADAD_ASSIGN_OR_RETURN(exec::CompiledPlan compiled,
-                           CompileForExecution(expr, parent));
-    const obs::TraceContext ctx{trace_.get(), parent};
-    return executor_->RunCompiled(compiled, workspace_, stats, &ctx, cancel);
-  }
-  return engine_->Run(expr, stats);
-}
-
-Result<exec::CompiledPlan> Session::CompileForExecution(
-    const la::ExprPtr& expr, obs::SpanId parent) const {
-  // Respect the engine profile (kSmart applies its internal rewrites
-  // before execution), then hand the plan to the parallel DAG engine.
-  HADAD_ASSIGN_OR_RETURN(la::ExprPtr planned, engine_->Plan(expr));
-  const std::set<std::string> barriers =
-      adaptive_ != nullptr ? adaptive_->FusionBarriers()
-                           : std::set<std::string>();
-  obs::ScopedSpan compile(trace_.get(), "dag_compile", "compile", parent);
-  HADAD_ASSIGN_OR_RETURN(
-      exec::CompiledPlan compiled,
-      CompileExpr(planned, adaptive_ != nullptr ? &barriers : nullptr));
-  if (compile.active()) {
-    compile.Annotate("cached", "false");
-    compile.Annotate("plan_nodes",
-                     static_cast<int64_t>(compiled.nodes.size()));
-    compile.Annotate("cse_hits", compiled.cse_hits);
-    compile.Annotate("fused_nodes", compiled.fused_nodes);
-    compile.Annotate("fused_ops_eliminated", compiled.fused_ops_eliminated);
-  }
-  return compiled;
-}
-
-Result<exec::CompiledPlan> Session::CompileExpr(
-    const la::ExprPtr& planned,
+Result<exec::CompiledPlan> Session::CompileQuery(
+    const la::ExprPtr& expr,
     const std::set<std::string>* fusion_barriers) const {
+  // Respect the engine profile (kSmart applies its internal rewrites
+  // before execution), then hand the plan to the DAG engine.
+  HADAD_ASSIGN_OR_RETURN(la::ExprPtr planned,
+                         engine_->Plan(expr, &exec_catalog_));
   HADAD_ASSIGN_OR_RETURN(
       exec::CompiledPlan compiled,
       executor_->Compile(planned, workspace_, &exec_catalog_,
@@ -259,7 +212,7 @@ Result<exec::CompiledPlan> Session::CompileExpr(
 }
 
 Result<std::shared_ptr<const exec::CompiledPlan>> Session::GetOrCompile(
-    const PreparedPlan& plan, obs::SpanId parent) const {
+    const PreparedPlan& plan, bool as_stated, obs::SpanId parent) const {
   obs::ScopedSpan compile(trace_.get(), "dag_compile", "compile", parent);
   const auto annotate = [&compile](const exec::CompiledPlan& compiled,
                                    const char* cached) {
@@ -280,7 +233,7 @@ Result<std::shared_ptr<const exec::CompiledPlan>> Session::GetOrCompile(
   // Without adaptive views there are no barriers, and plans that fused
   // nothing can never go barrier-stale: return those without querying the
   // barrier set at all.
-  {
+  if (!as_stated) {
     common::MutexLock lock(&plan.compile_mu);
     if (plan.compiled != nullptr &&
         (adaptive_ == nullptr || plan.compiled->fused_canonicals.empty())) {
@@ -291,6 +244,16 @@ Result<std::shared_ptr<const exec::CompiledPlan>> Session::GetOrCompile(
   const std::set<std::string> barriers =
       adaptive_ != nullptr ? adaptive_->FusionBarriers()
                            : std::set<std::string>();
+  const std::set<std::string>* barriers_arg =
+      adaptive_ != nullptr ? &barriers : nullptr;
+  if (as_stated) {
+    // The as-stated form compiles per execution; only rewrite.best has a
+    // resident DAG.
+    HADAD_ASSIGN_OR_RETURN(exec::CompiledPlan compiled,
+                           CompileQuery(plan.original, barriers_arg));
+    annotate(compiled, "false");
+    return std::make_shared<const exec::CompiledPlan>(std::move(compiled));
+  }
   const auto barrier_clean = [&](const exec::CompiledPlan& compiled) {
     for (const std::string& canonical : compiled.fused_canonicals) {
       if (barriers.count(canonical) > 0) return false;
@@ -304,11 +267,8 @@ Result<std::shared_ptr<const exec::CompiledPlan>> Session::GetOrCompile(
       return plan.compiled;
     }
   }
-  HADAD_ASSIGN_OR_RETURN(la::ExprPtr planned,
-                         engine_->Plan(plan.rewrite.best));
-  HADAD_ASSIGN_OR_RETURN(
-      exec::CompiledPlan compiled,
-      CompileExpr(planned, adaptive_ != nullptr ? &barriers : nullptr));
+  HADAD_ASSIGN_OR_RETURN(exec::CompiledPlan compiled,
+                         CompileQuery(plan.rewrite.best, barriers_arg));
   common::MutexLock lock(&plan.compile_mu);
   if (plan.compiled == nullptr || !barrier_clean(*plan.compiled)) {
     plan.compiled =
@@ -320,8 +280,8 @@ Result<std::shared_ptr<const exec::CompiledPlan>> Session::GetOrCompile(
 
 Result<matrix::Matrix> Session::RunPlan(
     std::shared_ptr<const PreparedPlan> plan, engine::ExecStats* stats,
-    bool original, obs::SpanId parent, const exec::CancelToken* cancel)
-    const {
+    bool original, obs::SpanId parent, const exec::CancelToken* cancel,
+    std::shared_ptr<const exec::CompiledPlan>* ran) const {
   // Calls arriving without an enclosing span (PreparedQuery::Execute) get
   // their own root; Session::Run passes its "Run" span instead.
   obs::ScopedSpan root(parent == obs::kNoSpan ? trace_.get() : nullptr,
@@ -344,16 +304,12 @@ Result<matrix::Matrix> Session::RunPlan(
     engine::ExecStats* exec_stats =
         stats != nullptr ? stats
                          : (adaptive && !original ? &local_stats : nullptr);
-    bool use_original = false;
-    std::optional<Result<matrix::Matrix>> result;
-    // Execution state prepared under the shared hold, consumed lock-free
-    // below: the pinned MVCC snapshot plus whichever plan form this
-    // session executes (cached DAG, freshly compiled DAG, or the profile-
-    // planned expression tree).
+    bool as_stated = original;
+    // The pinned MVCC snapshot and the physical plan, prepared under the
+    // shared hold and consumed lock-free below.
     engine::SnapshotPtr snapshot;
-    std::shared_ptr<const exec::CompiledPlan> compiled;
-    std::optional<exec::CompiledPlan> compiled_local;
-    la::ExprPtr planned;
+    Result<std::shared_ptr<const exec::CompiledPlan>> compiled =
+        Status::Internal("plan not compiled");
     {
       common::ReaderMutexLock state(&views_mu_);
       // Under the shared lock neither the view set nor the live data
@@ -363,92 +319,32 @@ Result<matrix::Matrix> Session::RunPlan(
       if (stale && attempt + 1 < kMaxAttempts) continue;
       // Extreme-churn fallback: the original expression references only
       // session-durable names, so it executes against the current data.
-      use_original = original || stale;
-      const la::ExprPtr& expr =
-          use_original ? plan->original : plan->rewrite.best;
-      if (morpheus_ != nullptr &&
-          (executor_ == nullptr || morpheus_->ReferencesNormalized(*expr))) {
-        // Morpheus route: factorized data lives inside that engine, not in
-        // a pinnable workspace version — execute under the hold as before.
-        result.emplace(ExecutePlanLocked(*plan, use_original, exec_stats,
-                                         span, cancel));
-      } else {
-        // MVCC read path: pin the snapshot and prepare the physical plan
-        // under the hold, then execute below with NO session lock held —
-        // writers proceed concurrently and never block this query.
-        snapshot = workspace_.PinSnapshot();
-        if (executor_ != nullptr) {
-          if (use_original) {
-            auto c = CompileForExecution(plan->original, span);
-            if (!c.ok()) {
-              result.emplace(c.status());
-            } else {
-              compiled_local.emplace(std::move(*c));
-            }
-          } else {
-            auto c = GetOrCompile(*plan, span);
-            if (!c.ok()) {
-              result.emplace(c.status());
-            } else {
-              compiled = std::move(*c);
-            }
-          }
-        } else {
-          auto p = engine_->Plan(expr);
-          if (!p.ok()) {
-            result.emplace(p.status());
-          } else {
-            planned = std::move(*p);
-          }
-        }
-      }
+      if (stale) as_stated_fallbacks_->Inc();
+      as_stated = original || stale;
+      snapshot = workspace_.PinSnapshot();
+      compiled = GetOrCompile(*plan, as_stated, span);
     }
-    if (!result.has_value()) {
-      // Lock-free execution against the pinned snapshot (leaf loads
-      // resolve to the pinned immutable versions).
-      if (executor_ != nullptr) {
-        const obs::TraceContext ctx{trace_.get(), span};
-        const exec::CompiledPlan& plan_to_run =
-            compiled != nullptr ? *compiled : *compiled_local;
-        result.emplace(executor_->RunCompiled(plan_to_run, *snapshot,
-                                              exec_stats, &ctx, cancel));
-      } else {
-        result.emplace(engine::Execute(*planned, *snapshot, exec_stats));
-      }
+    // Lock-free execution against the pinned snapshot: leaf loads resolve
+    // to the pinned immutable versions, so writers proceed concurrently and
+    // never block this query. Normalized matrices are immutable session
+    // state, read by the nm_* kernels directly.
+    Result<matrix::Matrix> result = compiled.status();
+    if (compiled.ok()) {
+      const obs::TraceContext ctx{trace_.get(), span};
+      result = executor_->RunCompiled(**compiled, *snapshot, exec_stats, &ctx,
+                                      cancel);
+      if (ran != nullptr) *ran = *compiled;
     }
     // Unpin before adaptive propagation: OnExecution may schedule work that
     // takes the state lock, and the snapshot's versions are done serving.
     snapshot.reset();
-    if (adaptive && !original && result->ok()) {
+    if (adaptive && !original && result.ok()) {
       // OnExecution takes the state lock itself, hence outside the scope.
       adaptive_->OnExecution(
-          use_original ? plan->original : plan->rewrite.best, exec_stats);
+          as_stated ? plan->original : plan->rewrite.best, exec_stats);
     }
-    return std::move(*result);
+    return result;
   }
-}
-
-Result<matrix::Matrix> Session::ExecutePlanLocked(
-    const PreparedPlan& plan, bool use_original,
-    engine::ExecStats* exec_stats, obs::SpanId parent,
-    const exec::CancelToken* cancel) const {
-  if (use_original) {
-    return ExecuteExpr(plan.original, exec_stats, parent, cancel);
-  }
-  if (executor_ != nullptr &&
-      (morpheus_ == nullptr ||
-       !morpheus_->ReferencesNormalized(*plan.rewrite.best))) {
-    // Hit path for executor sessions: reuse the physical DAG cached in
-    // the plan instead of recompiling it. (Plans over normalized matrices
-    // stay on the Morpheus engine via ExecuteExpr — their data is not in
-    // the workspace the DAG compiler plans against.)
-    auto compiled = GetOrCompile(plan, parent);
-    if (!compiled.ok()) return compiled.status();
-    const obs::TraceContext ctx{trace_.get(), parent};
-    return executor_->RunCompiled(**compiled, workspace_, exec_stats, &ctx,
-                                  cancel);
-  }
-  return ExecuteExpr(plan.rewrite.best, exec_stats, parent, cancel);
 }
 
 void Session::AnnotateRoot(const obs::ScopedSpan& root,
@@ -495,36 +391,16 @@ Result<matrix::Matrix> Session::RunCancellable(
 }
 
 Result<std::string> Session::ExplainAnalyzePlan(
-    const PreparedPlan& plan) const {
+    std::shared_ptr<const PreparedPlan> plan) const {
   obs::ScopedSpan root(trace_.get(), "ExplainAnalyze", "session");
-  AnnotateRoot(root, plan.canonical);
+  AnnotateRoot(root, plan->canonical);
   engine::ExecStats stats;
-  common::ReaderMutexLock state(&views_mu_);
-  if (executor_ != nullptr &&
-      (morpheus_ == nullptr ||
-       !morpheus_->ReferencesNormalized(*plan.rewrite.best))) {
-    HADAD_ASSIGN_OR_RETURN(std::shared_ptr<const exec::CompiledPlan> compiled,
-                           GetOrCompile(plan, root.id()));
-    const obs::TraceContext ctx{trace_.get(), root.id()};
-    HADAD_ASSIGN_OR_RETURN(
-        matrix::Matrix value,
-        executor_->RunCompiled(*compiled, workspace_, &stats, &ctx));
-    (void)value;
-    return obs::RenderExplainAnalyze(*compiled, stats);
-  }
-  // No physical DAG to report on (tree evaluator / Morpheus): fall back to
-  // the per-operator aggregate the engine does measure.
+  std::shared_ptr<const exec::CompiledPlan> compiled;
   HADAD_ASSIGN_OR_RETURN(matrix::Matrix value,
-                         ExecuteExpr(plan.rewrite.best, &stats, root.id()));
+                         RunPlan(std::move(plan), &stats, /*original=*/false,
+                                 root.id(), /*cancel=*/nullptr, &compiled));
   (void)value;
-  std::ostringstream out;
-  out << "EXPLAIN ANALYZE  (no physical DAG: "
-      << (morpheus_ != nullptr ? "Morpheus engine" : "tree evaluator")
-      << ")\n";
-  out << "pipeline: " << la::ToString(plan.rewrite.best) << "\n";
-  out << "wall " << stats.seconds * 1e3 << "ms, operators "
-      << stats.operators << ", gamma " << stats.intermediate_nnz << "\n";
-  return out.str();
+  return obs::RenderExplainAnalyze(*compiled, stats);
 }
 
 void Session::WaitForAdaptiveViews() const {
@@ -552,12 +428,6 @@ bool ReferencesAny(const la::Expr& e, const std::set<std::string>& names) {
 }
 
 }  // namespace
-
-Result<matrix::Matrix> Session::EvaluateDefinition(
-    const la::ExprPtr& def) const {
-  if (morpheus_ != nullptr) return morpheus_->Run(def);
-  return engine::Execute(*def, workspace_);
-}
 
 Status Session::Update(const std::string& name, matrix::Matrix m) {
   return MutateOne("Update", Mutation::Update(name, std::move(m)));
@@ -757,7 +627,7 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
         RollbackBatch(&journal, &refreshed, staged);
         return registered;
       }
-      if (executor_ != nullptr) exec_catalog_[m.name] = meta;
+      exec_catalog_[m.name] = meta;
     }
   }
 
@@ -791,10 +661,7 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
                     "re-registering view '" + vname + "': " +
                         reregistered.message() + " (rolled back)");
     }
-    if (executor_ != nullptr) {
-      exec_catalog_[vname] =
-          engine::Workspace::MetaFor(*workspace_.Find(vname));
-    }
+    exec_catalog_[vname] = engine::Workspace::MetaFor(*workspace_.Find(vname));
     change.changed.insert(vname);
   }
   for (const std::string& name : staged) workspace_.Erase(name);
@@ -856,16 +723,14 @@ void Session::RollbackBatch(std::vector<BaseChange>* journal,
     if (!optimizer_->UpdateBaseMeta(c.name, meta).ok()) {
       (void)optimizer_->AddBaseMeta(c.name, meta);  // Restored removal.
     }
-    if (executor_ != nullptr) exec_catalog_[c.name] = meta;
+    exec_catalog_[c.name] = meta;
   }
   // Re-register views in forward registration order, as Build() did.
   for (const RefreshedView& v : *refreshed) {
     (void)optimizer_->RemoveView(v.name);
     (void)optimizer_->AddView(v.name, v.def);
-    if (executor_ != nullptr) {
-      exec_catalog_[v.name] =
-          engine::Workspace::MetaFor(*workspace_.Find(v.name));
-    }
+    exec_catalog_[v.name] =
+        engine::Workspace::MetaFor(*workspace_.Find(v.name));
   }
 }
 
@@ -879,10 +744,10 @@ Result<matrix::Matrix> Session::ComputeViewRefresh(
       workspace_.Put(plan.delta_name, *change.appended.at(plan.leaf));
       staged->push_back(plan.delta_name);
     }
-    Result<matrix::Matrix> delta = EvaluateDefinition(plan.delta);
+    Result<matrix::Matrix> delta = executor_->Run(plan.delta, workspace_);
     if (delta.ok()) return matrix::Add(*workspace_.Find(vname), *delta);
   }
-  return EvaluateDefinition(def);
+  return executor_->Run(def, workspace_);
 }
 
 SessionStats Session::stats() const {
@@ -913,8 +778,7 @@ std::string Session::MetricsText() const {
   // Gauges describe point-in-time levels; refresh them from live state so
   // the rendered exposition is coherent as of this call.
   plan_cache_gauge_->Set(static_cast<double>(plan_cache_size()));
-  threads_gauge_->Set(
-      executor_ != nullptr ? static_cast<double>(executor_->threads()) : 1.0);
+  threads_gauge_->Set(static_cast<double>(executor_->threads()));
   workspace_versions_gauge_->Set(
       static_cast<double>(workspace_.LiveVersions()));
   pinned_snapshots_gauge_->Set(
@@ -1091,7 +955,12 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
     raw->runs_ = m.AddCounter("hadad_session_runs_total",
         "Session::Run invocations. Unit: calls.");
     raw->compiled_plans_ = m.AddCounter("hadad_session_compiled_plans_total",
-        "Physical-DAG compilations (executor sessions). Unit: plans.");
+        "Physical-DAG compilations of query plans (view definitions do not "
+        "count). Unit: plans.");
+    raw->as_stated_fallbacks_ =
+        m.AddCounter("hadad_session_as_stated_fallbacks_total",
+        "Executions served as stated because writes kept the rewritten plan "
+        "stale through every re-derivation attempt. Unit: calls.");
     raw->fused_nodes_ = m.AddCounter("hadad_session_fused_nodes_total",
         "Plan nodes fusing several logical operators. Unit: nodes.");
     raw->fused_ops_eliminated_ =
@@ -1141,13 +1010,14 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
   }
 
   // The optimizer's base catalog: stored matrices plus the shapes of any
-  // normalized matrices (their data lives in the Morpheus engine, not the
-  // workspace). View shapes are registered below by AddView itself.
+  // normalized matrices (their data lives in the registry the executor
+  // compiles against, not the workspace). View shapes are registered below
+  // by AddView itself.
   la::MetaCatalog catalog =
       session->workspace_.BuildMetaCatalog(flag_detect_limit_);
+  la::MetaCatalog normalized_shapes;
   if (!normalized_.empty()) {
-    session->morpheus_ =
-        std::make_unique<morpheus::MorpheusEngine>(&session->workspace_);
+    session->morpheus_ = std::make_unique<morpheus::MorpheusEngine>();
     for (auto& [name, nm] : normalized_) {
       la::MatrixMeta meta;
       meta.rows = nm.rows();
@@ -1155,6 +1025,7 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
       meta.nnz = static_cast<double>(nm.rows()) *
                  static_cast<double>(nm.cols());
       catalog[name] = meta;
+      normalized_shapes[name] = meta;
       session->morpheus_->Register(name, std::move(nm));
     }
   }
@@ -1165,10 +1036,16 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
       std::make_unique<pacb::Optimizer>(std::move(catalog), options);
   session->optimizer_->SetData(&session->workspace_.data());
 
+  // One DAG executor serves every execution; without Threads() its pool has
+  // one thread and runs plans inline on the caller.
+  engine::ExecOptions exec_options;
+  exec_options.threads = exec_threads_.value_or(1);
+  session->executor_ =
+      std::make_unique<exec::Executor>(exec_options, raw->morpheus_.get());
+
   // Materialize views into the workspace (so execution can scan them) and
   // register their definitions with the optimizer (so rewritings can reach
-  // them). Later views may reference earlier ones; definitions over
-  // normalized matrices evaluate through the Morpheus engine.
+  // them). Later views may reference earlier ones.
   for (const PendingView& v : views_) {
     auto def = la::ParseExpression(v.text);
     if (!def.ok()) {
@@ -1176,9 +1053,7 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
                                              "': " + def.status().message());
     }
     Result<matrix::Matrix> value =
-        session->morpheus_ != nullptr
-            ? session->morpheus_->Run(def.value())
-            : engine::Execute(*def.value(), session->workspace_);
+        session->executor_->Run(def.value(), session->workspace_);
     if (!value.ok()) {
       return Status(value.status().code(),
                     "view '" + v.name + "': " + value.status().message());
@@ -1204,14 +1079,10 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
 
   session->engine_ = std::make_unique<engine::Engine>(profile_,
                                                       &session->workspace_);
-  if (exec_threads_.has_value()) {
-    engine::ExecOptions exec_options;
-    exec_options.threads = *exec_threads_;
-    session->executor_ = std::make_unique<exec::Executor>(exec_options);
-    // Rebuild after view materialization so view leaves resolve without a
-    // per-query workspace scan.
-    raw->exec_catalog_ = session->workspace_.BuildMetaCatalog();
-  }
+  // Built after view materialization so view leaves resolve without a
+  // per-query workspace scan; normalized shapes serve kSmart planning.
+  raw->exec_catalog_ = session->workspace_.BuildMetaCatalog();
+  raw->exec_catalog_.merge(normalized_shapes);
 
   if (adaptive_.has_value()) {
     std::unique_ptr<cost::SparsityEstimator> advisor_estimator;
@@ -1224,22 +1095,11 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
     // `raw` is safe to capture: the manager is a member and never outlives.
     host.workspace = &raw->workspace_;
     host.optimizer = raw->optimizer_.get();
-    host.exec_catalog =
-        exec_threads_.has_value() ? &raw->exec_catalog_ : nullptr;
+    host.exec_catalog = &raw->exec_catalog_;
     host.state_mu = &raw->views_mu_;
     host.trace = raw->trace_.get();
-    host.evaluate = [raw](const la::ExprPtr& def, engine::WorkspaceView ws,
-                          bool state_locked) -> Result<matrix::Matrix> {
-      if (raw->morpheus_ != nullptr) {
-        // Factorized data lives inside the Morpheus engine, not in `ws`;
-        // its state follows the session state lock, so take it shared
-        // unless the caller (synchronous-mode refresh) already holds it
-        // unique.
-        if (state_locked) return raw->morpheus_->Run(def);
-        common::ReaderMutexLock state(&raw->views_mu_);
-        return raw->morpheus_->Run(def);
-      }
-      return engine::Execute(*def, ws);
+    host.evaluate = [raw](const la::ExprPtr& def, engine::WorkspaceView ws) {
+      return raw->executor_->Run(def, ws);
     };
     host.on_views_changed = [raw] {
       raw->view_generation_.fetch_add(1, std::memory_order_release);

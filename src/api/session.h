@@ -49,14 +49,14 @@ struct SessionStats {
   int64_t plan_builds_coalesced = 0;
   // Session::Run() invocations — calls.
   int64_t runs = 0;
-  // Physical-DAG compilations — plans (executor sessions only; the hit
-  // path reuses the DAG cached inside PreparedPlan instead of recompiling).
+  // Physical-DAG compilations of query plans — plans (the hit path reuses
+  // the DAG cached inside PreparedPlan instead of recompiling; view
+  // definitions compile too but are not counted).
   int64_t compiled_plans = 0;
-  // Operator-fusion outcome summed over this session's physical-DAG
-  // compilations (executor sessions only): plan nodes that fuse several
-  // logical operators, and the operator nodes — one materialized
-  // intermediate each — the fusion pass eliminated. Per-run values travel
-  // in engine::ExecStats.
+  // Operator-fusion outcome summed over the same query-plan compilations:
+  // plan nodes that fuse several logical operators, and the operator
+  // nodes — one materialized intermediate each — the fusion pass
+  // eliminated. Per-run values travel in engine::ExecStats.
   int64_t fused_nodes = 0;
   int64_t fused_ops_eliminated = 0;
   // Mutation entries applied by successful Update()/Append()/Remove()/
@@ -118,9 +118,8 @@ struct PreparedPlan {
   // the per-run fast path (one atomic compare) when nothing mutated.
   mutable std::atomic<int64_t> verified_generation{-1};
 
-  // Lazily compiled physical DAG of rewrite.best (executor sessions): built
-  // on first execution, reused afterwards so the hit path skips DAG
-  // recompilation.
+  // Lazily compiled physical DAG of rewrite.best: built on first
+  // execution, reused afterwards so the hit path skips DAG recompilation.
   mutable common::Mutex compile_mu;
   mutable std::shared_ptr<const exec::CompiledPlan> compiled
       HADAD_GUARDED_BY(compile_mu);
@@ -129,8 +128,8 @@ struct PreparedPlan {
 // A reusable optimized pipeline bound to its session. Parse + PACB rewrite
 // already happened (once); Execute() only pays execution. Copyable; keeps the
 // session alive, so it may outlive the caller's session handle. All methods
-// are const and safe to call concurrently (execution takes the session
-// state lock shared, like Session::Run).
+// are const and safe to call concurrently (execution follows Session::Run's
+// route: a brief shared hold to pin a snapshot, then lock-free).
 class PreparedQuery {
  public:
   // Runs the minimum-cost rewriting.
@@ -145,11 +144,10 @@ class PreparedQuery {
   // Executes the rewriting once with per-node measurement and renders the
   // physical DAG annotated with what actually happened: measured kernel
   // wall-clock per node (and its share of total operator work), measured
-  // output nnz (the paper's γ per intermediate), the chosen kernel, fusion
-  // and CSE provenance (see obs::RenderExplainAnalyze). Sessions without
-  // the DAG engine (no SessionBuilder::Threads, or Morpheus) report the
-  // per-operator aggregate instead. Runs the query — same cost as
-  // Execute().
+  // output nnz (the paper's γ per intermediate), the chosen kernel —
+  // nm_* for factorized pushdowns — fusion and CSE provenance (see
+  // obs::RenderExplainAnalyze). Runs the query exactly as Execute() does,
+  // on the same snapshot-pinned route.
   Result<std::string> ExplainAnalyze() const;
 
   const la::ExprPtr& original() const { return plan_->original; }
@@ -187,12 +185,12 @@ class PreparedQuery {
 // Prepare()/Run() are safe to call concurrently from multiple threads: the
 // plan cache is guarded by a shared_mutex (readers run in parallel) and
 // execution is MVCC: a query takes the session state lock shared only long
-// enough to verify plan freshness and pin an immutable workspace snapshot,
-// then runs the DAG/tree with NO session lock held. Writers never block
-// readers — a mutation installs new matrix versions under the writer
-// critical section while in-flight queries keep reading their pinned
-// versions; superseded versions are reclaimed when the last pinned reader
-// drains.
+// enough to verify plan freshness, pin an immutable workspace snapshot and
+// fetch (or compile) its DAG, then runs the DAG with NO session lock held.
+// Writers never block readers — a mutation installs new matrix versions
+// under the writer critical section while in-flight queries keep reading
+// their pinned versions; superseded versions are reclaimed when the last
+// pinned reader drains.
 //
 // The data layer is *versioned and mutable*: Update()/Append()/Remove()
 // change base matrices after Build() and propagate through every dependent
@@ -226,9 +224,8 @@ class Session : public std::enable_shared_from_this<Session> {
   // cancel-free special case). `cancel`, when non-null, is checked before
   // optimization and then cooperatively at every DAG node launch — a
   // cancelled or past-deadline token aborts the run with the typed
-  // kCancelled/kDeadlineExceeded status (executor sessions; engines without
-  // the DAG scheduler only honor the pre-execution check). `client`, when
-  // non-empty, is stamped on the root trace span.
+  // kCancelled/kDeadlineExceeded status. `client`, when non-empty, is
+  // stamped on the root trace span.
   Result<matrix::Matrix> RunCancellable(const std::string& text,
                                         const exec::CancelToken* cancel,
                                         const std::string& client = "",
@@ -298,14 +295,17 @@ class Session : public std::enable_shared_from_this<Session> {
   const engine::Workspace& workspace() const { return workspace_; }
   // Read-only view of the PACB optimizer (facts, views, chase budgets).
   const pacb::Optimizer& optimizer() const { return *optimizer_; }
-  // Read-only view of the execution engine (profile, evaluator).
+  // Read-only view of the engine profile (its planner applies kSmart's
+  // internal rewrites before DAG compilation).
   const engine::Engine& engine() const { return *engine_; }
-  // Non-null iff normalized matrices were registered; execution then routes
-  // through the Morpheus engine. Stable for the session's lifetime.
+  // The registry of normalized matrices: non-null iff any were registered.
+  // The executor compiles their uses to nm_* kernels. Stable and immutable
+  // for the session's lifetime.
   const morpheus::MorpheusEngine* morpheus() const { return morpheus_.get(); }
-  // Non-null iff SessionBuilder::Threads was called; execution then routes
-  // through the parallel DAG engine (src/exec/). Stable for the session's
-  // lifetime.
+  // The DAG engine (src/exec/) every execution runs on: queries,
+  // ExecuteOriginal, ExplainAnalyze, view materialization and refresh.
+  // Never null; its pool has SessionBuilder::Threads(n) threads (1 without
+  // that call). Stable for the session's lifetime.
   const exec::Executor* executor() const { return executor_.get(); }
   // Non-null iff SessionBuilder::AdaptiveViews was called. Stable for the
   // session's lifetime; the manager's own accessors are thread-safe.
@@ -418,56 +418,38 @@ class Session : public std::enable_shared_from_this<Session> {
                                             const views::DataChange& change,
                                             std::vector<std::string>* staged)
       HADAD_REQUIRES(views_mu_);
-  // Evaluates a view definition over the current workspace (Morpheus-aware).
-  Result<matrix::Matrix> EvaluateDefinition(const la::ExprPtr& def) const
-      HADAD_REQUIRES_SHARED(views_mu_);
-  // Executes a prepared plan (rewrite.best, or `original` as stated),
-  // re-deriving it first when adaptive views moved the generation, and
-  // feeding the adaptive monitor afterwards.
-  Result<matrix::Matrix> RunPlan(std::shared_ptr<const PreparedPlan> plan,
-                                 engine::ExecStats* stats, bool original,
-                                 obs::SpanId parent = obs::kNoSpan,
-                                 const exec::CancelToken* cancel = nullptr)
-      const HADAD_EXCLUDES(views_mu_);
-  // One plan execution under the shared state hold — the Morpheus route
-  // (factorized data lives inside that engine, not in a pinnable workspace
-  // version) and ExplainAnalyze use it; the common DAG/tree path in RunPlan
-  // executes lock-free against a pinned snapshot instead.
-  Result<matrix::Matrix> ExecutePlanLocked(const PreparedPlan& plan,
-                                           bool use_original,
-                                           engine::ExecStats* stats,
-                                           obs::SpanId parent,
-                                           const exec::CancelToken* cancel =
-                                               nullptr) const
-      HADAD_REQUIRES_SHARED(views_mu_);
-  // Raw single-expression execution; the shared hold keeps the workspace
-  // from mutating mid-evaluation.
-  Result<matrix::Matrix> ExecuteExpr(const la::ExprPtr& expr,
-                                     engine::ExecStats* stats,
-                                     obs::SpanId parent = obs::kNoSpan,
-                                     const exec::CancelToken* cancel = nullptr)
-      const HADAD_REQUIRES_SHARED(views_mu_);
-  // Compiles an engine-planned expression on the session executor with the
-  // given fusion barriers, accumulating the compiled-plans and fused-*
-  // counters. executor_ non-null.
-  Result<exec::CompiledPlan> CompileExpr(
-      const la::ExprPtr& planned,
+  // The one execution route: executes a prepared plan (rewrite.best, or
+  // `original` as stated). Under a brief shared state hold it re-checks
+  // freshness (re-deriving a plan that views or writes staled, up to three
+  // attempts before serving the original as stated), pins an MVCC
+  // snapshot and fetches or compiles the DAG; it then executes with no
+  // session lock held and feeds the adaptive monitor. `ran`, when
+  // non-null, receives the DAG that executed.
+  Result<matrix::Matrix> RunPlan(
+      std::shared_ptr<const PreparedPlan> plan, engine::ExecStats* stats,
+      bool original, obs::SpanId parent = obs::kNoSpan,
+      const exec::CancelToken* cancel = nullptr,
+      std::shared_ptr<const exec::CompiledPlan>* ran = nullptr) const
+      HADAD_EXCLUDES(views_mu_);
+  // Profile-plans `expr` (kSmart's internal rewrites) and compiles it on
+  // the session executor with the given fusion barriers, accumulating the
+  // compiled-plans and fused-* counters: the compile of every query plan.
+  Result<exec::CompiledPlan> CompileQuery(
+      const la::ExprPtr& expr,
       const std::set<std::string>* fusion_barriers) const
       HADAD_REQUIRES_SHARED(views_mu_);
-  // Profile-plans `expr` and compiles it with the current fusion barriers
-  // under a "dag_compile" span — the uncached compile RunPlan and
-  // ExecuteExpr share for expressions without a resident DAG. executor_
-  // non-null.
-  Result<exec::CompiledPlan> CompileForExecution(const la::ExprPtr& expr,
-                                                 obs::SpanId parent) const
-      HADAD_REQUIRES_SHARED(views_mu_);
-  // The cached physical DAG for plan.rewrite.best (compiles on first use).
+  // The physical DAG RunPlan executes, under a "dag_compile" span: for
+  // rewrite.best the DAG cached in `plan` (compiled on first use, and
+  // recompiled when a fused-away subexpression became a fusion barrier);
+  // for the as-stated form (`as_stated`) a fresh compile of plan.original.
   Result<std::shared_ptr<const exec::CompiledPlan>> GetOrCompile(
-      const PreparedPlan& plan, obs::SpanId parent = obs::kNoSpan) const
+      const PreparedPlan& plan, bool as_stated, obs::SpanId parent) const
       HADAD_REQUIRES_SHARED(views_mu_);
-  // Backs PreparedQuery::ExplainAnalyze: executes the rewriting with stats
-  // (and kernel spans when tracing) and renders the measured report.
-  Result<std::string> ExplainAnalyzePlan(const PreparedPlan& plan) const
+  // Backs PreparedQuery::ExplainAnalyze: executes the rewriting through
+  // RunPlan with stats (and kernel spans when tracing) and renders the
+  // measured report over the DAG that ran.
+  Result<std::string> ExplainAnalyzePlan(
+      std::shared_ptr<const PreparedPlan> plan) const
       HADAD_EXCLUDES(views_mu_);
   // Stamps a fresh query id + the query text onto a root "session" span
   // (no-op when tracing is off).
@@ -530,6 +512,7 @@ class Session : public std::enable_shared_from_this<Session> {
   obs::Counter* coalesced_builds_ = nullptr;
   obs::Counter* runs_ = nullptr;
   obs::Counter* compiled_plans_ = nullptr;
+  obs::Counter* as_stated_fallbacks_ = nullptr;
   obs::Counter* fused_nodes_ = nullptr;
   obs::Counter* fused_ops_eliminated_ = nullptr;
   obs::Counter* mutations_ = nullptr;
@@ -601,18 +584,17 @@ class SessionBuilder {
   // expressions over `m` (§9.2). All four names must be bound.
   SessionBuilder& AddMorpheusJoin(pacb::MorpheusJoinDecl decl);
 
-  // Registers `name` as a normalized (factorized) matrix. Execution then
-  // routes through the Morpheus engine, which pushes operators through the
-  // factorization where its rules allow.
+  // Registers `name` as a normalized (factorized) matrix. The DAG compiler
+  // then pushes operators through the factorization where Morpheus's rules
+  // allow (nm_* kernels) and materializes M for any other use.
   SessionBuilder& AddNormalizedMatrix(std::string name,
                                       morpheus::NormalizedMatrix nm);
 
-  // Routes execution through the parallel DAG engine (src/exec/): plans are
-  // compiled to a physical operator DAG (CSE + blocked kernels) and
-  // scheduled on a session-owned pool of `n` threads (0 = one per hardware
-  // core; 1 = sequential DAG execution, still with CSE). Without this call
-  // the session keeps the single-threaded tree-walking evaluator. Sessions
-  // with normalized (Morpheus) matrices keep the Morpheus engine regardless.
+  // Sizes the pool of the session's DAG engine (src/exec/): plans are
+  // compiled to a physical operator DAG (CSE + blocked kernels + fusion)
+  // and scheduled on a session-owned pool of `n` threads (0 = one per
+  // hardware core). Without this call, or with n = 1, the pool has one
+  // thread and plans run inline on the caller — same kernels, same bits.
   SessionBuilder& Threads(int n);
 
   // Turns on span tracing (src/obs/): Run/Prepare/mutations become root

@@ -15,8 +15,9 @@
 //
 // Expert layers (what Session wires together) remain public: put matrices
 // in an engine::Workspace, build a pacb::Optimizer over
-// workspace.BuildMetaCatalog(), and execute with engine::Engine or
-// morpheus::MorpheusEngine.
+// workspace.BuildMetaCatalog(), and execute with exec::Executor (whose
+// compiler resolves a morpheus::MorpheusEngine registry of normalized
+// matrices) or the reference engine::Execute.
 
 #include "api/session.h"
 #include "core/data.h"

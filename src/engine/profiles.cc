@@ -162,8 +162,10 @@ Result<ExprPtr> ApplySmartRewrites(const ExprPtr& expr,
   return current;
 }
 
-Result<la::ExprPtr> Engine::Plan(const la::ExprPtr& expr) const {
+Result<la::ExprPtr> Engine::Plan(const la::ExprPtr& expr,
+                                 const la::MetaCatalog* catalog) const {
   if (profile_ == Profile::kNaive) return expr;
+  if (catalog != nullptr) return ApplySmartRewrites(expr, *catalog);
   return ApplySmartRewrites(expr, workspace_->BuildMetaCatalog());
 }
 

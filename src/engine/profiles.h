@@ -25,8 +25,11 @@ class Engine {
   Profile profile() const { return profile_; }
 
   // The plan the engine would actually run (identity for kNaive; internal
-  // rewrites applied for kSmart). Exposed for inspection/tests.
-  Result<la::ExprPtr> Plan(const la::ExprPtr& expr) const;
+  // rewrites applied for kSmart). kSmart reads operand shapes from
+  // `catalog` when non-null (api::Session passes its leaf catalog, which
+  // also covers normalized matrices), else from the workspace.
+  Result<la::ExprPtr> Plan(const la::ExprPtr& expr,
+                           const la::MetaCatalog* catalog = nullptr) const;
 
   // Plans then executes.
   Result<matrix::Matrix> Run(const la::ExprPtr& expr,

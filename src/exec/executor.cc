@@ -1,12 +1,12 @@
 #include "exec/executor.h"
 
-#include "common/timer.h"
-#include "matrix/blocked_kernels.h"
-
 namespace hadad::exec {
 
-Executor::Executor(const engine::ExecOptions& options) : options_(options) {
+Executor::Executor(const engine::ExecOptions& options,
+                   const morpheus::MorpheusEngine* normalized)
+    : options_(options) {
   compile_options_.enable_cse = options.enable_cse;
+  compile_options_.normalized = normalized;
   compile_options_.parallel_cell_threshold = options.parallel_cell_threshold;
   compile_options_.enable_fusion = options.enable_fusion;
   pool_ = std::make_unique<ThreadPool>(options.threads);
@@ -36,15 +36,6 @@ Result<matrix::Matrix> Executor::RunCompiled(
     const CancelToken* cancel) const {
   Scheduler scheduler(pool_.get());
   return scheduler.Run(plan, workspace, stats, trace, cancel);
-}
-
-matrix::RangeRunner Executor::range_runner() const {
-  ThreadPool* pool = pool_.get();
-  if (pool == nullptr || pool->worker_count() == 0) return nullptr;
-  return [pool](int64_t n,
-                const std::function<void(int64_t, int64_t)>& body) {
-    pool->ParallelFor(n, matrix::kRowGrain, body);
-  };
 }
 
 }  // namespace hadad::exec

@@ -13,8 +13,8 @@
 #include "exec/scheduler.h"
 #include "exec/thread_pool.h"
 #include "la/expr.h"
-#include "matrix/blocked_kernels.h"
 #include "matrix/matrix.h"
+#include "morpheus/engine.h"
 
 namespace hadad::exec {
 
@@ -27,7 +27,11 @@ namespace hadad::exec {
 //   auto result = executor.Run(expr, workspace, &stats);
 class Executor {
  public:
-  explicit Executor(const engine::ExecOptions& options = {});
+  // `normalized`, when non-null, is the registry of normalized matrices
+  // every compile resolves names through (their uses lower to nm_*
+  // kernels). Borrowed and immutable; it must outlive the executor.
+  explicit Executor(const engine::ExecOptions& options = {},
+                    const morpheus::MorpheusEngine* normalized = nullptr);
 
   // The resolved degree of parallelism (>= 1). Thread-safe (immutable).
   int threads() const { return pool_->threads(); }
@@ -69,14 +73,6 @@ class Executor {
       engine::ExecStats* stats = nullptr,
       const obs::TraceContext* trace = nullptr,
       const CancelToken* cancel = nullptr) const;
-
-  // The executor's pool adapted to the matrix kernels' RangeRunner
-  // signature with the fixed kernel grain (chunking never depends on the
-  // worker count, so results stay bit-identical at every thread count).
-  // Null in inline mode (threads <= 1) — kernels then run sequentially.
-  // Thread-safe; the Morpheus engine borrows this so factorized pushdown
-  // kernels parallelize on the session pool.
-  matrix::RangeRunner range_runner() const;
 
  private:
   engine::ExecOptions options_;

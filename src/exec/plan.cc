@@ -94,6 +94,14 @@ class Compiler {
 
     switch (e->kind()) {
       case OpKind::kMatrixRef: {
+        bool transposed = false;
+        if (const morpheus::NormalizedMatrix* nm =
+                MatchNormalized(*e, &transposed)) {
+          node.kernel = KernelKind::kNmMaterialize;
+          node.normalized = nm;
+          HADAD_ASSIGN_OR_RETURN(node.meta, NormalizedOperandMeta(*e, *nm));
+          break;
+        }
         node.kernel = KernelKind::kLoad;
         HADAD_ASSIGN_OR_RETURN(node.meta, LeafMeta(e->name()));
         break;
@@ -106,6 +114,8 @@ class Compiler {
         break;
       }
       default: {
+        HADAD_ASSIGN_OR_RETURN(bool pushed, LowerPushdown(e, &node));
+        if (pushed) break;
         // Transpose fusion: lower t(A) %*% B as one fused node over A and B
         // when both operands look dense and the product is heavy enough for
         // the blocked kernels. The transpose node itself is only created if
@@ -127,6 +137,97 @@ class Compiler {
     }
 
     return Emit(std::move(node), std::move(key));
+  }
+
+  // The normalized matrix behind `e` when it is M or t(M) for a registered
+  // normalized M (setting `transposed` for the latter); null otherwise.
+  const morpheus::NormalizedMatrix* MatchNormalized(const Expr& e,
+                                                    bool* transposed) const {
+    *transposed = e.kind() == OpKind::kTranspose;
+    const Expr& ref = *transposed ? *e.child(0) : e;
+    if (options_.normalized == nullptr || ref.kind() != OpKind::kMatrixRef) {
+      return nullptr;
+    }
+    return options_.normalized->Lookup(ref.name());
+  }
+
+  // Metadata of `operand`, which is M or t(M) for the normalized `nm`.
+  Result<cost::ClassMeta> NormalizedOperandMeta(
+      const Expr& operand, const morpheus::NormalizedMatrix& nm) {
+    la::MatrixMeta meta;
+    meta.rows = nm.rows();
+    meta.cols = nm.cols();
+    meta.nnz = static_cast<double>(nm.rows()) * static_cast<double>(nm.cols());
+    const cost::ClassMeta m = estimator_.MakeBase(meta, nullptr);
+    if (operand.kind() != OpKind::kTranspose) return m;
+    return PropagateMeta(operand, {m});
+  }
+
+  // Morpheus's pushdown patterns, with its shape checks: colSums / rowSums /
+  // sum of M or t(M), and M or t(M) multiplied with a non-scalar X whose
+  // inner dimension lines up. Fills `node` and returns true when `e` is a
+  // pattern; a product whose shapes do not line up still fills `node`, as
+  // a generic multiply over the materialized operand (only the left
+  // operand is tried when it is normalized, as in Morpheus). Any other
+  // expression returns false.
+  Result<bool> LowerPushdown(const ExprPtr& e, PlanNode* node) {
+    bool transposed = false;
+    if (e->kind() == OpKind::kColSums || e->kind() == OpKind::kRowSums ||
+        e->kind() == OpKind::kSum) {
+      const morpheus::NormalizedMatrix* nm =
+          MatchNormalized(*e->child(0), &transposed);
+      if (nm == nullptr) return false;
+      HADAD_ASSIGN_OR_RETURN(cost::ClassMeta operand,
+                             NormalizedOperandMeta(*e->child(0), *nm));
+      HADAD_ASSIGN_OR_RETURN(node->meta, PropagateMeta(*e, {operand}));
+      node->normalized = nm;
+      if (e->kind() == OpKind::kSum) {
+        node->kernel = KernelKind::kNmSum;  // sum(t(M)) = sum(M).
+        return true;
+      }
+      // colSums(t(M)) = t(rowSums(M)); rowSums(t(M)) = t(colSums(M)).
+      node->kernel = (e->kind() == OpKind::kColSums) != transposed
+                         ? KernelKind::kNmColSums
+                         : KernelKind::kNmRowSums;
+      node->transposed = transposed;
+      return true;
+    }
+    if (e->kind() != OpKind::kMultiply) return false;
+    int side = 0;
+    const morpheus::NormalizedMatrix* nm =
+        MatchNormalized(*e->child(0), &transposed);
+    if (nm == nullptr) {
+      side = 1;
+      nm = MatchNormalized(*e->child(1), &transposed);
+    }
+    if (nm == nullptr) return false;
+    HADAD_ASSIGN_OR_RETURN(int32_t other, Lower(e->child(1 - side)));
+    const cost::ClassMeta x = Meta(other);
+    // M %*% X and X %*% t(M) = t(M %*% t(X)) right-multiply M; X %*% M and
+    // t(M) %*% X = t(t(X) %*% M) left-multiply it.
+    const bool right = (side == 0) != transposed;
+    const int64_t inner = side == 0 ? x.shape.rows : x.shape.cols;
+    if (!IsScalarMeta(x) && inner == (right ? nm->cols() : nm->rows())) {
+      HADAD_ASSIGN_OR_RETURN(cost::ClassMeta operand,
+                             NormalizedOperandMeta(*e->child(side), *nm));
+      std::vector<cost::ClassMeta> in_meta = {operand, x};
+      if (side == 1) std::swap(in_meta[0], in_meta[1]);
+      HADAD_ASSIGN_OR_RETURN(node->meta, PropagateMeta(*e, in_meta));
+      node->kernel =
+          right ? KernelKind::kNmRightMultiply : KernelKind::kNmLeftMultiply;
+      node->normalized = nm;
+      node->transposed = transposed;
+      node->inputs = {other};
+      return true;
+    }
+    HADAD_ASSIGN_OR_RETURN(int32_t operand, Lower(e->child(side)));
+    node->inputs = side == 0 ? std::vector<int32_t>{operand, other}
+                             : std::vector<int32_t>{other, operand};
+    const std::vector<cost::ClassMeta> in_meta = {Meta(node->inputs[0]),
+                                                  Meta(node->inputs[1])};
+    HADAD_ASSIGN_OR_RETURN(node->meta, PropagateMeta(*e, in_meta));
+    node->kernel = SelectKernel(*e, in_meta, node->meta);
+    return true;
   }
 
   // Lowers (t(inner)) %*% rhs. Children are lowered once; the fused kernel
@@ -237,10 +338,9 @@ class Compiler {
     if (m == nullptr) {
       return Status::NotFound("no matrix named '" + name + "' in workspace");
     }
-    la::MatrixMeta meta;
+    la::MatrixMeta meta;  // MakeBase counts the exact nnz from `m`.
     meta.rows = m->rows();
     meta.cols = m->cols();
-    meta.nnz = static_cast<double>(m->Nnz());
     return estimator_.MakeBase(meta, m);
   }
 
@@ -274,6 +374,9 @@ class Compiler {
     const cost::ClassMeta& b = in_meta[1];
     if (IsScalarMeta(a) || IsScalarMeta(b)) return KernelKind::kGeneric;
     if (a.shape.cols != b.shape.rows) return KernelKind::kGeneric;
+    // A matrix-vector product: the blocked kernels' per-row axpy degenerates
+    // to one call per element, so the sequential kernel is faster.
+    if (b.shape.cols == 1) return KernelKind::kGeneric;
     if (!cost::HeavyEnoughForParallel(out_meta,
                                       options_.parallel_cell_threshold)) {
       return KernelKind::kGeneric;
@@ -551,6 +654,12 @@ const char* KernelName(KernelKind kind) {
     case KernelKind::kGemmColSumsReduce: return "gemm_colsums_reduce";
     case KernelKind::kGemmMeanReduce: return "gemm_mean_reduce";
     case KernelKind::kGemmColMeansReduce: return "gemm_colmeans_reduce";
+    case KernelKind::kNmColSums: return "nm_colsums";
+    case KernelKind::kNmRowSums: return "nm_rowsums";
+    case KernelKind::kNmSum: return "nm_sum";
+    case KernelKind::kNmRightMultiply: return "nm_right_multiply";
+    case KernelKind::kNmLeftMultiply: return "nm_left_multiply";
+    case KernelKind::kNmMaterialize: return "nm_materialize";
     case KernelKind::kGeneric: return "generic";
   }
   return "unknown";

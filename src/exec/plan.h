@@ -12,6 +12,7 @@
 #include "engine/workspace.h"
 #include "la/expr.h"
 #include "matrix/blocked_kernels.h"
+#include "morpheus/engine.h"
 
 namespace hadad::exec {
 
@@ -41,6 +42,18 @@ enum class KernelKind {
   kGemmColSumsReduce,
   kGemmMeanReduce,
   kGemmColMeansReduce,
+  // Factorized pushdowns over a normalized matrix M (morpheus::
+  // NormalizedMatrix, Morpheus's rewrite rules), each running the
+  // normalized-matrix kernel of the same name on the pool's range runner:
+  // colSums / rowSums / sum of M or t(M), M %*% X and X %*% t(M) (right
+  // multiply), X %*% M and t(M) %*% X (left multiply). kNmMaterialize is
+  // the leaf for every other use of M: it builds the denormalized [T | K U].
+  kNmColSums,
+  kNmRowSums,
+  kNmSum,
+  kNmRightMultiply,
+  kNmLeftMultiply,
+  kNmMaterialize,
   kGeneric,      // Sequential engine::ApplyOp (everything else).
 };
 
@@ -58,6 +71,12 @@ struct PlanNode {
   cost::ClassMeta meta;  // Estimated shape + nnz of this node's output.
   // kFusedElementwise: index into CompiledPlan::programs; -1 otherwise.
   int32_t program = -1;
+  // nm_* kernels: the normalized matrix (borrowed from the registry the plan
+  // was compiled against), and whether the pattern reads t(M) — the kernel
+  // then transposes its input (if any) and its output, as in
+  // t(M) %*% X = t(t(X) %*% M) and colSums(t(M)) = t(rowSums(M)).
+  const morpheus::NormalizedMatrix* normalized = nullptr;
+  bool transposed = false;
 };
 
 struct CompiledPlan {
@@ -118,11 +137,16 @@ struct CompileOptions {
   // these subexpressions as distinct operators. Borrowed; may be null, and
   // only needs to outlive the Compile call.
   const std::set<std::string>* fusion_barriers = nullptr;
+  // Registry of normalized matrices: names it holds compile to nm_*
+  // kernels instead of workspace loads. Borrowed and immutable; may be null.
+  const morpheus::MorpheusEngine* normalized = nullptr;
 };
 
 // Lowers `expr` into a physical DAG: hash-consing CSE over canonical
 // subexpression text, estimator-driven kernel selection, transpose fusion
-// for t(A) %*% B, then the operator-fusion pass (elementwise chains and
+// for t(A) %*% B, factorized pushdowns over the names in
+// CompileOptions::normalized (nm_* kernels, matched before any other
+// lowering), then the operator-fusion pass (elementwise chains and
 // aggregation pushdown — see CompileOptions::enable_fusion). Leaf metadata
 // comes from `catalog` when present, else from the workspace matrix itself
 // (exact shape + nnz). Unknown names and shape mismatches surface as

@@ -164,6 +164,45 @@ Result<Matrix> EvalFusedElementwise(const PlanNode& node,
   return *std::get<const Matrix*>(stack.back());  // Bare input: copy once.
 }
 
+// Evaluates an nm_* node: the normalized-matrix kernel of the node's kind
+// (Morpheus's rewrite rules), on the pool's range runner. A node over t(M)
+// runs the kernel on its transposed input and transposes the output.
+Result<Matrix> EvalNormalized(const PlanNode& node,
+                              const std::vector<const Matrix*>& in,
+                              const matrix::RangeRunner& runner) {
+  const morpheus::NormalizedMatrix& nm = *node.normalized;
+  std::optional<Matrix> transposed_input;
+  const Matrix* x = in.empty() ? nullptr : in[0];
+  if (node.transposed && x != nullptr) {
+    transposed_input = matrix::Transpose(*x);
+    x = &*transposed_input;
+  }
+  Result<Matrix> out = Status::Internal("unreachable");
+  switch (node.kernel) {
+    case KernelKind::kNmColSums:
+      out = nm.ColSums(runner);
+      break;
+    case KernelKind::kNmRowSums:
+      out = nm.RowSums(runner);
+      break;
+    case KernelKind::kNmSum: {
+      HADAD_ASSIGN_OR_RETURN(double sum, nm.Sum(runner));
+      return Matrix::Scalar(sum);
+    }
+    case KernelKind::kNmRightMultiply:
+      out = nm.RightMultiply(*x, runner);
+      break;
+    case KernelKind::kNmLeftMultiply:
+      out = nm.LeftMultiply(*x, runner);
+      break;
+    default:
+      out = nm.Materialize();
+      break;
+  }
+  if (!out.ok() || !node.transposed) return out;
+  return matrix::Transpose(*out);
+}
+
 Result<Matrix> EvalNode(RunState& state, int32_t id) {
   const PlanNode& node = state.plan->nodes[static_cast<size_t>(id)];
   std::vector<const Matrix*> in;
@@ -255,6 +294,13 @@ Result<Matrix> EvalNode(RunState& state, int32_t id) {
           return matrix::ColMeans(product);
       }
     }
+    case KernelKind::kNmColSums:
+    case KernelKind::kNmRowSums:
+    case KernelKind::kNmSum:
+    case KernelKind::kNmRightMultiply:
+    case KernelKind::kNmLeftMultiply:
+    case KernelKind::kNmMaterialize:
+      return EvalNormalized(node, in, PoolRunner(state.pool));
     case KernelKind::kGeneric:
       break;
   }
@@ -320,14 +366,21 @@ std::vector<int32_t> CompleteNode(RunState& state, int32_t id) {
 
 void ScheduleNode(RunState& state, int32_t id);
 
+// Runs node `id`, then continues on this thread with the first consumer
+// that became ready (the others go to the pool): a chain pays no dispatch
+// per link, and its intermediates stay in this thread's allocator arena.
 void NodeTask(RunState& state, int32_t id) {
-  std::vector<int32_t> ready = CompleteNode(state, id);
-  {
-    common::MutexLock lock(&state.done_mu);
-    state.outstanding += static_cast<int64_t>(ready.size()) - 1;
-    if (state.outstanding == 0) state.done_cv.notify_all();
+  for (;;) {
+    std::vector<int32_t> ready = CompleteNode(state, id);
+    {
+      common::MutexLock lock(&state.done_mu);
+      state.outstanding += static_cast<int64_t>(ready.size()) - 1;
+      if (state.outstanding == 0) state.done_cv.notify_all();
+    }
+    if (ready.empty()) return;
+    for (size_t i = 1; i < ready.size(); ++i) ScheduleNode(state, ready[i]);
+    id = ready[0];
   }
-  for (int32_t next : ready) ScheduleNode(state, next);
 }
 
 void ScheduleNode(RunState& state, int32_t id) {
@@ -467,9 +520,14 @@ Result<Matrix> Scheduler::Run(const CompiledPlan& plan,
       common::MutexLock lock(&state.done_mu);
       state.outstanding = static_cast<int64_t>(initial_ready.size());
     }
-    // A plan whose root is a bare load has no tasks at all.
+    // A plan whose root is a bare load has no tasks at all. Otherwise the
+    // caller runs one ready node (and its chain) itself instead of only
+    // waiting: a one-node plan pays no dispatch at all.
     if (!initial_ready.empty()) {
-      for (int32_t id : initial_ready) ScheduleNode(state, id);
+      for (size_t i = 1; i < initial_ready.size(); ++i) {
+        ScheduleNode(state, initial_ready[i]);
+      }
+      NodeTask(state, initial_ready[0]);
       common::MutexLock lock(&state.done_mu);
       while (state.outstanding != 0) state.done_cv.wait(lock);
     }

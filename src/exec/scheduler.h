@@ -14,7 +14,10 @@ namespace hadad::exec {
 
 // Executes a CompiledPlan over a workspace. Inter-operator parallelism:
 // every node carries a dependency count; when it drops to zero the node is
-// submitted to the pool, so independent subtrees run concurrently.
+// ready. The calling thread runs one initially ready node, and a thread
+// that finishes a node continues with one newly ready consumer; the other
+// ready nodes are submitted to the pool, so independent subtrees run
+// concurrently while chains (and one-node plans) pay no dispatch.
 // Intra-operator parallelism: the blocked kernels split their row range via
 // ThreadPool::ParallelFor. With a pool in inline mode (<= 1 thread) the DAG
 // runs sequentially in topological order — same kernels, same results.

@@ -1,242 +1,15 @@
 #include "morpheus/engine.h"
 
-#include <thread>
-
-#include "common/timer.h"
-
 namespace hadad::morpheus {
 
-namespace {
-
-using la::Expr;
-using la::ExprPtr;
-using la::OpKind;
-using matrix::Matrix;
-
-class Evaluator {
- public:
-  Evaluator(const MorpheusEngine& owner, const engine::Workspace& workspace,
-            engine::ExecStats* stats, const matrix::RangeRunner& runner,
-            const obs::TraceContext* trace)
-      : owner_(owner),
-        workspace_(workspace),
-        stats_(stats),
-        runner_(runner),
-        trace_(trace) {}
-
-  Result<Matrix> Eval(const Expr& e, bool is_root) {
-    // --- Morpheus pushdown patterns --------------------------------------
-    const NormalizedMatrix* nm;
-    bool transposed;
-    if (e.kind() == OpKind::kColSums &&
-        MatchNormalized(*e.child(0), &nm, &transposed)) {
-      // colSums(M) factorized; colSums(t(M)) = t(rowSums(M)).
-      auto out = transposed
-                     ? Traced("nm_rowsums",
-                              [&] { return Transposed(nm->RowSums(runner_)); })
-                     : Traced("nm_colsums",
-                              [&] { return nm->ColSums(runner_); });
-      return Record(std::move(out), is_root);
-    }
-    if (e.kind() == OpKind::kRowSums &&
-        MatchNormalized(*e.child(0), &nm, &transposed)) {
-      auto out = transposed
-                     ? Traced("nm_colsums",
-                              [&] { return Transposed(nm->ColSums(runner_)); })
-                     : Traced("nm_rowsums",
-                              [&] { return nm->RowSums(runner_); });
-      return Record(std::move(out), is_root);
-    }
-    if (e.kind() == OpKind::kSum &&
-        MatchNormalized(*e.child(0), &nm, &transposed)) {
-      auto out = Traced("nm_sum", [&]() -> Result<Matrix> {
-        HADAD_ASSIGN_OR_RETURN(double s, nm->Sum(runner_));  // sum(M^T)=sum(M)
-        return Matrix::Scalar(s);
-      });
-      return Record(std::move(out), is_root);
-    }
-    if (e.kind() == OpKind::kMultiply) {
-      // M %*% N (right multiply) and C %*% M (left multiply), including the
-      // M^T variants via Morpheus's transpose rewrite rules.
-      if (MatchNormalized(*e.child(0), &nm, &transposed)) {
-        HADAD_ASSIGN_OR_RETURN(Matrix rhs, Eval(*e.child(1), false));
-        if (!rhs.IsScalar()) {
-          if (!transposed && nm->cols() == rhs.rows()) {
-            return Record(Traced("nm_right_multiply",
-                                 [&] { return nm->RightMultiply(rhs, runner_); }),
-                          is_root);
-          }
-          if (transposed && nm->rows() == rhs.rows()) {
-            // t(M) %*% N = t(t(N) %*% M).
-            return Record(
-                Traced("nm_left_multiply",
-                       [&] {
-                         return Transposed(nm->LeftMultiply(
-                             matrix::Transpose(rhs), runner_));
-                       }),
-                is_root);
-          }
-        }
-        HADAD_ASSIGN_OR_RETURN(Matrix lhs, Eval(*e.child(0), false));
-        return Record(matrix::Multiply(lhs, rhs), is_root);
-      }
-      if (MatchNormalized(*e.child(1), &nm, &transposed)) {
-        HADAD_ASSIGN_OR_RETURN(Matrix lhs, Eval(*e.child(0), false));
-        if (!lhs.IsScalar()) {
-          if (!transposed && lhs.cols() == nm->rows()) {
-            return Record(Traced("nm_left_multiply",
-                                 [&] { return nm->LeftMultiply(lhs, runner_); }),
-                          is_root);
-          }
-          if (transposed && lhs.cols() == nm->cols()) {
-            // N %*% t(M) = t(M %*% t(N)).
-            return Record(
-                Traced("nm_right_multiply",
-                       [&] {
-                         return Transposed(nm->RightMultiply(
-                             matrix::Transpose(lhs), runner_));
-                       }),
-                is_root);
-          }
-        }
-        HADAD_ASSIGN_OR_RETURN(Matrix rhs, Eval(*e.child(1), false));
-        return Record(matrix::Multiply(lhs, rhs), is_root);
-      }
-    }
-    // --- No pushdown: normalized refs materialize; otherwise recurse. ----
-    if (e.kind() == OpKind::kMatrixRef) {
-      const NormalizedMatrix* ref = owner_.Lookup(e.name());
-      if (ref != nullptr) {
-        HADAD_ASSIGN_OR_RETURN(
-            Matrix m,
-            Traced("nm_materialize", [&] { return ref->Materialize(); }));
-        return Record(std::move(m), is_root);
-      }
-      HADAD_ASSIGN_OR_RETURN(const Matrix* m, workspace_.Get(e.name()));
-      return *m;
-    }
-    if (e.kind() == OpKind::kScalarConst) {
-      return Matrix::Scalar(e.scalar_value());
-    }
-    // Generic evaluation over materialized children: reuse the base
-    // engine's kernels by building a one-off expression over literals is
-    // overkill; instead apply the kernel directly.
-    std::vector<Matrix> kids;
-    kids.reserve(e.children().size());
-    for (const ExprPtr& c : e.children()) {
-      HADAD_ASSIGN_OR_RETURN(Matrix m, Eval(*c, false));
-      kids.push_back(std::move(m));
-    }
-    HADAD_ASSIGN_OR_RETURN(Matrix out, ApplyKernel(e, kids));
-    return Record(std::move(out), is_root);
-  }
-
- private:
-  // Matches Ref(name) or t(Ref(name)) for a registered normalized matrix.
-  bool MatchNormalized(const Expr& e, const NormalizedMatrix** nm,
-                       bool* transposed) {
-    if (e.kind() == OpKind::kMatrixRef) {
-      *nm = owner_.Lookup(e.name());
-      *transposed = false;
-      return *nm != nullptr;
-    }
-    if (e.kind() == OpKind::kTranspose &&
-        e.child(0)->kind() == OpKind::kMatrixRef) {
-      *nm = owner_.Lookup(e.child(0)->name());
-      *transposed = true;
-      return *nm != nullptr;
-    }
-    return false;
-  }
-
-  Result<Matrix> Transposed(Result<Matrix> m) {
-    if (!m.ok()) return m;
-    return matrix::Transpose(*m);
-  }
-
-  // Wraps one factorized pushdown in a "kernel" trace span (same category
-  // as the DAG scheduler's per-operator spans, so tooling sees one uniform
-  // kernel layer). Measured around `fn` and published in a single
-  // AddCompleteSpan call — no trace-lock traffic inside the kernel itself.
-  template <typename Fn>
-  Result<Matrix> Traced(const char* kernel, Fn&& fn) {
-    if (trace_ == nullptr || trace_->recorder == nullptr ||
-        !trace_->recorder->enabled()) {
-      return fn();
-    }
-    obs::TraceRecorder* rec = trace_->recorder;
-    const int64_t start = rec->NowMicros();
-    Result<Matrix> out = fn();
-    std::vector<std::pair<std::string, std::string>> attrs;
-    if (out.ok()) {
-      attrs.emplace_back("rows", std::to_string(out->rows()));
-      attrs.emplace_back("cols", std::to_string(out->cols()));
-    }
-    attrs.emplace_back("parallel", runner_ != nullptr ? "1" : "0");
-    rec->AddCompleteSpan(
-        kernel, "kernel", trace_->parent, start, rec->NowMicros() - start,
-        std::hash<std::thread::id>{}(std::this_thread::get_id()),
-        std::move(attrs));
-    return out;
-  }
-
-  Result<Matrix> Record(Result<Matrix> m, bool is_root) {
-    if (!m.ok()) return m;
-    if (stats_ != nullptr) {
-      ++stats_->operators;
-      if (!is_root) {
-        stats_->intermediate_nnz += static_cast<double>(m->Nnz());
-      }
-    }
-    return m;
-  }
-
-  Result<Matrix> ApplyKernel(const Expr& e, const std::vector<Matrix>& in) {
-    // Delegate to the base evaluator by wrapping inputs in a scratch
-    // workspace keyed positionally.
-    engine::Workspace scratch;
-    std::vector<ExprPtr> leaves;
-    for (size_t i = 0; i < in.size(); ++i) {
-      std::string name = "__arg" + std::to_string(i);
-      scratch.Put(name, in[i]);
-      leaves.push_back(Expr::MatrixRef(name));
-    }
-    ExprPtr wrapper;
-    if (la::Arity(e.kind()) == 1) {
-      wrapper = Expr::Unary(e.kind(), leaves[0]);
-    } else {
-      wrapper = Expr::Binary(e.kind(), leaves[0], leaves[1]);
-    }
-    return engine::Execute(*wrapper, scratch);
-  }
-
-  const MorpheusEngine& owner_;
-  const engine::Workspace& workspace_;
-  engine::ExecStats* stats_;
-  const matrix::RangeRunner& runner_;
-  const obs::TraceContext* trace_;
-};
-
-}  // namespace
-
 bool MorpheusEngine::ReferencesNormalized(const la::Expr& expr) const {
-  if (expr.kind() == OpKind::kMatrixRef) {
+  if (expr.kind() == la::OpKind::kMatrixRef) {
     return Lookup(expr.name()) != nullptr;
   }
-  for (const ExprPtr& child : expr.children()) {
+  for (const la::ExprPtr& child : expr.children()) {
     if (ReferencesNormalized(*child)) return true;
   }
   return false;
-}
-
-Result<matrix::Matrix> MorpheusEngine::Run(
-    const la::ExprPtr& expr, engine::ExecStats* stats,
-    const matrix::RangeRunner& runner, const obs::TraceContext* trace) const {
-  Timer timer;
-  Evaluator evaluator(*this, *workspace_, stats, runner, trace);
-  Result<matrix::Matrix> out = evaluator.Eval(*expr, /*is_root=*/true);
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return out;
 }
 
 }  // namespace hadad::morpheus

@@ -4,34 +4,28 @@
 #include <map>
 #include <string>
 
-#include "common/status.h"
-#include "engine/evaluator.h"
-#include "engine/workspace.h"
 #include "la/expr.h"
-#include "matrix/blocked_kernels.h"
 #include "morpheus/normalized_matrix.h"
-#include "obs/trace.h"
 
 namespace hadad::morpheus {
 
-// MorpheusR-like executor (§9.2.1): evaluates LA expressions where some
-// named matrices are backed by normalized (factorized) join outputs.
-//
-// Faithful to Morpheus's limits:
+// The registry of a session's normalized (factorized) matrices (§9.2.1).
+// Execution lives in the DAG engine: exec::Compile resolves normalized
+// names through this registry and lowers MorpheusR's pushdown patterns to
+// nm_* kernels (see exec::KernelKind), faithful to Morpheus's limits:
 //  * operator pushdown fires only when the operator *directly* touches a
 //    normalized matrix (or its transpose, via the M^T special rules);
 //  * element-wise operators are never factorized (P2.11's discussion);
 //  * no chain reordering and no algebraic reasoning — Morpheus cannot turn
 //    colSums(M N) into colSums(M) N; that rewriting must come from HADAD.
-// Anything not matching a pushdown pattern materializes M and evaluates
-// normally.
+// Any other use of a normalized matrix materializes it.
+//
+// Registration happens before the registry is shared; afterwards it is
+// immutable, so Lookup pointers stay valid for the registry's lifetime and
+// every method is safe to call concurrently.
 class MorpheusEngine {
  public:
-  explicit MorpheusEngine(const engine::Workspace* workspace)
-      : workspace_(workspace) {}
-
-  // Registers `name` as a normalized matrix. Expressions mentioning `name`
-  // are evaluated factorized where the rules allow.
+  // Registers `name` as a normalized matrix.
   void Register(const std::string& name, NormalizedMatrix nm) {
     normalized_.insert_or_assign(name, std::move(nm));
   }
@@ -41,25 +35,10 @@ class MorpheusEngine {
     return it == normalized_.end() ? nullptr : &it->second;
   }
 
-  // True when `expr` mentions any registered normalized matrix. The api
-  // layer uses this to route: expressions over normalized data come here,
-  // everything else goes to the parallel DAG engine (which cannot resolve
-  // normalized names — their data lives in this engine, not the workspace).
+  // True when `expr` mentions any registered normalized matrix.
   bool ReferencesNormalized(const la::Expr& expr) const;
 
-  // Evaluates `expr`, pushing operators through registered factorizations
-  // where Morpheus's rules allow. `runner`, when non-null, parallelizes the
-  // pushdown kernels over a thread pool (api::Session passes the DAG
-  // executor's pool; results are bit-identical at every thread count).
-  // `trace`, when non-null with a live recorder, receives one "kernel" span
-  // per factorized pushdown (nm_* names), parented under trace->parent.
-  Result<matrix::Matrix> Run(const la::ExprPtr& expr,
-                             engine::ExecStats* stats = nullptr,
-                             const matrix::RangeRunner& runner = nullptr,
-                             const obs::TraceContext* trace = nullptr) const;
-
  private:
-  const engine::Workspace* workspace_;
   std::map<std::string, NormalizedMatrix> normalized_;
 };
 

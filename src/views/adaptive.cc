@@ -85,7 +85,7 @@ void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
         if (detached.ok()) {
           ++refresh_seq_;
           (void)host_.optimizer->RemoveView(name);
-          if (host_.exec_catalog != nullptr) host_.exec_catalog->erase(name);
+          host_.exec_catalog->erase(name);
           views_changed = true;
           // The delta rows ride along in the workspace under a reserved
           // name until the background task installs (and erases it).
@@ -111,7 +111,7 @@ void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
       // no incremental identity applies.
       if (store_.Evict(name).ok()) {
         (void)host_.optimizer->RemoveView(name);
-        if (host_.exec_catalog != nullptr) host_.exec_catalog->erase(name);
+        host_.exec_catalog->erase(name);
         invalidated_.fetch_add(1, std::memory_order_relaxed);
         ++invalidated_here;
         views_changed = true;
@@ -154,8 +154,7 @@ void AdaptiveViewManager::RefreshOne(RefreshTask task,
     // this path must not re-acquire it — evaluate against the live
     // workspace directly.
     AssertStateLockHeld();
-    Result<matrix::Matrix> fresh =
-        ComputeRefreshValue(task, *host_.workspace, /*state_locked=*/true);
+    Result<matrix::Matrix> fresh = ComputeRefreshValue(task, *host_.workspace);
     InstallRefresh(std::move(task), std::move(fresh));
     FinishPending(refresh_key, /*failed=*/false);
     return;
@@ -170,8 +169,7 @@ void AdaptiveViewManager::RefreshOne(RefreshTask task,
     common::ReaderMutexLock state(host_.state_mu);
     snap = host_.workspace->PinSnapshot();
   }
-  Result<matrix::Matrix> fresh =
-      ComputeRefreshValue(task, *snap, /*state_locked=*/false);
+  Result<matrix::Matrix> fresh = ComputeRefreshValue(task, *snap);
   snap.reset();  // Unpin before taking the exclusive lock.
   {
     common::WriterMutexLock state(host_.state_mu);
@@ -181,9 +179,9 @@ void AdaptiveViewManager::RefreshOne(RefreshTask task,
 }
 
 Result<matrix::Matrix> AdaptiveViewManager::ComputeRefreshValue(
-    const RefreshTask& task, engine::WorkspaceView ws, bool state_locked) {
+    const RefreshTask& task, engine::WorkspaceView ws) {
   HADAD_ASSIGN_OR_RETURN(matrix::Matrix delta,
-                         host_.evaluate(task.delta_expr, ws, state_locked));
+                         host_.evaluate(task.delta_expr, ws));
   return matrix::Add(task.old_value, delta);
 }
 
@@ -211,9 +209,7 @@ void AdaptiveViewManager::InstallRefresh(RefreshTask task,
         obs::ScopedSpan evict_span(host_.trace, "view_evict", "views");
         evict_span.Annotate("view", victim);
         (void)host_.optimizer->RemoveView(victim);
-        if (host_.exec_catalog != nullptr) {
-          host_.exec_catalog->erase(victim);
-        }
+        host_.exec_catalog->erase(victim);
         evicted_.fetch_add(1, std::memory_order_relaxed);
         views_changed = true;
       }
@@ -223,9 +219,7 @@ void AdaptiveViewManager::InstallRefresh(RefreshTask task,
         Status registered =
             host_.optimizer->AddView(task.meta.name, task.meta.definition);
         if (registered.ok()) {
-          if (host_.exec_catalog != nullptr) {
-            (*host_.exec_catalog)[task.meta.name] = value_meta;
-          }
+          (*host_.exec_catalog)[task.meta.name] = value_meta;
           refreshed_.fetch_add(1, std::memory_order_relaxed);
           views_changed = true;
           installed = true;
@@ -338,8 +332,7 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
         std::vector<std::string>(leaves.begin(), leaves.end()));
     snap = host_.workspace->PinSnapshot();
   }
-  Result<matrix::Matrix> value =
-      host_.evaluate(rec.definition, *snap, /*state_locked=*/false);
+  Result<matrix::Matrix> value = host_.evaluate(rec.definition, *snap);
   snap.reset();  // Unpin before any exclusive-lock work below.
   if (!value.ok()) {
     failures_.fetch_add(1, std::memory_order_relaxed);
@@ -373,7 +366,7 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
         obs::ScopedSpan evict_span(host_.trace, "view_evict", "views");
         evict_span.Annotate("view", name);
         (void)host_.optimizer->RemoveView(name);
-        if (host_.exec_catalog != nullptr) host_.exec_catalog->erase(name);
+        host_.exec_catalog->erase(name);
         evicted_.fetch_add(1, std::memory_order_relaxed);
         changed = true;
       }
@@ -394,9 +387,7 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
           (void)store_.Evict(name);
           failures_.fetch_add(1, std::memory_order_relaxed);
         } else {
-          if (host_.exec_catalog != nullptr) {
-            (*host_.exec_catalog)[name] = value_meta;
-          }
+          (*host_.exec_catalog)[name] = value_meta;
           created_.fetch_add(1, std::memory_order_relaxed);
           changed = true;
           installed = true;

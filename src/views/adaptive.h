@@ -83,19 +83,17 @@ class AdaptiveViewManager {
   struct Host {
     engine::Workspace* workspace = nullptr;
     pacb::Optimizer* optimizer = nullptr;
-    // Optional: the host's maintained leaf-metadata catalog for the exec plan
+    // The host's maintained leaf-metadata catalog for the exec plan
     // compiler; installed/evicted views are mirrored into it.
     la::MetaCatalog* exec_catalog = nullptr;
     common::SharedMutex* state_mu = nullptr;
     // Evaluates a view definition over `ws` — a pinned workspace snapshot
     // on the background paths (called with NO state lock held; writers
     // proceed concurrently) or the live workspace on the synchronous-mode
-    // refresh path, where `state_locked` is true because the caller's
-    // mutation already holds the unique state lock. An implementation that
-    // must consult state beyond `ws` (the session's Morpheus engine) takes
-    // the shared state lock itself only when `state_locked` is false.
-    std::function<Result<matrix::Matrix>(
-        const la::ExprPtr&, engine::WorkspaceView ws, bool state_locked)>
+    // refresh path, whose caller's mutation holds the unique state lock.
+    // It must read nothing mutable beyond `ws`.
+    std::function<Result<matrix::Matrix>(const la::ExprPtr&,
+                                         engine::WorkspaceView ws)>
         evaluate;
     // View-set change notification, called under the unique state lock.
     std::function<void()> on_views_changed;
@@ -183,11 +181,10 @@ class AdaptiveViewManager {
       HADAD_EXCLUDES(admin_mu_);
   // Evaluates old_value + f(Δ) for a detached view against `ws` — a pinned
   // snapshot on the background path (lock-free; writers never wait), the
-  // live workspace in synchronous mode (`state_locked` true: the caller's
-  // mutation holds the unique state lock).
+  // live workspace in synchronous mode (the caller's mutation holds the
+  // unique state lock).
   Result<matrix::Matrix> ComputeRefreshValue(const RefreshTask& task,
-                                             engine::WorkspaceView ws,
-                                             bool state_locked);
+                                             engine::WorkspaceView ws);
   // Re-admits the refreshed value (or records the discard) and erases the
   // temp delta entry. The unique state hold covers the workspace/optimizer/
   // exec-catalog writes.

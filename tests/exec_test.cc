@@ -235,6 +235,15 @@ TEST_F(CompileTest, SelectsBlockedGemmForLargeDenseProduct) {
   EXPECT_EQ(KernelOf(plan, la::OpKind::kMultiply), KernelKind::kGemmBlocked);
 }
 
+TEST_F(CompileTest, KeepsMatrixVectorProductOnSequentialKernel) {
+  // Output cells clear the parallel threshold, but a one-column right
+  // operand would make the blocked kernel's row axpy one call per element.
+  Rng rng(5);
+  workspace_.Put("T", matrix::RandomDense(rng, 5000, 90));
+  CompiledPlan plan = MustCompile("T %*% rowSums(Y)");
+  EXPECT_EQ(KernelOf(plan, la::OpKind::kMultiply), KernelKind::kGeneric);
+}
+
 TEST_F(CompileTest, SelectsSpmmForSparseLhs) {
   CompiledPlan plan = MustCompile("S %*% Y");
   EXPECT_EQ(KernelOf(plan, la::OpKind::kMultiply), KernelKind::kSpmm);
@@ -298,18 +307,25 @@ core::LaBenchConfig TestConfig() {
 }
 
 TEST(ExecEquivalenceTest, MatchesSequentialAcrossBenchmarkPipelines) {
+  // The DAG serves every session (one thread without Threads()), so it must
+  // reproduce the tree evaluator's bits, not just approximate them.
   Rng rng(17);
   engine::Workspace workspace = core::MakeLaBenchWorkspace(rng, TestConfig());
+  Executor inline_executor(ExecOptions{.threads = 1});
   Executor executor(ExecOptions{.threads = 2});
   int checked = 0;
   for (const core::Pipeline& p : core::LaBenchmark()) {
     la::ExprPtr expr = Parse(p.text);
     Result<Matrix> sequential = engine::Execute(*expr, workspace);
+    Result<Matrix> inline_run = inline_executor.Run(expr, workspace);
     Result<Matrix> parallel = executor.Run(expr, workspace);
+    ASSERT_EQ(sequential.ok(), inline_run.ok()) << p.id;
     ASSERT_EQ(sequential.ok(), parallel.ok()) << p.id;
     if (!sequential.ok()) continue;
-    EXPECT_TRUE(sequential->ApproxEquals(*parallel, 1e-9))
-        << p.id << ": " << p.text;
+    EXPECT_TRUE(ExactlyEqual(*sequential, *inline_run))
+        << p.id << " (1 thread): " << p.text;
+    EXPECT_TRUE(ExactlyEqual(*sequential, *parallel))
+        << p.id << " (2 threads): " << p.text;
     ++checked;
   }
   EXPECT_GT(checked, 40);  // The benchmark defines 57 pipelines.
@@ -657,7 +673,9 @@ TEST(SessionThreadsTest, ThreadsRoutesThroughDagEngine) {
                       .value();
   ASSERT_NE(parallel->executor(), nullptr);
   EXPECT_EQ(parallel->executor()->threads(), 4);
-  EXPECT_EQ(sequential->executor(), nullptr);
+  // Without Threads() the session still serves on the DAG, inline.
+  ASSERT_NE(sequential->executor(), nullptr);
+  EXPECT_EQ(sequential->executor()->threads(), 1);
 
   const std::string text = "(X %*% Y) %*% (X %*% Y)";
   ExecStats stats;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "engine/evaluator.h"
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "morpheus/generator.h"
@@ -68,91 +70,180 @@ TEST(NormalizedMatrixTest, DimensionErrors) {
   EXPECT_FALSE(nm.LeftMultiply(bad).ok());
 }
 
-class MorpheusEngineTest : public ::testing::Test {
+// Factorized execution through api::Session: normalized M lives in the
+// session's registry and every pushdown runs as an nm_* DAG kernel. The
+// oracle is the tree evaluator over the materialized M.
+class MorpheusSessionTest : public ::testing::Test {
  protected:
-  MorpheusEngineTest() : engine_(&workspace_) {
-    nm_ = std::make_unique<NormalizedMatrix>(SmallNm());
-    m_ = nm_->Materialize().value();
-    engine_.Register("M", *nm_);
+  MorpheusSessionTest() {
     Rng rng(21);
-    workspace_.Put("N", matrix::RandomDense(rng, 15, 9));
-    workspace_.Put("X", matrix::RandomDense(rng, 9, 160));
-    workspace_.Put("plainM", m_);
+    n_ = matrix::RandomDense(rng, 15, 9);
+    x_ = matrix::RandomDense(rng, 9, 160);
+    e_ = matrix::RandomDense(rng, 160, 15);
+    plain_.Put("M", SmallNm().Materialize().value());
+    plain_.Put("N", n_);
+    plain_.Put("X", x_);
+    plain_.Put("E", e_);
   }
 
-  engine::Workspace workspace_;
-  MorpheusEngine engine_;
-  std::unique_ptr<NormalizedMatrix> nm_;
-  matrix::Matrix m_;
+  std::shared_ptr<api::Session> Factorized(
+      int threads = 1, engine::Profile profile = engine::Profile::kNaive) {
+    auto session = api::SessionBuilder()
+                       .AddNormalizedMatrix("M", SmallNm())
+                       .Put("N", n_)
+                       .Put("X", x_)
+                       .Put("E", e_)
+                       .Threads(threads)
+                       .SetProfile(profile)
+                       .Build();
+    HADAD_CHECK_MSG(session.ok(), session.status().ToString().c_str());
+    return *session;
+  }
+
+  matrix::Matrix Plain(const std::string& text) {
+    auto out = engine::Execute(*Parse(text), plain_);
+    HADAD_CHECK_MSG(out.ok(), text.c_str());
+    return *out;
+  }
+
+  // The pipeline as stated on the session's DAG route.
+  static matrix::Matrix AsStated(api::Session& session,
+                                 const std::string& text,
+                                 engine::ExecStats* stats = nullptr) {
+    auto prepared = session.Prepare(text);
+    HADAD_CHECK_MSG(prepared.ok(), text.c_str());
+    auto out = prepared->ExecuteOriginal(stats);
+    HADAD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
+    return *out;
+  }
+
+  static std::string CompiledText(const api::Session& session,
+                                  const std::string& text) {
+    auto compiled =
+        session.executor()->Compile(Parse(text), session.workspace());
+    HADAD_CHECK_MSG(compiled.ok(), compiled.status().ToString().c_str());
+    return compiled->ToString();
+  }
+
+  matrix::Matrix n_, x_, e_;
+  engine::Workspace plain_;
 };
 
-TEST_F(MorpheusEngineTest, PushdownPatternsMatchPlainEvaluation) {
-  struct Case {
-    const char* morpheus_text;  // Over normalized "M".
-    const char* plain_text;     // Over materialized "plainM".
-  };
-  const Case cases[] = {
-      {"colSums(M)", "colSums(plainM)"},
-      {"rowSums(M)", "rowSums(plainM)"},
-      {"sum(M)", "sum(plainM)"},
-      {"M %*% N", "plainM %*% N"},
-      {"X %*% M", "X %*% plainM"},
-      {"colSums(t(M))", "colSums(t(plainM))"},
-      {"rowSums(t(M))", "rowSums(t(plainM))"},
-      {"sum(t(M))", "sum(t(plainM))"},
-      {"t(M) %*% t(X)", "t(plainM) %*% t(X)"},
-      {"colSums(M %*% N)", "colSums(plainM %*% N)"},
-      {"sum(rowSums(M))", "sum(rowSums(plainM))"},
-      {"sum(M %*% N + M %*% N)", "sum(plainM %*% N + plainM %*% N)"},
-  };
-  for (const Case& c : cases) {
-    auto factorized = engine_.Run(Parse(c.morpheus_text));
-    ASSERT_TRUE(factorized.ok()) << c.morpheus_text;
-    auto plain = engine::Execute(*Parse(c.plain_text), workspace_);
-    ASSERT_TRUE(plain.ok()) << c.plain_text;
-    EXPECT_TRUE(factorized->ApproxEquals(*plain, 1e-8)) << c.morpheus_text;
+struct PushdownCase {
+  const char* text;    // Over normalized M (oracle: materialized M).
+  const char* kernel;  // The nm_* kernel the pattern compiles to.
+};
+
+const PushdownCase kPushdownCases[] = {
+    {"colSums(M)", "nm_colsums"},
+    {"rowSums(M)", "nm_rowsums"},
+    {"sum(M)", "nm_sum"},
+    {"M %*% N", "nm_right_multiply"},
+    {"X %*% M", "nm_left_multiply"},
+    {"colSums(t(M))", "nm_rowsums"},
+    {"rowSums(t(M))", "nm_colsums"},
+    {"sum(t(M))", "nm_sum"},
+    {"t(M) %*% t(X)", "nm_left_multiply"},
+    {"colSums(M %*% N)", "nm_right_multiply"},
+    {"sum(rowSums(M))", "nm_rowsums"},
+    {"sum(M %*% N + M %*% N)", "nm_right_multiply"},
+};
+
+TEST_F(MorpheusSessionTest, PushdownPatternsMatchPlainEvaluation) {
+  auto session = Factorized();
+  for (const PushdownCase& c : kPushdownCases) {
+    EXPECT_TRUE(AsStated(*session, c.text).ApproxEquals(Plain(c.text), 1e-8))
+        << c.text;
   }
 }
 
-TEST_F(MorpheusEngineTest, FactorizedAggregateAvoidsMaterialization) {
+TEST_F(MorpheusSessionTest, PushdownPatternsCompileToNmKernels) {
+  auto session = Factorized();
+  for (const PushdownCase& c : kPushdownCases) {
+    const std::string plan = CompiledText(*session, c.text);
+    EXPECT_NE(plan.find(std::string("[") + c.kernel + "]"), std::string::npos)
+        << c.text << "\n" << plan;
+    // A pushdown never materializes M.
+    EXPECT_EQ(plan.find("nm_materialize"), std::string::npos)
+        << c.text << "\n" << plan;
+  }
+}
+
+TEST_F(MorpheusSessionTest, BitIdenticalAcrossThreadCounts) {
+  auto one = Factorized(1);
+  for (int threads : {2, 4}) {
+    auto many = Factorized(threads);
+    for (const PushdownCase& c : kPushdownCases) {
+      const matrix::Matrix want = AsStated(*one, c.text);
+      const matrix::Matrix got = AsStated(*many, c.text);
+      ASSERT_EQ(want.rows(), got.rows()) << c.text;
+      ASSERT_EQ(want.cols(), got.cols()) << c.text;
+      for (int64_t i = 0; i < want.rows(); ++i) {
+        for (int64_t j = 0; j < want.cols(); ++j) {
+          ASSERT_EQ(want.At(i, j), got.At(i, j))
+              << c.text << " at " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+TEST_F(MorpheusSessionTest, FactorizedAggregateAvoidsMaterialization) {
   // colSums(M) factorized touches only T, K, U — the intermediate stats
   // must be far below materializing M (160x15).
+  auto session = Factorized();
   engine::ExecStats factorized_stats;
-  ASSERT_TRUE(engine_.Run(Parse("colSums(M)"), &factorized_stats).ok());
-  engine::ExecStats materialized_stats;
-  ASSERT_TRUE(engine::Execute(*Parse("colSums(plainM)"), workspace_,
-                              &materialized_stats)
-                  .ok());
-  // The plain path scans the materialized matrix but creates no
-  // intermediates; what matters is the factorized path stays small too.
+  AsStated(*session, "colSums(M)", &factorized_stats);
   EXPECT_LT(factorized_stats.intermediate_nnz, 100.0);
 }
 
-TEST_F(MorpheusEngineTest, ElementwiseOpsMaterialize) {
-  // Morpheus does not factorize element-wise operations (P2.11): N + M
+TEST_F(MorpheusSessionTest, ElementwiseOpsMaterialize) {
+  // Morpheus does not factorize element-wise operations (P2.11): E + M
   // materializes M. The value must still be correct.
-  Rng rng(33);
-  workspace_.Put("E", matrix::RandomDense(rng, 160, 15));
-  auto out = engine_.Run(Parse("sum(E + M)"));
-  ASSERT_TRUE(out.ok());
-  auto plain = engine::Execute(*Parse("sum(E + plainM)"), workspace_);
-  EXPECT_NEAR(out->ScalarValue(), plain->ScalarValue(), 1e-7);
+  auto session = Factorized();
+  EXPECT_NE(CompiledText(*session, "sum(E + M)").find("[nm_materialize]"),
+            std::string::npos);
+  EXPECT_NEAR(AsStated(*session, "sum(E + M)").ScalarValue(),
+              Plain("sum(E + M)").ScalarValue(), 1e-7);
 }
 
-TEST_F(MorpheusEngineTest, HadadRewriteEnablesBetterPushdown) {
+TEST_F(MorpheusSessionTest, HadadRewriteEnablesBetterPushdown) {
   // The §2 example: colSums(M N) runs the factorized multiply first
   // (intermediate nS x 9), while HADAD's rewriting colSums(M) N enables the
   // colSums pushdown (intermediate 1 x 15): far smaller intermediates, same
   // value.
+  auto session = Factorized();
   engine::ExecStats original_stats;
-  auto original = engine_.Run(Parse("colSums(M %*% N)"), &original_stats);
-  ASSERT_TRUE(original.ok());
+  const matrix::Matrix original =
+      AsStated(*session, "colSums(M %*% N)", &original_stats);
   engine::ExecStats rewrite_stats;
-  auto rewrite = engine_.Run(Parse("colSums(M) %*% N"), &rewrite_stats);
-  ASSERT_TRUE(rewrite.ok());
-  EXPECT_TRUE(original->ApproxEquals(*rewrite, 1e-8));
+  const matrix::Matrix rewrite =
+      AsStated(*session, "colSums(M) %*% N", &rewrite_stats);
+  EXPECT_TRUE(original.ApproxEquals(rewrite, 1e-8));
   EXPECT_LT(rewrite_stats.intermediate_nnz,
             original_stats.intermediate_nnz / 10);
+}
+
+TEST_F(MorpheusSessionTest, ExplainAnalyzeRendersFactorizedDag) {
+  auto session = Factorized(2);
+  auto prepared = session->Prepare("colSums(M %*% N)");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto report = prepared->ExplainAnalyze();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->rfind("EXPLAIN ANALYZE  (", 0), 0u) << *report;
+  EXPECT_NE(report->find("[nm_"), std::string::npos) << *report;
+  EXPECT_NE(report->find("2 threads"), std::string::npos) << *report;
+}
+
+TEST_F(MorpheusSessionTest, SmartProfileRunsChainOverNormalizedMatrix) {
+  // kSmart reorders the three-factor chain; its planner must see M's
+  // shape, which lives in the registry rather than the workspace.
+  auto session = Factorized(1, engine::Profile::kSmart);
+  const std::string chain = "X %*% M %*% N";
+  auto run = session->Run(chain);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run->ApproxEquals(Plain(chain), 1e-8));
+  EXPECT_TRUE(AsStated(*session, chain).ApproxEquals(Plain(chain), 1e-8));
 }
 
 TEST(GeneratorTest, RespectsRatios) {

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -33,6 +34,7 @@
 #include "engine/workspace.h"
 #include "matrix/generate.h"
 #include "matrix/matrix.h"
+#include "morpheus/generator.h"
 
 namespace hadad {
 namespace {
@@ -462,86 +464,126 @@ TEST(MvccOverlapTest, MutationCompletesWhilePinHeld) {
   EXPECT_EQ(session->workspace().Find("A")->At(0, 0), 2.0);
 }
 
+// One input of the long-reader overlap test: a query lasting tens of
+// milliseconds and the base matrix the writer replaces while it runs.
+struct OverlapInput {
+  const char* label;
+  std::string query;
+  std::string mutated;  // Base matrix the writer replaces.
+  uint64_t seed;        // Drives the mutated matrix's versions.
+  int64_t rows;
+  int64_t cols;
+  // Builds a session with `initial` bound to `mutated` (called twice: the
+  // session under test and its oracle twin).
+  std::function<std::shared_ptr<api::Session>(const matrix::Matrix& initial)>
+      build;
+};
+
 TEST(MvccOverlapTest, LongReaderQueryOverlapsCompletedMutation) {
-  Rng rng(11);
-  const std::string query = "((A %*% A) %*% A) %*% A";
-  std::vector<matrix::Matrix> versions;
-  versions.push_back(matrix::RandomDense(rng, 224, 224, -0.05, 0.05));
+  // The factorized input's normalized M is immutable session state; its
+  // pushdowns run as nm_* DAG kernels on the same snapshot-pinned route.
+  Rng nm_rng(12);
+  const morpheus::NormalizedMatrix nm = morpheus::GeneratePkFk(
+      nm_rng,
+      {.n_r = 2000, .d_s = 20, .tuple_ratio = 10, .feature_ratio = 5});
+  const OverlapInput inputs[] = {
+      {"dense chain", "((A %*% A) %*% A) %*% A", "A", 11, 224, 224,
+       [](const matrix::Matrix& a) {
+         return api::SessionBuilder().Put("A", a).Threads(2).Build().value();
+       }},
+      {"factorized", "t(M) %*% (M %*% G)", "G", 13, nm.cols(), 32,
+       [&nm](const matrix::Matrix& g) {
+         return api::SessionBuilder()
+             .AddNormalizedMatrix("M", nm)
+             .Put("G", g)
+             .Threads(2)
+             .Build()
+             .value();
+       }},
+  };
+  for (const OverlapInput& in : inputs) {
+    SCOPED_TRACE(in.label);
+    Rng rng(in.seed);
+    std::vector<matrix::Matrix> versions;
+    versions.push_back(
+        matrix::RandomDense(rng, in.rows, in.cols, -0.05, 0.05));
+    auto session = in.build(versions[0]);
 
-  auto session = api::SessionBuilder()
-                     .Put("A", versions[0])
-                     .Threads(2)
-                     .Build()
-                     .value();
-
-  // Oracle result per data version, replayed in a twin session (same
-  // engine, same plans — results are bit-identical by construction).
-  auto oracle = api::SessionBuilder()
-                    .Put("A", versions[0])
-                    .Threads(2)
-                    .Build()
-                    .value();
-  std::vector<matrix::Matrix> expected;
-  {
-    auto r = oracle->Run(query);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    expected.push_back(std::move(*r));
-  }
-
-  std::atomic<bool> stop{false};
-  std::vector<matrix::Matrix> observed;
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      auto r = session->Run(query);
+    // Oracle result per data version, replayed in a twin session (same
+    // engine, same plans — results are bit-identical by construction).
+    auto oracle = in.build(versions[0]);
+    std::vector<matrix::Matrix> expected;
+    {
+      auto r = oracle->Run(in.query);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      observed.push_back(std::move(*r));
+      expected.push_back(std::move(*r));
     }
-  });
 
-  // Wait until a reader query has a snapshot pinned, mutate, and check the
-  // pin is still held right after the mutation returned: the writer
-  // finished inside the reader's execution window. The query runs tens of
-  // milliseconds; retry a few times to be robust to scheduling.
-  bool overlapped = false;
-  for (int attempt = 0; attempt < 5 && !overlapped; ++attempt) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (session->workspace().PinnedSnapshots() < 1 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    ASSERT_GE(session->workspace().PinnedSnapshots(), 1);
-
-    matrix::Matrix next = matrix::RandomDense(rng, 224, 224, -0.05, 0.05);
-    versions.push_back(next);
-    ASSERT_TRUE(session->Update("A", std::move(next)).ok());
-    overlapped = session->workspace().PinnedSnapshots() >= 1;
-
-    ASSERT_TRUE(oracle->Update("A", versions.back()).ok());
-    auto r = oracle->Run(query);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    expected.push_back(std::move(*r));
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_TRUE(overlapped)
-      << "no mutation completed while a reader snapshot stayed pinned";
-
-  // Every reader result equals the oracle at exactly one data version —
-  // never a torn mix of two.
-  ASSERT_FALSE(observed.empty());
-  for (const matrix::Matrix& got : observed) {
-    bool matched = false;
-    for (const matrix::Matrix& want : expected) {
-      if (BitEqual(got, want)) {
-        matched = true;
-        break;
+    std::atomic<bool> stop{false};
+    std::vector<matrix::Matrix> observed;
+    std::thread reader([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        auto r = session->Run(in.query);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        observed.push_back(std::move(*r));
       }
+    });
+    // A failed ASSERT below returns early; stop and join the reader first.
+    struct JoinOnExit {
+      std::atomic<bool>& stop;
+      std::thread& reader;
+      ~JoinOnExit() {
+        stop.store(true, std::memory_order_release);
+        if (reader.joinable()) reader.join();
+      }
+    } join_on_exit{stop, reader};
+
+    // Wait until a reader query has a snapshot pinned, mutate, and check
+    // the pin is still held right after the mutation returned: the writer
+    // finished inside the reader's execution window. The query runs tens
+    // of milliseconds; retry a few times to be robust to scheduling.
+    bool overlapped = false;
+    for (int attempt = 0; attempt < 5 && !overlapped; ++attempt) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (session->workspace().PinnedSnapshots() < 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      ASSERT_GE(session->workspace().PinnedSnapshots(), 1);
+
+      matrix::Matrix next =
+          matrix::RandomDense(rng, in.rows, in.cols, -0.05, 0.05);
+      versions.push_back(next);
+      ASSERT_TRUE(session->Update(in.mutated, std::move(next)).ok());
+      overlapped = session->workspace().PinnedSnapshots() >= 1;
+
+      ASSERT_TRUE(oracle->Update(in.mutated, versions.back()).ok());
+      auto r = oracle->Run(in.query);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected.push_back(std::move(*r));
     }
-    EXPECT_TRUE(matched) << "reader result matches no committed version";
+    stop.store(true, std::memory_order_release);
+    reader.join();
+
+    EXPECT_TRUE(overlapped)
+        << "no mutation completed while a reader snapshot stayed pinned";
+
+    // Every reader result equals the oracle at exactly one data version —
+    // never a torn mix of two.
+    ASSERT_FALSE(observed.empty());
+    for (const matrix::Matrix& got : observed) {
+      bool matched = false;
+      for (const matrix::Matrix& want : expected) {
+        if (BitEqual(got, want)) {
+          matched = true;
+          break;
+        }
+      }
+      EXPECT_TRUE(matched) << "reader result matches no committed version";
+    }
+    EXPECT_EQ(session->workspace().PinnedSnapshots(), 0);
   }
-  EXPECT_EQ(session->workspace().PinnedSnapshots(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -607,10 +607,10 @@ struct RaceHarness {
     AdaptiveViewManager::Host host;
     host.workspace = &ws;
     host.optimizer = &*optimizer;
-    host.exec_catalog = nullptr;
+    host.exec_catalog = &exec_catalog;
     host.state_mu = &state_mu;
-    host.evaluate = [this](const la::ExprPtr& def, engine::WorkspaceView wsv,
-                           bool) -> Result<matrix::Matrix> {
+    host.evaluate = [this](const la::ExprPtr& def, engine::WorkspaceView wsv)
+        -> Result<matrix::Matrix> {
       Result<matrix::Matrix> r = engine::Execute(*def, wsv);
       if (inject.exchange(false)) {
         // The writer proceeds while the evaluation's snapshot is pinned —
@@ -632,6 +632,7 @@ struct RaceHarness {
   matrix::Matrix conflict;
   engine::Workspace ws;
   std::optional<pacb::Optimizer> optimizer;
+  la::MetaCatalog exec_catalog;
   common::SharedMutex state_mu;
   std::atomic<bool> inject{false};
   std::optional<AdaptiveViewManager> manager;
