@@ -29,8 +29,8 @@ int main() {
               static_cast<long long>(nm.u().rows()),
               static_cast<long long>(nm.u().cols()));
 
-  // Registering M as a normalized matrix routes the session's execution
-  // through the Morpheus engine (factorized pushdowns where its rules
+  // Registering M as a normalized matrix makes the DAG compiler lower its
+  // uses to factorized nm_* kernels (Morpheus's pushdowns where its rules
   // allow) while the optimizer sees M's denormalized shape.
   const int64_t m_cols = nm.cols();
   auto session = api::SessionBuilder()

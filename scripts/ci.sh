@@ -44,7 +44,7 @@ case "$mode" in
     # The repository benchmark's own unit tests (pure python3, no build).
     python3 -m unittest discover -s perfbench -p 'test_*.py'
     cmake -B build -S .
-    cmake --build build -j
+    cmake --build build --parallel "$(nproc)"
     cd build
     ctest --output-on-failure -j
     # Second dispatch arm: the kernel-bearing suites (SIMD microkernels,
@@ -69,8 +69,8 @@ case "$mode" in
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
       -DHADAD_BUILD_BENCHMARKS=OFF \
       -DHADAD_BUILD_EXAMPLES=OFF
-    cmake --build build-tsan -j --target exec_test session_test views_test \
-      mutation_test mvcc_test obs_test server_test
+    cmake --build build-tsan --parallel "$(nproc)" --target exec_test \
+      session_test views_test mutation_test mvcc_test obs_test server_test
     ./build-tsan/tests/exec_test
     ./build-tsan/tests/session_test
     ./build-tsan/tests/views_test
@@ -89,12 +89,13 @@ case "$mode" in
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
       -DHADAD_BUILD_BENCHMARKS=OFF \
       -DHADAD_BUILD_EXAMPLES=OFF
-    cmake --build build-asan -j
+    cmake --build build-asan --parallel "$(nproc)"
     cd build-asan
     ctest --output-on-failure -j
-    # Version-chain lifetime torture under ASan: the stress suite re-runs
-    # with more iterations than the ctest default so retire/free races and
-    # snapshot use-after-free get real soak time.
+    # Version-lifetime torture under ASan: the stress suite re-runs with
+    # more iterations than the ctest default so races between a version's
+    # last handle dropping and its readers, and snapshot use-after-free,
+    # get real soak time.
     HADAD_STRESS_ITERS=500 ./tests/mvcc_test \
       --gtest_filter='MvccStressTest.*:MvccLeakTest.*'
     ;;
@@ -103,9 +104,9 @@ case "$mode" in
       -DCMAKE_BUILD_TYPE=Release \
       -DBUILD_TESTING=OFF \
       -DHADAD_BUILD_EXAMPLES=OFF
-    cmake --build build-bench -j --target bench_session_cache \
-      bench_update_refresh bench_server_concurrency bench_simd_kernels \
-      bench_fig9_morpheus bench_fig12_morpheus_overhead
+    cmake --build build-bench --parallel "$(nproc)" --target \
+      bench_session_cache bench_update_refresh bench_server_concurrency \
+      bench_simd_kernels bench_fig9_morpheus bench_fig12_morpheus_overhead
     # Factorized smoke: both figures run on a Session over a normalized M
     # (nm_* DAG kernels); fig9 aborts when the rewritten and as-stated
     # results disagree beyond 1e-6.
@@ -149,7 +150,7 @@ PYEOF
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DBUILD_TESTING=OFF \
       -DHADAD_BUILD_BENCHMARKS=OFF
-    cmake --build build-trace -j --target trace_demo
+    cmake --build build-trace --parallel "$(nproc)" --target trace_demo
     ./build-trace/examples/trace_demo build-trace/trace.json
     python3 scripts/check_trace.py build-trace/trace.json
     ;;
@@ -180,7 +181,7 @@ PYEOF
       -DBUILD_TESTING=OFF \
       -DHADAD_BUILD_BENCHMARKS=OFF \
       -DHADAD_BUILD_EXAMPLES=OFF
-    cmake --build build-docs -j --target hadad
+    cmake --build build-docs --parallel "$(nproc)" --target hadad
     snippet_dir="$(mktemp -d)"
     awk '/^```cpp/{f=1; next} /^```/{if (f) exit} f' README.md \
       > "$snippet_dir/snippet.in"
@@ -233,7 +234,7 @@ PYEOF
       -DHADAD_THREAD_SAFETY=ON \
       -DHADAD_BUILD_BENCHMARKS=OFF \
       -DHADAD_BUILD_EXAMPLES=OFF
-    cmake --build build-lint -j
+    cmake --build build-lint --parallel "$(nproc)"
 
     # 3) Guard the guard: each expected-failure snippet must be REJECTED.
     #    A snippet that compiles cleanly means the annotations got neutered.

@@ -78,7 +78,7 @@ bool Session::PlanFresh(const PreparedPlan& plan) const {
   // the plan's own leaves matter. Re-verify per leaf and restore the fast
   // path (stamping the pre-check generation: a mutation racing the check
   // forces one more per-leaf pass, never a wrong hit).
-  if (!workspace_.SnapshotCurrent(plan.data_snapshot)) return false;
+  if (!workspace_.StampCurrent(plan.leaf_stamp)) return false;
   plan.verified_generation.store(gen, std::memory_order_release);
   return true;
 }
@@ -170,9 +170,9 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
     std::set<std::string> leaves;
     la::CollectMatrixRefs(*expr, &leaves);
     la::CollectMatrixRefs(*plan->rewrite.best, &leaves);
-    plan->data_snapshot = workspace_.SnapshotFor(
+    plan->leaf_stamp = workspace_.StampFor(
         std::vector<std::string>(leaves.begin(), leaves.end()));
-    plan->verified_generation.store(plan->data_snapshot.generation,
+    plan->verified_generation.store(plan->leaf_stamp.generation,
                                     std::memory_order_release);
   }
   prepare_seconds_->Observe(plan->rewrite.optimize_seconds);
@@ -188,7 +188,7 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
   auto [it, inserted] = plan_cache_.try_emplace(plan->canonical, plan);
   if (!inserted && it->second != plan &&
       (it->second->generation < plan->generation ||
-       !workspace_.SnapshotCurrent(it->second->data_snapshot))) {
+       !workspace_.StampCurrent(it->second->leaf_stamp))) {
     it->second = plan;
   }
   return it->second;
@@ -585,15 +585,8 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
     c.name = m.name;
     switch (m.op) {
       case Mutation::Op::kUpdate:
-        c.old_value = workspace_.Take(m.name);
-        workspace_.Put(m.name, std::move(m.value));
-        break;
       case Mutation::Op::kPut:
-        if (workspace_.Find(m.name) != nullptr) {
-          c.old_value = workspace_.Take(m.name);
-        } else {
-          c.added = true;
-        }
+        c.old_version = workspace_.Take(m.name);
         workspace_.Put(m.name, std::move(m.value));
         break;
       case Mutation::Op::kAppend: {
@@ -606,12 +599,14 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
         break;
       }
       case Mutation::Op::kRemove:
-        c.old_value = workspace_.Take(m.name);
+        c.old_version = workspace_.Take(m.name);
         (void)optimizer_->RemoveBaseMeta(m.name);
         exec_catalog_.erase(m.name);
         break;
     }
-    const bool added = c.added;
+    // A Put that introduced the name has no prior version.
+    const bool added =
+        m.op == Mutation::Op::kPut && !c.old_version.has_value();
     journal.push_back(std::move(c));
     if (m.op == Mutation::Op::kAppend && entries[m.name] == 1) {
       change.appended.emplace(m.name, &m.value);  // Append keeps its rows.
@@ -650,8 +645,7 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
                     "refreshing view '" + vname + "': " +
                         fresh.status().message() + " (rolled back)");
     }
-    refreshed.push_back(
-        RefreshedView{vname, def, std::move(*workspace_.Take(vname))});
+    refreshed.push_back(RefreshedView{vname, def, *workspace_.Take(vname)});
     workspace_.Put(vname, std::move(*fresh));
     Status reregistered = optimizer_->RemoveView(vname);
     if (reregistered.ok()) reregistered = optimizer_->AddView(vname, def);
@@ -680,33 +674,22 @@ void Session::RollbackBatch(std::vector<BaseChange>* journal,
                             std::vector<RefreshedView>* refreshed,
                             const std::vector<std::string>& staged) {
   for (const std::string& name : staged) workspace_.Erase(name);
-  // Restore every workspace value first — refreshed view values, then
-  // bases in reverse journal order so repeated mutations of one name
-  // unwind to the pre-batch state.
+  // Restore every workspace entry first — refreshed views, then bases in
+  // reverse journal order so repeated mutations of one name unwind to the
+  // pre-batch state. A restored version keeps its epoch, so plans stamped
+  // before the batch stay fresh.
   for (RefreshedView& v : *refreshed) {
-    workspace_.Put(v.name, std::move(v.old_value));
+    workspace_.Restore(v.name, std::move(v.old_version));
   }
   for (auto it = journal->rbegin(); it != journal->rend(); ++it) {
-    switch (it->op) {
-      case Mutation::Op::kUpdate:
-        workspace_.Put(it->name, std::move(*it->old_value));
-        break;
-      case Mutation::Op::kPut:
-        if (it->added) {
-          workspace_.Erase(it->name);
-        } else {
-          workspace_.Put(it->name, std::move(*it->old_value));
-        }
-        break;
-      case Mutation::Op::kAppend: {
-        std::optional<matrix::Matrix> grown = workspace_.Take(it->name);
-        (void)matrix::TruncateRows(&*grown, it->old_rows);
-        workspace_.Put(it->name, std::move(*grown));
-        break;
-      }
-      case Mutation::Op::kRemove:
-        workspace_.Put(it->name, std::move(*it->old_value));
-        break;
+    if (it->op == Mutation::Op::kAppend) {
+      matrix::Matrix grown = *workspace_.Find(it->name);
+      (void)matrix::TruncateRows(&grown, it->old_rows);
+      workspace_.Put(it->name, std::move(grown));
+    } else if (it->old_version.has_value()) {
+      workspace_.Restore(it->name, std::move(*it->old_version));
+    } else {
+      workspace_.Erase(it->name);  // A Put that introduced the name.
     }
   }
   // Re-derive the dependent facts from the restored values.
@@ -744,10 +727,11 @@ Result<matrix::Matrix> Session::ComputeViewRefresh(
       workspace_.Put(plan.delta_name, *change.appended.at(plan.leaf));
       staged->push_back(plan.delta_name);
     }
-    Result<matrix::Matrix> delta = executor_->Run(plan.delta, workspace_);
+    Result<matrix::Matrix> delta = executor_->Run(
+        plan.delta, workspace_, /*stats=*/nullptr, &exec_catalog_);
     if (delta.ok()) return matrix::Add(*workspace_.Find(vname), *delta);
   }
-  return executor_->Run(def, workspace_);
+  return executor_->Run(def, workspace_, /*stats=*/nullptr, &exec_catalog_);
 }
 
 SessionStats Session::stats() const {

@@ -113,8 +113,8 @@ struct PreparedPlan {
   // workspace name the original or rewritten form scans. A mutation that
   // moves any of them (Update/Append/Remove, user-view refresh) makes the
   // plan re-derive on next use; mutating unrelated names leaves it warm.
-  engine::WorkspaceSnapshot data_snapshot;
-  // Workspace generation at which data_snapshot was last verified current —
+  engine::VersionStamp leaf_stamp;
+  // Workspace generation at which leaf_stamp was last verified current —
   // the per-run fast path (one atomic compare) when nothing mutated.
   mutable std::atomic<int64_t> verified_generation{-1};
 
@@ -358,17 +358,17 @@ class Session : public std::enable_shared_from_this<Session> {
   struct RefreshedView {
     std::string name;
     la::ExprPtr def;
-    matrix::Matrix old_value;
+    engine::Version old_version;
   };
 
   // Journal entry for one applied base mutation of a Mutate batch.
   struct BaseChange {
     Mutation::Op op = Mutation::Op::kUpdate;
     std::string name;
-    // Prior value for kUpdate/kRemove and Put-over-existing.
-    std::optional<matrix::Matrix> old_value;
+    // Prior version for kUpdate/kRemove and Put-over-existing; empty for a
+    // Put that introduced the name.
+    std::optional<engine::Version> old_version;
     int64_t old_rows = 0;  // kAppend: row count before the grow.
-    bool added = false;    // kPut that introduced the name.
   };
 
   // Cache lookup by canonical text; on miss (or when the cached plan is
@@ -401,9 +401,10 @@ class Session : public std::enable_shared_from_this<Session> {
   Status MutateBatchLocked(std::vector<Mutation>* mutations,
                            obs::SpanId parent) HADAD_REQUIRES(views_mu_);
   // Undoes a half-applied batch: erases the `staged` delta rows, restores
-  // refreshed view values, then bases in reverse journal order, then
-  // re-derives the optimizer and exec-catalog facts and view registrations
-  // from the restored state.
+  // the pre-batch versions (handle and epoch) of refreshed views, then of
+  // bases in reverse journal order (an Append truncates its grown value
+  // instead), then re-derives the optimizer and exec-catalog facts and
+  // view registrations from the restored state.
   void RollbackBatch(std::vector<BaseChange>* journal,
                      std::vector<RefreshedView>* refreshed,
                      const std::vector<std::string>& staged)

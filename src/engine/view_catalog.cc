@@ -40,28 +40,22 @@ Status ViewCatalog::Install(const std::string& name,
 }
 
 Status ViewCatalog::Drop(const std::string& name) {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&name](const Entry& e) { return e.name == name; });
-  if (it == entries_.end()) {
-    return Status::NotFound("no view named '" + name + "' in catalog");
-  }
-  entries_.erase(it);
-  workspace_->Erase(name);
-  return Status::OK();
+  return Detach(name).status();
 }
 
-Result<matrix::Matrix> ViewCatalog::Detach(const std::string& name) {
+Result<std::shared_ptr<const matrix::Matrix>> ViewCatalog::Detach(
+    const std::string& name) {
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [&name](const Entry& e) { return e.name == name; });
   if (it == entries_.end()) {
     return Status::NotFound("no view named '" + name + "' in catalog");
   }
   entries_.erase(it);
-  std::optional<matrix::Matrix> value = workspace_->Take(name);
-  if (!value.has_value()) {
+  std::optional<Version> taken = workspace_->Take(name);
+  if (!taken.has_value()) {
     return Status::Internal("view '" + name + "' missing from workspace");
   }
-  return std::move(*value);
+  return std::move(taken->value);
 }
 
 const ViewCatalog::Entry* ViewCatalog::FindEntry(

@@ -2,6 +2,7 @@
 #define HADAD_ENGINE_VIEW_CATALOG_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,9 +37,10 @@ class ViewCatalog {
   // catalog holds no such view (base matrices are never dropped here).
   Status Drop(const std::string& name);
 
-  // Drop, but moves the materialized value out instead of destroying it —
-  // incremental view refresh reuses it (V ← V + f(Δ)).
-  Result<matrix::Matrix> Detach(const std::string& name);
+  // Drop, but returns the materialized version's handle instead of
+  // releasing it — incremental view refresh reuses it (V ← V + f(Δ)).
+  Result<std::shared_ptr<const matrix::Matrix>> Detach(
+      const std::string& name);
 
   struct Entry {
     std::string name;

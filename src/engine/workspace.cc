@@ -1,87 +1,97 @@
 #include "engine/workspace.h"
 
-#include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "matrix/decompositions.h"
 
 namespace hadad::engine {
 
+struct Workspace::VersionCounts {
+  std::atomic<int64_t> versions{0};
+  std::atomic<int64_t> bytes{0};
+};
+
 Snapshot::~Snapshot() {
   if (owner_ != nullptr) owner_->Unpin(generation_);
 }
 
-void Workspace::Install(const std::string& name,
-                        std::shared_ptr<const matrix::Matrix> value) {
-  const int64_t gen =
-      generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  data_.insert_or_assign(name, value);
-  std::vector<std::shared_ptr<const matrix::Matrix>> drained;
-  {
-    common::MutexLock lock(&mu_);
-    std::vector<Version>& chain = chains_[name];
-    if (!chain.empty() && chain.back().retired_at == kNotRetired) {
-      chain.back().retired_at = gen;
-      ++retired_total_;
-    }
-    chain.push_back(Version{std::move(value), gen, kNotRetired});
-    TrimLocked(&drained);
-  }
-  // `drained` destroys the reclaimed matrices here, outside mu_.
+Workspace::Workspace() : counts_(std::make_shared<VersionCounts>()) {}
+
+Workspace::Workspace(Workspace&& other) noexcept
+    : data_(std::move(other.data_)),
+      generation_(other.generation_.load(std::memory_order_acquire)),
+      counts_(std::exchange(other.counts_,
+                            std::make_shared<VersionCounts>())) {
+  // The source's lock is still taken: it is cheap, and it keeps the
+  // guarded access to `other`'s maps visible to the thread-safety analysis.
+  common::MutexLock theirs(&other.mu_);
+  HADAD_CHECK_MSG(other.pins_.empty(),
+                  "moving a workspace with pinned snapshots");
+  epochs_ = std::move(other.epochs_);
+  retired_total_ = other.retired_total_;
 }
 
-bool Workspace::Retire(const std::string& name) {
-  const int64_t gen =
-      generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  bool retired = false;
-  std::vector<std::shared_ptr<const matrix::Matrix>> drained;
+Workspace& Workspace::operator=(Workspace&& other) noexcept {
+  if (this == &other) return *this;
+  data_ = std::move(other.data_);
+  generation_.store(other.generation_.load(std::memory_order_acquire),
+                    std::memory_order_release);
+  counts_ = std::exchange(other.counts_, std::make_shared<VersionCounts>());
+  common::MutexLock mine(&mu_);
+  common::MutexLock theirs(&other.mu_);
+  HADAD_CHECK_MSG(pins_.empty() && other.pins_.empty(),
+                  "moving a workspace with pinned snapshots");
+  epochs_ = std::move(other.epochs_);
+  retired_total_ = other.retired_total_;
+  return *this;
+}
+
+std::shared_ptr<const matrix::Matrix> Workspace::NewVersion(
+    matrix::Matrix m) {
+  counts_->versions.fetch_add(1);
+  counts_->bytes.fetch_add(matrix::ApproxBytes(m));
+  // Created non-const (and viewed through const pointers) so the in-place
+  // Append may legally cast mutability back on.
+  return std::shared_ptr<matrix::Matrix>(
+      new matrix::Matrix(std::move(m)),
+      [counts = counts_](matrix::Matrix* value) {
+        counts->bytes.fetch_sub(matrix::ApproxBytes(*value));
+        counts->versions.fetch_sub(1);
+        delete value;
+      });
+}
+
+void Workspace::Bind(const std::string& name, Version version) {
+  std::shared_ptr<const matrix::Matrix> superseded =
+      std::exchange(data_[name], std::move(version.value));
+  Commit(name, version.epoch, /*retired=*/superseded != nullptr);
+}
+
+int64_t Workspace::Commit(const std::string& name, int64_t epoch,
+                          bool retired) {
+  int64_t replaced = kNeverStored;
   {
     common::MutexLock lock(&mu_);
-    auto it = chains_.find(name);
-    if (it != chains_.end() && !it->second.empty() &&
-        it->second.back().retired_at == kNotRetired) {
-      it->second.back().retired_at = gen;
-      ++retired_total_;
-      retired = true;
+    replaced = EpochLocked(name);
+    if (epoch == kNeverStored) {
+      epochs_.erase(name);
+    } else {
+      epochs_[name] = epoch;
     }
-    TrimLocked(&drained);
+    if (retired) ++retired_total_;
   }
-  return retired;
+  // Published after the epoch: a reader that observes the new generation
+  // also observes the new epoch, so PlanFresh's verified-generation fast
+  // path never vouches for a half-published mutation.
+  generation_.fetch_add(1, std::memory_order_acq_rel);
+  return replaced;
 }
 
 void Workspace::Unpin(int64_t generation) const {
-  std::vector<std::shared_ptr<const matrix::Matrix>> drained;
-  {
-    common::MutexLock lock(&mu_);
-    auto it = pins_.find(generation);
-    HADAD_CHECK_MSG(it != pins_.end(), "unpin of unregistered snapshot");
-    if (--it->second == 0) pins_.erase(it);
-    TrimLocked(&drained);
-  }
-}
-
-void Workspace::TrimLocked(
-    std::vector<std::shared_ptr<const matrix::Matrix>>* drained) const {
-  // A snapshot pinned at generation g reads, for each name, the version
-  // with epoch <= g < retired_at. A retired version is therefore still
-  // visible to some pin iff a pinned generation precedes its retirement;
-  // free it once min(pins) >= retired_at.
-  const int64_t min_pinned = pins_.empty()
-                                 ? std::numeric_limits<int64_t>::max()
-                                 : pins_.begin()->first;
-  for (auto it = chains_.begin(); it != chains_.end();) {
-    std::vector<Version>& chain = it->second;
-    auto keep = std::remove_if(
-        chain.begin(), chain.end(), [&](Version& v) {
-          if (v.retired_at == kNotRetired || v.retired_at > min_pinned) {
-            return false;
-          }
-          drained->push_back(std::move(v.value));
-          return true;
-        });
-    chain.erase(keep, chain.end());
-    it = chain.empty() ? chains_.erase(it) : std::next(it);
-  }
+  common::MutexLock lock(&mu_);
+  auto it = pins_.find(generation);
+  HADAD_CHECK_MSG(it != pins_.end(), "unpin of unregistered snapshot");
+  if (--it->second == 0) pins_.erase(it);
 }
 
 SnapshotPtr Workspace::PinSnapshot() const {
@@ -95,16 +105,16 @@ SnapshotPtr Workspace::PinSnapshot() const {
 }
 
 void Workspace::Put(const std::string& name, matrix::Matrix m) {
-  // Versions are created non-const (and viewed through const pointers) so
-  // the in-place Append fast path may legally cast mutability back on.
-  Install(name, std::make_shared<matrix::Matrix>(std::move(m)));
+  // Mutators are externally serialized, so the next generation is the one
+  // Commit publishes.
+  Bind(name, Version{NewVersion(std::move(m)), generation() + 1});
 }
 
 Status Workspace::Update(const std::string& name, matrix::Matrix m) {
   if (data_.find(name) == data_.end()) {
     return Status::NotFound("no matrix named '" + name + "' in workspace");
   }
-  Install(name, std::make_shared<matrix::Matrix>(std::move(m)));
+  Put(name, std::move(m));
   return Status::OK();
 }
 
@@ -114,93 +124,76 @@ Status Workspace::Append(const std::string& name,
   if (it == data_.end()) {
     return Status::NotFound("no matrix named '" + name + "' in workspace");
   }
-  // Fast path: when no pinned snapshot can see the live version, grow it
-  // in place — O(|Δ|) instead of a whole-matrix copy-on-write. Pinning
-  // happens under the owner's shared state lock while mutators hold it
-  // uniquely, so no pin can appear mid-append; existing pins only drain,
-  // which never makes an invisible version visible.
-  std::shared_ptr<matrix::Matrix> in_place;
+  // A snapshot pinned at generation g can see a version only if g >= the
+  // version's epoch (Restore keeps epochs, so this holds for restored
+  // versions too). With no such pin, grow the live version in place —
+  // O(|Δ|) instead of a whole-matrix copy. Pinning happens under the
+  // owner's shared state lock while mutators hold it uniquely, so no pin
+  // can appear mid-append; Unpin takes mu_, which orders a reader's last
+  // access before the write.
+  bool in_place = false;
   {
     common::MutexLock lock(&mu_);
-    auto chain_it = chains_.find(name);
-    if (chain_it != chains_.end() && !chain_it->second.empty() &&
-        chain_it->second.back().retired_at == kNotRetired &&
-        (pins_.empty() ||
-         pins_.rbegin()->first < chain_it->second.back().epoch)) {
-      in_place = std::const_pointer_cast<matrix::Matrix>(
-          chain_it->second.back().value);
-    }
+    in_place = pins_.empty() || pins_.rbegin()->first < epochs_.at(name);
   }
-  if (in_place != nullptr) {
-    HADAD_RETURN_IF_ERROR(matrix::AppendRows(in_place.get(), rows));
-    // The grown value is a *new* epoch of the same version slot: bump it
-    // so dependent WorkspaceSnapshots go stale exactly as a reinstall
-    // would, without retiring anything.
-    const int64_t gen =
-        generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    common::MutexLock lock(&mu_);
-    chains_.find(name)->second.back().epoch = gen;
+  if (!in_place) {
+    matrix::Matrix grown = *it->second;
+    HADAD_RETURN_IF_ERROR(matrix::AppendRows(&grown, rows));
+    Put(name, std::move(grown));
     return Status::OK();
   }
-  // Copy-on-write: grow a copy and install it as a new version so pinned
-  // readers keep the un-grown matrix.
-  matrix::Matrix grown = *it->second;
-  HADAD_RETURN_IF_ERROR(matrix::AppendRows(&grown, rows));
-  Install(name, std::make_shared<matrix::Matrix>(std::move(grown)));
+  auto* live = const_cast<matrix::Matrix*>(it->second.get());
+  const int64_t bytes_before = matrix::ApproxBytes(*live);
+  HADAD_RETURN_IF_ERROR(matrix::AppendRows(live, rows));
+  counts_->bytes.fetch_add(matrix::ApproxBytes(*live) - bytes_before);
+  // The grown value is a new epoch of the same version: dependent stamps go
+  // stale exactly as a rebind would, with nothing retired.
+  Commit(name, generation() + 1, /*retired=*/false);
   return Status::OK();
 }
 
 bool Workspace::Erase(const std::string& name) {
-  if (data_.erase(name) == 0) return false;
-  Retire(name);
-  return true;
+  return Take(name).has_value();
 }
 
-std::optional<matrix::Matrix> Workspace::Take(const std::string& name) {
+std::optional<Version> Workspace::Take(const std::string& name) {
   auto it = data_.find(name);
   if (it == data_.end()) return std::nullopt;
-  // Copy, not move: the retired version may still be pinned by snapshots.
-  matrix::Matrix value = *it->second;
+  Version taken{std::move(it->second), 0};
   data_.erase(it);
-  Retire(name);
-  return value;
+  taken.epoch = Commit(name, kNeverStored, /*retired=*/true);
+  return taken;
+}
+
+void Workspace::Restore(const std::string& name, Version version) {
+  Bind(name, std::move(version));
+}
+
+int64_t Workspace::EpochLocked(const std::string& name) const {
+  auto it = epochs_.find(name);
+  return it == epochs_.end() ? kNeverStored : it->second;
 }
 
 int64_t Workspace::EpochOf(const std::string& name) const {
   common::MutexLock lock(&mu_);
-  auto it = chains_.find(name);
-  if (it == chains_.end() || it->second.empty() ||
-      it->second.back().retired_at != kNotRetired) {
-    return kNeverStored;
-  }
-  return it->second.back().epoch;
+  return EpochLocked(name);
 }
 
-WorkspaceSnapshot Workspace::SnapshotFor(
-    const std::vector<std::string>& names) const {
-  WorkspaceSnapshot snapshot;
-  snapshot.generation = generation();
-  snapshot.epochs.reserve(names.size());
+VersionStamp Workspace::StampFor(const std::vector<std::string>& names) const {
+  VersionStamp stamp;
+  stamp.generation = generation();
+  stamp.epochs.reserve(names.size());
   common::MutexLock lock(&mu_);
   for (const std::string& name : names) {
-    auto it = chains_.find(name);
-    const bool live = it != chains_.end() && !it->second.empty() &&
-                      it->second.back().retired_at == kNotRetired;
-    snapshot.epochs.emplace_back(
-        name, live ? it->second.back().epoch : kNeverStored);
+    stamp.epochs.emplace_back(name, EpochLocked(name));
   }
-  return snapshot;
+  return stamp;
 }
 
-bool Workspace::SnapshotCurrent(const WorkspaceSnapshot& snapshot) const {
+bool Workspace::StampCurrent(const VersionStamp& stamp) const {
   common::MutexLock lock(&mu_);
-  for (const auto& [name, epoch] : snapshot.epochs) {
-    auto it = chains_.find(name);
-    const bool live = it != chains_.end() && !it->second.empty() &&
-                      it->second.back().retired_at == kNotRetired;
-    if ((live ? it->second.back().epoch : kNeverStored) != epoch) {
-      return false;
-    }
+  for (const auto& [name, epoch] : stamp.epochs) {
+    if (EpochLocked(name) != epoch) return false;
   }
   return true;
 }
@@ -212,28 +205,14 @@ int64_t Workspace::PinnedSnapshots() const {
   return total;
 }
 
-int64_t Workspace::LiveVersions() const {
-  common::MutexLock lock(&mu_);
-  int64_t total = 0;
-  for (const auto& [name, chain] : chains_) {
-    total += static_cast<int64_t>(chain.size());
-  }
-  return total;
-}
+int64_t Workspace::LiveVersions() const { return counts_->versions.load(); }
 
 int64_t Workspace::RetiredTotal() const {
   common::MutexLock lock(&mu_);
   return retired_total_;
 }
 
-int64_t Workspace::RetainedBytes() const {
-  common::MutexLock lock(&mu_);
-  int64_t total = 0;
-  for (const auto& [name, chain] : chains_) {
-    for (const Version& v : chain) total += matrix::ApproxBytes(*v.value);
-  }
-  return total;
-}
+int64_t Workspace::RetainedBytes() const { return counts_->bytes.load(); }
 
 la::MatrixMeta Workspace::MetaFor(const matrix::Matrix& m,
                                   int64_t flag_detect_limit) {

@@ -22,22 +22,33 @@ namespace hadad::engine {
 
 class Workspace;
 
+// One installed value of a workspace entry plus the generation it was first
+// bound at (its epoch). The handle is the version's whole lifetime: the live
+// binding, every pinned Snapshot that saw it, and any mutation journal that
+// took it each hold a reference, and the value frees when the last drops.
+// Installed values are immutable, except that Workspace::Append may grow the
+// live one in place when no pin can see it.
+struct Version {
+  std::shared_ptr<const matrix::Matrix> value;
+  int64_t epoch = 0;
+};
+
 // A point-in-time stamp of the workspace entries a consumer depends on: the
 // workspace generation at capture plus the epoch of each named entry (names
-// never stored stamp kNeverStored). Matrices are not copied — this is
-// validity metadata, not data; consumers that must also *read* a stable
-// state pin a Snapshot (below).
-struct WorkspaceSnapshot {
+// never stored stamp kNeverStored). Epochs are the version identity, so a
+// stamp is current exactly while each name is bound to the version it saw.
+// Matrices are not held — consumers that must also *read* a stable state
+// pin a Snapshot (below).
+struct VersionStamp {
   int64_t generation = 0;
   std::vector<std::pair<std::string, int64_t>> epochs;
 };
 
-// An immutable point-in-time view of every workspace entry, pinned against
-// version retirement: the matrix versions reachable through a live Snapshot
-// are never freed or modified, so queries resolve leaves against it with no
-// lock held while writers install new versions concurrently. Obtained via
-// Workspace::PinSnapshot(); destroying the last handle unpins and lets the
-// workspace reclaim versions no remaining snapshot can see.
+// An immutable point-in-time view of every workspace entry: it holds the
+// version handles bound at pin time, so queries resolve leaves against it
+// with no lock held while writers bind new versions concurrently. Obtained
+// via Workspace::PinSnapshot(); destroying the last handle unpins it and
+// drops its references.
 class Snapshot {
  public:
   ~Snapshot();
@@ -64,8 +75,7 @@ class Snapshot {
 
   const Workspace* owner_ = nullptr;
   int64_t generation_ = 0;
-  // Name -> pinned version value. The shared_ptrs keep the versions alive
-  // even after a writer retires them.
+  // Name -> pinned version handle.
   std::map<std::string, std::shared_ptr<const matrix::Matrix>> entries_;
 };
 
@@ -75,21 +85,22 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 // views. Doubles as the cost::DataCatalog handed to the optimizer (for MNC
 // base histograms).
 //
-// The catalog is *multi-versioned*: each name holds a small version chain.
-// Every mutation (Put/Update/Append/Erase/Take) installs a new immutable
-// version under a short writer critical section, bumps a session-wide data
-// generation, and stamps the touched entry with it as that entry's epoch;
-// the superseded version is retired (stamped with the retiring generation)
-// but stays alive until every Snapshot pinned before the mutation drains —
-// readers execute against their pinned versions with no shared state lock
-// held, so writers never block readers. Dependents (the api::Session plan
-// cache, compiled DAGs, materialized views) record a WorkspaceSnapshot at
-// derivation time and re-derive when any recorded epoch moved — mutations
-// of unrelated entries leave them warm.
+// The catalog is *multi-versioned*: each name is bound to one Version, a
+// reference-counted handle. Every mutation (Put/Update/Append/Erase/Take/
+// Restore) rebinds under a short writer critical section and bumps a
+// session-wide data generation; Put, Update and Append stamp the touched
+// entry with it as that entry's epoch, while Restore rebinds a taken
+// version with the epoch it already had. A superseded version lives as long
+// as a Snapshot or journal still holds it — readers execute against their
+// pinned versions with no shared state lock held, so writers never block
+// readers. Dependents (the api::Session plan cache, compiled DAGs,
+// materialized views) record a VersionStamp at derivation time and
+// re-derive when any recorded epoch moved — mutations of unrelated entries
+// leave them warm.
 //
-// Thread-safety: generation/epoch reads (generation(), EpochOf,
-// SnapshotFor, SnapshotCurrent), snapshot release (handles may be dropped
-// from any thread), and the version-accounting accessors (PinnedSnapshots,
+// Thread-safety: generation/epoch reads (generation(), EpochOf, StampFor,
+// StampCurrent), snapshot release (handles may be dropped from any
+// thread), and the version-accounting accessors (PinnedSnapshots,
 // LiveVersions, RetiredTotal, RetainedBytes) are safe from any thread.
 // Mutators and PinSnapshot() itself are externally synchronized —
 // api::Session mutates only under its unique state lock and pins under the
@@ -99,64 +110,47 @@ class Workspace {
   // EpochOf() for a name that holds no live version.
   static constexpr int64_t kNeverStored = -1;
 
-  Workspace() = default;
+  Workspace();
 
   // Movable for by-value construction (dataset factories); the versioning
   // members make it non-copyable. Moves are construction-time only — never
   // move a workspace that concurrent readers can see or that has pinned
-  // snapshots (Snapshot handles point back at their owner). The source's
-  // version lock is still taken: it is cheap, and it keeps the guarded
-  // access to `other.chains_` visible to the thread-safety analysis.
-  Workspace(Workspace&& other) noexcept
-      : data_(std::move(other.data_)),
-        generation_(other.generation_.load(std::memory_order_acquire)) {
-    common::MutexLock theirs(&other.mu_);
-    HADAD_CHECK_MSG(other.pins_.empty(),
-                    "moving a workspace with pinned snapshots");
-    chains_ = std::move(other.chains_);
-    retired_total_ = other.retired_total_;
-  }
-  Workspace& operator=(Workspace&& other) noexcept {
-    if (this == &other) return *this;
-    data_ = std::move(other.data_);
-    generation_.store(other.generation_.load(std::memory_order_acquire),
-                      std::memory_order_release);
-    common::MutexLock mine(&mu_);
-    common::MutexLock theirs(&other.mu_);
-    HADAD_CHECK_MSG(pins_.empty() && other.pins_.empty(),
-                    "moving a workspace with pinned snapshots");
-    chains_ = std::move(other.chains_);
-    retired_total_ = other.retired_total_;
-    return *this;
-  }
+  // snapshots (Snapshot handles point back at their owner). The moved-from
+  // workspace is left empty, with fresh accounting.
+  Workspace(Workspace&& other) noexcept;
+  Workspace& operator=(Workspace&& other) noexcept;
 
-  // Binds (or rebinds) `name`: installs a new version, bumps its epoch and
-  // the data generation, and retires the superseded version (if any).
+  // Binds (or rebinds) `name` to a new version stamped with a new epoch.
   void Put(const std::string& name, matrix::Matrix m);
 
   // Replaces the value of the existing entry `name`; NotFound when absent.
   Status Update(const std::string& name, matrix::Matrix m);
 
   // Appends rows below the existing entry `name` (column counts must
-  // match); NotFound when absent. Copy-on-write: the grown matrix is a new
-  // version, so snapshots pinned before the append keep the un-grown one.
+  // match); NotFound when absent. Bumps the entry's epoch. Grows the live
+  // version in place when no pinned snapshot can see it, and otherwise
+  // binds a grown copy, so snapshots pinned before the append keep the
+  // un-grown matrix.
   Status Append(const std::string& name, const matrix::Matrix& rows);
 
   bool Has(const std::string& name) const { return Find(name) != nullptr; }
 
-  // Removes `name`; false when absent. The live version is retired (it
-  // drains with the pinned readers) and the entry's epoch reads
-  // kNeverStored again: snapshots that stamped a live epoch then read
-  // kNeverStored — stale, as required. The one blind spot is a stamp of
-  // kNeverStored racing a full Put+Erase cycle; consumers only stamp names
-  // that exist (or durably never exist) at stamp time, so the cycle is
-  // unobservable.
+  // Removes `name`; false when absent. The entry's epoch reads kNeverStored
+  // again: stamps that recorded a live epoch then read kNeverStored —
+  // stale, as required. The one blind spot is a stamp of kNeverStored
+  // racing a full Put+Erase cycle; consumers only stamp names that exist
+  // (or durably never exist) at stamp time, so the cycle is unobservable.
   bool Erase(const std::string& name);
 
-  // Removes `name` and returns its value (incremental view refresh reuses
-  // the detached matrix); nullopt when absent. Epoch semantics as Erase.
-  // Returns a copy: the retired version may still be pinned by snapshots.
-  std::optional<matrix::Matrix> Take(const std::string& name);
+  // Removes `name` and returns its version (handle and epoch); nullopt when
+  // absent. Epoch semantics as Erase. Restore() rebinds it.
+  std::optional<Version> Take(const std::string& name);
+
+  // Binds `name` to `version` exactly as taken — the same handle and the
+  // same epoch — so stamps recorded against it read current again (a
+  // rolled-back mutation leaves dependents warm). `version` must come from
+  // this workspace's Take of `name`.
+  void Restore(const std::string& name, Version version);
 
   Result<const matrix::Matrix*> Get(const std::string& name) const {
     if (const matrix::Matrix* m = Find(name)) return m;
@@ -185,31 +179,30 @@ class Workspace {
     return generation_.load(std::memory_order_acquire);
   }
 
-  // The generation at which `name` was last mutated; kNeverStored when the
-  // name holds no live version.
+  // The epoch of the version `name` is bound to; kNeverStored when the name
+  // holds no live version.
   int64_t EpochOf(const std::string& name) const HADAD_EXCLUDES(mu_);
 
   // Captures the current epochs of `names` (cheap: no matrix copies).
-  WorkspaceSnapshot SnapshotFor(const std::vector<std::string>& names) const
+  VersionStamp StampFor(const std::vector<std::string>& names) const
       HADAD_EXCLUDES(mu_);
 
   // True when every stamped entry's epoch is unchanged. The workspace
   // generation may have moved — unrelated entries never invalidate.
-  bool SnapshotCurrent(const WorkspaceSnapshot& snapshot) const
-      HADAD_EXCLUDES(mu_);
+  bool StampCurrent(const VersionStamp& stamp) const HADAD_EXCLUDES(mu_);
 
   // --- Version accounting (the hadad_workspace_* metrics read these) -----
 
   // Snapshot handles currently pinned by in-flight readers.
   int64_t PinnedSnapshots() const HADAD_EXCLUDES(mu_);
-  // Versions currently held across all chains: one live version per bound
-  // name plus retired versions awaiting reader drain.
-  int64_t LiveVersions() const HADAD_EXCLUDES(mu_);
-  // Versions retired by mutations since construction (monotone).
+  // Versions this workspace created that are still alive: one per bound
+  // name plus superseded ones a snapshot or journal still holds.
+  int64_t LiveVersions() const;
+  // Versions unbound by mutations since construction (monotone).
   int64_t RetiredTotal() const HADAD_EXCLUDES(mu_);
-  // matrix::ApproxBytes summed over every version still held (live +
-  // awaiting drain) — the leak test's accounting hook.
-  int64_t RetainedBytes() const HADAD_EXCLUDES(mu_);
+  // matrix::ApproxBytes summed over every version LiveVersions counts —
+  // the leak test's accounting hook.
+  int64_t RetainedBytes() const;
 
   // Derives the metadata catalog (shapes + exact nnz) from the stored
   // matrices; flags are detected structurally for square matrices up to
@@ -222,48 +215,43 @@ class Workspace {
 
  private:
   friend class Snapshot;
+  // Live-version and byte counts, shared with every version's deleter: the
+  // last handle of a version may drop on any thread, after this workspace
+  // moved. Defined in workspace.cc.
+  struct VersionCounts;
 
-  static constexpr int64_t kNotRetired = -1;
-
-  // One installed value of an entry. Immutable once installed; `retired_at`
-  // is stamped when a later mutation supersedes it (kNotRetired = live).
-  struct Version {
-    std::shared_ptr<const matrix::Matrix> value;
-    int64_t epoch = 0;  // Generation stamped at install.
-    int64_t retired_at = kNotRetired;
-  };
-
-  // Installs `value` as the new current version of `name`, retiring the
-  // superseded one.
-  void Install(const std::string& name,
-               std::shared_ptr<const matrix::Matrix> value)
+  // A new version holding `m`, counted in counts_ until its last handle
+  // drops.
+  std::shared_ptr<const matrix::Matrix> NewVersion(matrix::Matrix m);
+  // Binds `name` to `version`, counting any version it supersedes as
+  // retired; the superseded handle is dropped outside mu_.
+  void Bind(const std::string& name, Version version);
+  // Publishes one mutation of `name`: records `epoch` as its epoch
+  // (kNeverStored unbinds it), counts a retired version when `retired`,
+  // then bumps the generation. Returns the epoch it replaced.
+  int64_t Commit(const std::string& name, int64_t epoch, bool retired)
       HADAD_EXCLUDES(mu_);
-  // Retires the live version of `name` (Erase/Take); true when one existed.
-  bool Retire(const std::string& name) HADAD_EXCLUDES(mu_);
+  // EpochOf with mu_ held.
+  int64_t EpochLocked(const std::string& name) const HADAD_REQUIRES(mu_);
   // Snapshot destructors call this; safe from any thread, independent of
   // the owner's state lock.
   void Unpin(int64_t generation) const HADAD_EXCLUDES(mu_);
-  // Frees retired versions no pinned snapshot can still see, moving their
-  // values into `drained` so deallocation happens outside mu_.
-  void TrimLocked(
-      std::vector<std::shared_ptr<const matrix::Matrix>>* drained) const
-      HADAD_REQUIRES(mu_);
 
-  // Current versions, mirrored out of chains_ so data() can hand the
-  // optimizer a stable map. Map shape follows the owner's external locking.
+  // Current version handles by name. Map shape follows the owner's
+  // external locking.
   cost::DataCatalog data_;
   std::atomic<int64_t> generation_{0};
-  // Guards the version chains and the pin registry; never held while a
-  // matrix is evaluated or freed. Mutable: pins/unpins and the accounting
-  // accessors are logically const.
+  std::shared_ptr<VersionCounts> counts_;
+  // Guards the epoch map, the pin table and the retire counter; never held
+  // while a matrix is evaluated or freed. Mutable: pins/unpins and the
+  // accounting accessors are logically const.
   mutable common::Mutex mu_;
-  // Per-name version chains, oldest first; at most the last version is
-  // live. A chain outlives Erase until its retired versions drain. Mutable
-  // only through TrimLocked from const pin/unpin paths.
-  mutable std::map<std::string, std::vector<Version>> chains_
-      HADAD_GUARDED_BY(mu_);
-  // Pinned-snapshot registry: generation -> live handle count. A retired
-  // version is freed once no pinned generation precedes its retirement.
+  // Name -> epoch of its bound version. Read from any thread (plan
+  // freshness checks take no state lock).
+  std::map<std::string, int64_t> epochs_ HADAD_GUARDED_BY(mu_);
+  // Pinned-snapshot registry: generation -> live handle count. Append grows
+  // the live version in place only while no pinned generation reaches its
+  // epoch.
   mutable std::map<int64_t, int64_t> pins_ HADAD_GUARDED_BY(mu_);
   int64_t retired_total_ HADAD_GUARDED_BY(mu_) = 0;
 };

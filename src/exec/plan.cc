@@ -328,13 +328,15 @@ class Compiler {
   }
 
   Result<cost::ClassMeta> LeafMeta(const std::string& name) {
+    const matrix::Matrix* m = workspace_.Find(name);
     if (catalog_ != nullptr) {
       auto it = catalog_->find(name);
       if (it != catalog_->end()) {
-        return estimator_.MakeBase(it->second, workspace_.Find(name));
+        // A known nnz is used as is; MakeBase counts only an unknown one.
+        return estimator_.MakeBase(it->second,
+                                   it->second.nnz >= 0 ? nullptr : m);
       }
     }
-    const matrix::Matrix* m = workspace_.Find(name);
     if (m == nullptr) {
       return Status::NotFound("no matrix named '" + name + "' in workspace");
     }

@@ -148,9 +148,11 @@ struct CompileOptions {
 // CompileOptions::normalized (nm_* kernels, matched before any other
 // lowering), then the operator-fusion pass (elementwise chains and
 // aggregation pushdown — see CompileOptions::enable_fusion). Leaf metadata
-// comes from `catalog` when present, else from the workspace matrix itself
-// (exact shape + nnz). Unknown names and shape mismatches surface as
-// Status. Pure function of its arguments; safe to call concurrently.
+// comes from `catalog` when it has an entry (the workspace matrix is
+// scanned only for an nnz the entry leaves unknown, < 0), else from the
+// workspace matrix itself (exact shape + nnz). Unknown names and shape
+// mismatches surface as Status. Pure function of its arguments; safe to
+// call concurrently.
 // `workspace` may be a live Workspace (implicitly converted) or a pinned
 // engine::Snapshot — compilation against a snapshot sees the pinned
 // versions only.

@@ -98,7 +98,7 @@ void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
           task.delta_expr = plan.delta;
           std::set<std::string> leaves;
           la::CollectMatrixRefs(*def, &leaves);
-          task.deps = host_.workspace->SnapshotFor(
+          task.deps = host_.workspace->StampFor(
               std::vector<std::string>(leaves.begin(), leaves.end()));
           pending_.insert(RefreshKey(task.meta.name));
           refreshes.push_back(std::move(task));
@@ -182,7 +182,7 @@ Result<matrix::Matrix> AdaptiveViewManager::ComputeRefreshValue(
     const RefreshTask& task, engine::WorkspaceView ws) {
   HADAD_ASSIGN_OR_RETURN(matrix::Matrix delta,
                          host_.evaluate(task.delta_expr, ws));
-  return matrix::Add(task.old_value, delta);
+  return matrix::Add(*task.old_value, delta);
 }
 
 void AdaptiveViewManager::InstallRefresh(RefreshTask task,
@@ -194,7 +194,7 @@ void AdaptiveViewManager::InstallRefresh(RefreshTask task,
   // Install only if every dependency is still exactly as stamped: a
   // second mutation in the window means old_value + f(Δ) no longer
   // describes the current data, so the refresh is discarded.
-  const bool current = host_.workspace->SnapshotCurrent(task.deps) &&
+  const bool current = host_.workspace->StampCurrent(task.deps) &&
                        !store_.ContainsCanonical(task.meta.canonical);
   if (fresh.ok() && current) {
     la::MatrixMeta value_meta;
@@ -322,13 +322,13 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
   // snapshot; evaluation then runs against the pinned versions while
   // foreground queries AND writers proceed. If a data mutation lands
   // before install, the stamp check discards the stale value.
-  engine::WorkspaceSnapshot deps;
+  engine::VersionStamp deps;
   engine::SnapshotPtr snap;
   {
     common::ReaderMutexLock state(host_.state_mu);
     std::set<std::string> leaves;
     la::CollectMatrixRefs(*rec.definition, &leaves);
-    deps = host_.workspace->SnapshotFor(
+    deps = host_.workspace->StampFor(
         std::vector<std::string>(leaves.begin(), leaves.end()));
     snap = host_.workspace->PinSnapshot();
   }
@@ -353,7 +353,7 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
     common::WriterMutexLock state(host_.state_mu);
     common::MutexLock admin(&admin_mu_);
     std::vector<std::string> evict;
-    if (!host_.workspace->SnapshotCurrent(deps)) {
+    if (!host_.workspace->StampCurrent(deps)) {
       // A mutation raced the materialization: the computed value describes
       // data that no longer exists. Discard without blacklisting — the
       // workload may legitimately rebuild the candidate on the new data.

@@ -160,17 +160,17 @@ class AdaptiveViewManager {
   std::set<std::string> FusionBarriers() const HADAD_EXCLUDES(admin_mu_);
 
  private:
-  // One detached view awaiting its incremental refresh: the old value plus
-  // the delta expression (which references `temp_name`, a workspace entry
-  // holding the appended rows). `deps` stamps the definition's leaves at
-  // schedule time — if any moves before install, the refresh is discarded
-  // (the data it was computed for is gone).
+  // One detached view awaiting its incremental refresh: the old value's
+  // handle plus the delta expression (which references `temp_name`, a
+  // workspace entry holding the appended rows). `deps` stamps the
+  // definition's leaves at schedule time — if any moves before install,
+  // the refresh is discarded (the data it was computed for is gone).
   struct RefreshTask {
     StoredView meta;
-    matrix::Matrix old_value;
+    std::shared_ptr<const matrix::Matrix> old_value;
     la::ExprPtr delta_expr;
     std::string temp_name;
-    engine::WorkspaceSnapshot deps;
+    engine::VersionStamp deps;
   };
 
   void MaybeScheduleMaterializations() HADAD_EXCLUDES(admin_mu_);

@@ -71,25 +71,19 @@ Status ViewStore::Admit(StoredView meta, matrix::Matrix value) {
 }
 
 Status ViewStore::Evict(const std::string& name) {
-  auto it = views_.find(name);
-  if (it == views_.end()) {
-    return Status::NotFound("no adaptive view named '" + name + "'");
-  }
-  HADAD_RETURN_IF_ERROR(catalog_.Drop(name));
-  views_.erase(it);
-  return Status::OK();
+  return Detach(name).status();
 }
 
-Result<std::pair<StoredView, matrix::Matrix>> ViewStore::Detach(
-    const std::string& name) {
+Result<std::pair<StoredView, std::shared_ptr<const matrix::Matrix>>>
+ViewStore::Detach(const std::string& name) {
   auto it = views_.find(name);
   if (it == views_.end()) {
     return Status::NotFound("no adaptive view named '" + name + "'");
   }
-  Result<matrix::Matrix> value = catalog_.Detach(name);
-  if (!value.ok()) return value.status();
-  std::pair<StoredView, matrix::Matrix> out(std::move(it->second),
-                                            std::move(value).value());
+  HADAD_ASSIGN_OR_RETURN(std::shared_ptr<const matrix::Matrix> value,
+                         catalog_.Detach(name));
+  std::pair<StoredView, std::shared_ptr<const matrix::Matrix>> out(
+      std::move(it->second), std::move(value));
   views_.erase(it);
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,11 +65,11 @@ class ViewStore {
   // Drops `name` from the store, the catalog, and the workspace.
   Status Evict(const std::string& name);
 
-  // Evict, but returns the bookkeeping entry and the materialized value —
-  // the incremental-refresh path computes V + f(Δ) from them and re-admits.
-  // The store's budget no longer counts the detached bytes.
-  Result<std::pair<StoredView, matrix::Matrix>> Detach(
-      const std::string& name);
+  // Evict, but returns the bookkeeping entry and the materialized value's
+  // handle — the incremental-refresh path computes V + f(Δ) from them and
+  // re-admits. The store's budget no longer counts the detached bytes.
+  Result<std::pair<StoredView, std::shared_ptr<const matrix::Matrix>>>
+  Detach(const std::string& name);
 
   // Records that an executed plan scanned `name` (no-op for unknown names).
   void RecordHit(const std::string& name, int64_t sequence);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -259,6 +260,27 @@ TEST_F(CompileTest, SelectsSpGemmForSparseSparseProduct) {
 TEST_F(CompileTest, RecordsLeafDependencySet) {
   CompiledPlan plan = MustCompile("(X %*% Y) + (X %*% Y)");
   EXPECT_EQ(plan.leaf_names, (std::vector<std::string>{"X", "Y"}));
+}
+
+TEST_F(CompileTest, LeafMetadataComesFromCatalog) {
+  // A catalog entry with a known nnz is used as is, not recounted from the
+  // data; only an unknown (negative) nnz is counted.
+  la::MetaCatalog catalog;
+  catalog["X"] = engine::Workspace::MetaFor(*workspace_.Find("X"));
+  catalog["X"].nnz = 17.0;
+  catalog["Y"] = engine::Workspace::MetaFor(*workspace_.Find("Y"));
+  catalog["Y"].nnz = -1.0;
+  auto plan = Compile(Parse("X %*% Y"), workspace_, &catalog, {});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::map<std::string, double> leaf_nnz;
+  for (const PlanNode& n : plan->nodes) {
+    if (n.kernel == KernelKind::kLoad) {
+      leaf_nnz[n.expr->name()] = n.meta.shape.nnz;
+    }
+  }
+  EXPECT_EQ(leaf_nnz.at("X"), 17.0);
+  EXPECT_EQ(leaf_nnz.at("Y"),
+            static_cast<double>(workspace_.Find("Y")->Nnz()));
 }
 
 TEST_F(CompileTest, FusesTransposedLhs) {

@@ -75,17 +75,17 @@ TEST(WorkspaceVersioningTest, MutationsBumpEpochsAndGeneration) {
   EXPECT_FALSE(ws.Append("A", Constant(1, 9, 0.0)).ok());
 
   // Erase drops the epoch record (bounding the map under transient-name
-  // churn); a snapshot that stamped the live epoch reads never-stored,
-  // which is != the stamp — stale, as required.
-  engine::WorkspaceSnapshot snap = ws.SnapshotFor({"A"});
+  // churn); a stamp of the live epoch then reads never-stored, which is
+  // != the stamp — stale, as required.
+  engine::VersionStamp snap = ws.StampFor({"A"});
   EXPECT_TRUE(ws.Erase("A"));
   EXPECT_FALSE(ws.Has("A"));
   EXPECT_EQ(ws.EpochOf("A"), engine::Workspace::kNeverStored);
-  EXPECT_FALSE(ws.SnapshotCurrent(snap));
+  EXPECT_FALSE(ws.StampCurrent(snap));
   // Re-binding continues from the monotone generation: the stamp stays
   // stale rather than accidentally matching.
   ws.Put("A", Constant(1, 1, 0.0));
-  EXPECT_FALSE(ws.SnapshotCurrent(snap));
+  EXPECT_FALSE(ws.StampCurrent(snap));
 }
 
 TEST(WorkspaceVersioningTest, TruncateRowsInvertsAppend) {
@@ -109,29 +109,29 @@ TEST(WorkspaceVersioningTest, SnapshotsTrackOnlyTheirOwnLeaves) {
   ws.Put("B", Constant(2, 2, 2.0));
   ws.Put("C", Constant(2, 2, 3.0));
 
-  engine::WorkspaceSnapshot snap = ws.SnapshotFor({"A", "B"});
-  EXPECT_TRUE(ws.SnapshotCurrent(snap));
+  engine::VersionStamp snap = ws.StampFor({"A", "B"});
+  EXPECT_TRUE(ws.StampCurrent(snap));
 
   // Mutating an unrelated entry leaves the snapshot current even though
   // the generation moved.
   ASSERT_TRUE(ws.Update("C", Constant(2, 2, 9.0)).ok());
   EXPECT_GT(ws.generation(), snap.generation);
-  EXPECT_TRUE(ws.SnapshotCurrent(snap));
+  EXPECT_TRUE(ws.StampCurrent(snap));
 
   // Mutating a stamped leaf invalidates.
   ASSERT_TRUE(ws.Update("A", Constant(2, 2, 4.0)).ok());
-  EXPECT_FALSE(ws.SnapshotCurrent(snap));
+  EXPECT_FALSE(ws.StampCurrent(snap));
 }
 
 TEST(WorkspaceVersioningTest, TakeMovesValueOutAndBumps) {
   engine::Workspace ws;
   ws.Put("V", Constant(4, 4, 2.5));
-  engine::WorkspaceSnapshot snap = ws.SnapshotFor({"V"});
-  std::optional<matrix::Matrix> taken = ws.Take("V");
+  engine::VersionStamp snap = ws.StampFor({"V"});
+  std::optional<engine::Version> taken = ws.Take("V");
   ASSERT_TRUE(taken.has_value());
-  EXPECT_EQ(taken->At(3, 3), 2.5);
+  EXPECT_EQ(taken->value->At(3, 3), 2.5);
   EXPECT_FALSE(ws.Has("V"));
-  EXPECT_FALSE(ws.SnapshotCurrent(snap));
+  EXPECT_FALSE(ws.StampCurrent(snap));
   EXPECT_FALSE(ws.Take("V").has_value());
 }
 

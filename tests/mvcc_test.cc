@@ -1,5 +1,6 @@
-// MVCC snapshot isolation: version chains, pinned snapshots, batched
-// mutations, and the headline property — writers never block readers.
+// MVCC snapshot isolation: reference-counted versions, pinned snapshots,
+// batched mutations, and the headline property — writers never block
+// readers.
 // The randomized stress suite races N reader threads against M writers
 // applying a pre-generated mutation sequence; every reader result must be
 // bit-identical to a single-threaded oracle replay of some prefix of that
@@ -60,7 +61,7 @@ bool BitEqual(const matrix::Matrix& a, const matrix::Matrix& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace version chains
+// Workspace versions
 // ---------------------------------------------------------------------------
 
 TEST(WorkspaceMvccTest, SnapshotSeesPreMutationValues) {
@@ -136,7 +137,7 @@ TEST(WorkspaceMvccTest, ErasedChainSurvivesUntilReadersDrain) {
   EXPECT_EQ(ws.RetainedBytes(), 0);
 }
 
-TEST(WorkspaceMvccTest, OldestPinIsTheRetentionWatermark) {
+TEST(WorkspaceMvccTest, EachPinRetainsOnlyTheVersionsItSees) {
   engine::Workspace ws;
   ws.Put("A", Constant(2, 2, 0.0));
 
@@ -150,14 +151,14 @@ TEST(WorkspaceMvccTest, OldestPinIsTheRetentionWatermark) {
   EXPECT_EQ(s1->Find("A")->At(0, 0), 0.0);
   EXPECT_EQ(s2->Find("A")->At(0, 0), 1.0);
 
-  // Retention is governed by the oldest pin: versions retired after it
-  // stay held, so dropping the newer pin alone frees nothing.
+  // Retention is per pin: dropping the newer pin frees the version only it
+  // saw, even while the older pin stays.
   s2.reset();
   EXPECT_EQ(ws.PinnedSnapshots(), 1);
-  EXPECT_EQ(ws.LiveVersions(), 3);
+  EXPECT_EQ(ws.LiveVersions(), 2);
   EXPECT_EQ(s1->Find("A")->At(0, 0), 0.0);
 
-  // Dropping the watermark pin drains every retired version at once.
+  // Dropping the last pin frees the last superseded version.
   s1.reset();
   EXPECT_EQ(ws.PinnedSnapshots(), 0);
   EXPECT_EQ(ws.LiveVersions(), 1);
@@ -179,19 +180,33 @@ TEST(WorkspaceMvccTest, AppendIsCopyOnWriteUnderPins) {
 
   snap.reset();
   EXPECT_EQ(ws.LiveVersions(), 1);
+
+  // A restored version keeps the epoch it was first bound at, so a pin
+  // that saw it before the Take still forces the copy.
+  engine::SnapshotPtr pin = ws.PinSnapshot();
+  std::optional<engine::Version> taken = ws.Take("A");
+  ASSERT_TRUE(taken.has_value());
+  ws.Put("A", Constant(1, 3, 9.0));
+  ws.Restore("A", *std::move(taken));
+  ASSERT_TRUE(ws.Append("A", Constant(1, 3, 3.0)).ok());
+  EXPECT_EQ(pin->Find("A")->rows(), 3);
+  EXPECT_EQ(ws.Find("A")->rows(), 4);
+  EXPECT_EQ(ws.Find("A")->At(3, 0), 3.0);
 }
 
 TEST(WorkspaceMvccTest, SnapshotOutlivesFurtherChurn) {
   engine::Workspace ws;
   ws.Put("A", Constant(2, 2, 1.0));
+  const int64_t one_version_bytes = ws.RetainedBytes();
   engine::SnapshotPtr snap = ws.PinSnapshot();
 
-  // Pile several generations onto the chain past the pin.
+  // Pile several generations past the pin.
   for (int i = 2; i <= 6; ++i) ws.Update("A", Constant(2, 2, double(i)));
   EXPECT_EQ(snap->Find("A")->At(0, 0), 1.0);
-  // Every version retired after the oldest pin is retained until that pin
-  // drops (min-pin watermark): 5 retired generations plus the live tip.
-  EXPECT_EQ(ws.LiveVersions(), 6);
+  // Only the pinned version and the live one are held: the versions
+  // superseded in between had no reader and freed at once.
+  EXPECT_EQ(ws.LiveVersions(), 2);
+  EXPECT_EQ(ws.RetainedBytes(), 2 * one_version_bytes);
   EXPECT_EQ(ws.RetiredTotal(), 5);
 
   snap.reset();
@@ -259,6 +274,11 @@ TEST(MutateBatchTest, ViewRefreshFailureRollsBackWholeBatch) {
                      .AddView("VI", "inv(X)")
                      .Build()
                      .value();
+  // Warm plans over the names the batch touches.
+  ASSERT_TRUE(session->Run("A %*% A").ok());
+  ASSERT_TRUE(session->Run("VI %*% A").ok());
+  const int64_t prepares = session->stats().prepares;
+  const matrix::Matrix* a_before = session->workspace().Find("A");
 
   // Shape-valid but runtime-fatal: the singular X only fails when the VI
   // refresh evaluates inv(X), after both bases already applied.
@@ -268,6 +288,17 @@ TEST(MutateBatchTest, ViewRefreshFailureRollsBackWholeBatch) {
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("rolled back"), std::string::npos)
       << st.ToString();
+
+  // Rollback restores the pre-batch versions, epochs included: A is the
+  // same object, and the warm plans stay fresh (no RW_find re-run).
+  EXPECT_EQ(session->workspace().Find("A"), a_before);
+  auto aa = session->Run("A %*% A");
+  ASSERT_TRUE(aa.ok()) << aa.status().ToString();
+  EXPECT_EQ(aa->At(0, 0), 2.0);
+  auto via = session->Run("VI %*% A");
+  ASSERT_TRUE(via.ok()) << via.status().ToString();
+  EXPECT_EQ(via->At(0, 0), 0.5);
+  EXPECT_EQ(session->stats().prepares, prepares);
 
   // Every base restored, the view still answers from its old value.
   auto a = session->Run("A");
