@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/data.h"
@@ -33,20 +39,50 @@ class LaBenchmarkTest : public ::testing::Test {
     workspace_ = new engine::Workspace(MakeLaBenchWorkspace(rng, TestConfig()));
     optimizer_ = new pacb::Optimizer(workspace_->BuildMetaCatalog());
     optimizer_->SetData(&workspace_->data());
+    pacb::OptimizerOptions mnc;
+    mnc.estimator = pacb::EstimatorKind::kMnc;
+    mnc_optimizer_ = new pacb::Optimizer(workspace_->BuildMetaCatalog(), mnc);
+    mnc_optimizer_->SetData(&workspace_->data());
   }
   static void TearDownTestSuite() {
+    delete mnc_optimizer_;
     delete optimizer_;
     delete workspace_;
+    mnc_optimizer_ = nullptr;
     optimizer_ = nullptr;
     workspace_ = nullptr;
   }
 
   static engine::Workspace* workspace_;
-  static pacb::Optimizer* optimizer_;
+  static pacb::Optimizer* optimizer_;      // Naive estimator.
+  static pacb::Optimizer* mnc_optimizer_;  // MNC estimator.
 };
 
 engine::Workspace* LaBenchmarkTest::workspace_ = nullptr;
 pacb::Optimizer* LaBenchmarkTest::optimizer_ = nullptr;
+pacb::Optimizer* LaBenchmarkTest::mnc_optimizer_ = nullptr;
+
+// One golden line: everything RW_find decides for one pipeline under one
+// estimator. Costs print at full precision, so any change to the chase, the
+// cost model or the decoder that moves a result shows up as a diff.
+std::string GoldenLine(const Pipeline& p, const char* estimator,
+                       const pacb::RewriteResult& r) {
+  const chase::ChaseStats& s = r.chase_stats;
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "%s %s best_cost=%.17g original_cost=%.17g improved=%d "
+                "rounds=%d tgd_applications=%lld facts_added=%lld "
+                "merges=%lld pruned_applications=%lld budget_exhausted=%d "
+                "best=",
+                p.id.c_str(), estimator, r.best_cost, r.original_cost,
+                r.improved ? 1 : 0, s.rounds,
+                static_cast<long long>(s.tgd_applications),
+                static_cast<long long>(s.facts_added),
+                static_cast<long long>(s.merges),
+                static_cast<long long>(s.pruned_applications),
+                s.budget_exhausted ? 1 : 0);
+  return buf + la::ToString(r.best);
+}
 
 TEST_F(LaBenchmarkTest, BenchmarkHasAll57Pipelines) {
   EXPECT_EQ(LaBenchmark().size(), 57u);
@@ -121,6 +157,29 @@ TEST_F(LaBenchmarkTest, OptPipelinesNeverRegress) {
         << p.id << " -> " << la::ToString(r->best);
     EXPECT_TRUE(original_value->ApproxEquals(*rewrite_value, 1e-5))
         << p.id << " -> " << la::ToString(r->best);
+  }
+}
+
+// ROADMAP item 2's invariant: for every pipeline under both estimators, the
+// chosen rewriting, both costs, `improved` and the chase statistics match
+// tests/golden_rewrites.txt line for line. Optimizer speed-ups must not move
+// any of them.
+TEST_F(LaBenchmarkTest, RewritesMatchGoldenFile) {
+  std::ifstream in(HADAD_GOLDEN_REWRITES);
+  ASSERT_TRUE(in.good()) << "cannot open " << HADAD_GOLDEN_REWRITES;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  ASSERT_EQ(golden.size(), 2 * LaBenchmark().size());
+  size_t i = 0;
+  for (const auto& [name, optimizer] :
+       {std::pair<const char*, const pacb::Optimizer*>{"naive", optimizer_},
+        {"mnc", mnc_optimizer_}}) {
+    for (const Pipeline& p : LaBenchmark()) {
+      auto r = optimizer->OptimizeText(p.text);
+      ASSERT_TRUE(r.ok()) << p.id << ": " << r.status().ToString();
+      EXPECT_EQ(GoldenLine(p, name, *r), golden[i]) << p.id << " " << name;
+      ++i;
+    }
   }
 }
 
