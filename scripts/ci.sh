@@ -7,8 +7,8 @@
 #                            dispatch arms stay green on any CI hardware
 #   ./scripts/ci.sh tsan     ThreadSanitizer build of the concurrency-bearing
 #                            targets (exec, session, views, mutation, MVCC,
-#                            obs, server tests); the MVCC snapshot-isolation
-#                            stress suite runs at 1000 iterations
+#                            obs, server, pacb tests); the MVCC snapshot-
+#                            isolation stress suite runs at 1000 iterations
 #   ./scripts/ci.sh asan     AddressSanitizer+UBSan build, full ctest run,
 #                            then the MVCC stress suite again at 500
 #                            iterations
@@ -70,7 +70,8 @@ case "$mode" in
       -DHADAD_BUILD_BENCHMARKS=OFF \
       -DHADAD_BUILD_EXAMPLES=OFF
     cmake --build build-tsan --parallel "$(nproc)" --target exec_test \
-      session_test views_test mutation_test mvcc_test obs_test server_test
+      session_test views_test mutation_test mvcc_test obs_test server_test \
+      pacb_test
     ./build-tsan/tests/exec_test
     ./build-tsan/tests/session_test
     ./build-tsan/tests/views_test
@@ -81,6 +82,8 @@ case "$mode" in
     HADAD_STRESS_ITERS=1000 ./build-tsan/tests/mvcc_test
     ./build-tsan/tests/obs_test
     ./build-tsan/tests/server_test
+    # Concurrent Optimize() calls share the optimizer's leaf-statistics memo.
+    ./build-tsan/tests/pacb_test
     ;;
   asan)
     cmake -B build-asan -S . \

@@ -160,11 +160,21 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
     Result<pacb::RewriteResult> rewrite = optimizer_->Optimize(expr);
     if (!rewrite.ok()) return rewrite.status();
     plan->rewrite = std::move(rewrite).value();
+    const chase::ChaseStats& chased = plan->rewrite.chase_stats;
+    if (chased.budget_exhausted) chase_budget_exhausted_->Inc();
     if (derive.active()) {
       derive.Annotate("canonical", canonical);
       derive.Annotate("improved",
                       plan->rewrite.improved ? "true" : "false");
       derive.Annotate("optimize_seconds", plan->rewrite.optimize_seconds);
+      derive.Annotate("chase_rounds", static_cast<int64_t>(chased.rounds));
+      derive.Annotate("chase_tgd_applications", chased.tgd_applications);
+      derive.Annotate("chase_facts_added", chased.facts_added);
+      derive.Annotate("chase_merges", chased.merges);
+      derive.Annotate("chase_pruned_applications",
+                      chased.pruned_applications);
+      derive.Annotate("chase_budget_exhausted",
+                      static_cast<int64_t>(chased.budget_exhausted));
     }
     plan->generation = view_generation_.load(std::memory_order_acquire);
     std::set<std::string> leaves;
@@ -936,6 +946,10 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
         m.AddCounter("hadad_session_plan_builds_coalesced_total",
         "Misses that waited for an in-flight derivation of the same "
         "expression instead of duplicating RW_find. Unit: calls.");
+    raw->chase_budget_exhausted_ =
+        m.AddCounter("hadad_chase_budget_exhausted_total",
+        "Plan derivations whose chase stopped at its fact or node budget "
+        "(the best rewriting found so far is used). Unit: derivations.");
     raw->runs_ = m.AddCounter("hadad_session_runs_total",
         "Session::Run invocations. Unit: calls.");
     raw->compiled_plans_ = m.AddCounter("hadad_session_compiled_plans_total",
@@ -1058,7 +1072,8 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
   }
   session->flag_detect_limit_ = flag_detect_limit_;
   if (!constraints_.empty()) {
-    session->optimizer_->AddConstraints(std::move(constraints_));
+    HADAD_RETURN_IF_ERROR(
+        session->optimizer_->AddConstraints(std::move(constraints_)));
   }
 
   session->engine_ = std::make_unique<engine::Engine>(profile_,

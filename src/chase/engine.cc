@@ -1,32 +1,86 @@
 #include "chase/engine.h"
 
+#include <string>
 #include <utility>
 
 #include "common/check.h"
 
 namespace hadad::chase {
 
-ChaseEngine::ChaseEngine(Instance* instance,
-                         std::vector<Constraint> constraints,
-                         ChaseOptions options)
-    : instance_(instance),
-      constraints_(std::move(constraints)),
-      options_(options) {
-  HADAD_CHECK(instance != nullptr);
-  // Intern every predicate mentioned by the constraints so lookups during
-  // matching are total.
-  for (const Constraint& c : constraints_) {
-    for (const Atom& a : c.premise) instance_->InternPredicate(a.predicate);
-    for (const Atom& a : c.conclusion) instance_->InternPredicate(a.predicate);
-  }
+Status ValidateConstraint(const Constraint& constraint) {
+  auto check = [&constraint](const char* part, size_t atoms) {
+    if (atoms <= kMaxPatternAtoms) return Status::OK();
+    return Status::InvalidArgument(
+        "constraint '" + constraint.name + "': " + part + " has " +
+        std::to_string(atoms) + " atoms; the chase matches at most " +
+        std::to_string(kMaxPatternAtoms));
+  };
+  HADAD_RETURN_IF_ERROR(check("premise", constraint.premise.size()));
+  return check("conclusion", constraint.conclusion.size());
 }
 
-int64_t ChaseEngine::ApplyTgd(const PendingTgd& pending) {
-  const Constraint& c =
-      constraints_[static_cast<size_t>(pending.constraint_index)];
+ChaseEngine::ChaseEngine(Instance* instance,
+                         const std::vector<Constraint>& constraints,
+                         ChaseOptions options)
+    : instance_(instance), constraints_(constraints), options_(options) {
+  HADAD_CHECK(instance != nullptr);
+  // Interns every predicate the constraints mention, in declaration order,
+  // so lookups during matching are total.
+  compiled_.reserve(constraints_.size());
+  std::vector<std::string> vars;
+  for (const Constraint& c : constraints_) {
+    vars.clear();
+    CompiledConstraint compiled;
+    compiled.premise = CompileAtoms(c.premise, instance_, &vars);
+    compiled.premise_slots = static_cast<int32_t>(vars.size());
+    compiled.conclusion = CompileAtoms(c.conclusion, instance_, &vars);
+    for (const auto& [lhs, rhs] : c.equalities) {
+      compiled.equalities.emplace_back(CompileTerm(lhs, *instance_, &vars),
+                                       CompileTerm(rhs, *instance_, &vars));
+    }
+    compiled.num_slots = static_cast<int32_t>(vars.size());
+    compiled_.push_back(std::move(compiled));
+  }
+  auto track = [this](CompiledTerm& t) {
+    if (!t.is_variable() && t.node == kNoNode) unresolved_.push_back(&t);
+  };
+  for (CompiledConstraint& c : compiled_) {
+    for (auto* atoms : {&c.premise, &c.conclusion}) {
+      for (CompiledAtom& atom : *atoms) {
+        for (CompiledTerm& t : atom.args) track(t);
+      }
+    }
+    for (auto& [lhs, rhs] : c.equalities) {
+      track(lhs);
+      track(rhs);
+    }
+  }
+  constants_seen_ = instance_->num_constants();
+}
+
+void ChaseEngine::ResolveConstants() {
+  if (instance_->num_constants() == constants_seen_) return;
+  constants_seen_ = instance_->num_constants();
+  std::erase_if(unresolved_, [this](CompiledTerm* t) {
+    t->node = instance_->LookupConstant(*t->constant);
+    return t->node != kNoNode;
+  });
+}
+
+NodeId ChaseEngine::InternTerm(CompiledTerm& term) {
+  if (term.node == kNoNode) {
+    term.node = instance_->InternConstant(*term.constant);
+  }
+  return term.node;
+}
+
+int64_t ChaseEngine::ApplyTgd(PendingTgd& pending) {
+  CompiledConstraint& c =
+      compiled_[static_cast<size_t>(pending.constraint_index)];
   // Restricted chase: skip if some extension of the match already satisfies
   // the conclusion (checked at application time — an earlier application in
   // this round may have satisfied it).
+  ResolveConstants();
   if (HasHomomorphism(c.conclusion, *instance_, pending.binding)) return 0;
   if (gate_ &&
       !gate_(pending.constraint_index, pending.binding,
@@ -36,31 +90,28 @@ int64_t ChaseEngine::ApplyTgd(const PendingTgd& pending) {
   }
   // Existential variables get one fresh labelled null shared across all
   // conclusion atoms of this application.
-  Binding binding = pending.binding;
+  Binding& binding = pending.binding;
   std::vector<FactId> added_facts;
   int64_t added = 0;
-  for (const Atom& atom : c.conclusion) {
+  for (CompiledAtom& atom : c.conclusion) {
     std::vector<NodeId> args;
     args.reserve(atom.args.size());
-    for (const Term& t : atom.args) {
-      if (t.is_constant()) {
-        args.push_back(instance_->InternConstant(t.text));
+    for (CompiledTerm& t : atom.args) {
+      if (!t.is_variable()) {
+        args.push_back(InternTerm(t));
         continue;
       }
-      auto it = binding.find(t.text);
-      if (it == binding.end()) {
-        it = binding.emplace(t.text, instance_->FreshNull()).first;
-      }
-      args.push_back(it->second);
+      NodeId& node = binding[static_cast<size_t>(t.slot)];
+      if (node == kNoNode) node = instance_->FreshNull();
+      args.push_back(node);
     }
     Derivation derivation;
     derivation.constraint_index = pending.constraint_index;
     derivation.premise_facts = pending.premise_facts;
     bool was_added = false;
-    FactId fid =
-        instance_->AddFact(instance_->InternPredicate(atom.predicate),
-                           std::move(args), std::move(derivation),
-                           /*initial=*/false, &was_added);
+    FactId fid = instance_->AddFact(atom.predicate, std::move(args),
+                                    std::move(derivation),
+                                    /*initial=*/false, &was_added);
     if (was_added) {
       ++added;
       added_facts.push_back(fid);
@@ -93,39 +144,39 @@ Result<ChaseStats> ChaseEngine::Run() {
     // watermark; fall back to full matching for the rest of the round.
     bool merged_this_round = false;
 
-    // Enumerates matches of `pattern`, full or semi-naive.
-    auto collect = [&](const std::vector<Atom>& pattern,
-                       const std::function<void(
-                           const Binding&, const std::vector<FactId>&)>& emit) {
-      auto cb = [&emit](const Binding& b, const std::vector<FactId>& facts) {
-        emit(b, facts);
-        return true;
-      };
+    // Enumerates matches of `c`'s premise, full or semi-naive. Bindings
+    // carry a slot for every variable of `c`.
+    auto collect = [&](const CompiledConstraint& c, const MatchCallback& cb) {
+      ResolveConstants();
+      const Binding seed(static_cast<size_t>(c.num_slots), kNoNode);
       if (full_match || merged_this_round) {
-        FindHomomorphisms(pattern, *instance_, Binding{}, cb);
+        FindHomomorphisms(c.premise, *instance_, seed, cb);
         return;
       }
       const FactId wm = static_cast<FactId>(watermark);
-      for (size_t pivot = 0; pivot < pattern.size(); ++pivot) {
-        std::vector<FactRange> ranges(pattern.size());
-        for (size_t i = 0; i < pivot; ++i) ranges[i].hi = wm;  // Old only.
-        ranges[pivot].lo = wm;                                 // New only.
-        FindHomomorphismsRanged(pattern, *instance_, Binding{}, ranges, cb);
+      std::vector<FactRange> ranges(c.premise.size());
+      for (size_t pivot = 0; pivot < c.premise.size(); ++pivot) {
+        for (size_t i = 0; i < ranges.size(); ++i) {
+          ranges[i] = FactRange{};
+          if (i < pivot) ranges[i].hi = wm;  // Old only.
+        }
+        ranges[pivot].lo = wm;  // New only.
+        FindHomomorphisms(c.premise, *instance_, seed, cb, &ranges);
       }
     };
 
     // --- TGD phase: collect matches against the clean instance, then apply.
     std::vector<PendingTgd> pending;
-    for (size_t ci = 0; ci < constraints_.size(); ++ci) {
-      const Constraint& c = constraints_[ci];
-      if (c.kind != Constraint::Kind::kTgd) continue;
-      collect(c.premise,
+    for (size_t ci = 0; ci < compiled_.size(); ++ci) {
+      if (constraints_[ci].kind != Constraint::Kind::kTgd) continue;
+      collect(compiled_[ci],
               [&](const Binding& b, const std::vector<FactId>& facts) {
                 pending.push_back(
                     PendingTgd{static_cast<int32_t>(ci), b, facts});
+                return true;
               });
     }
-    for (const PendingTgd& p : pending) {
+    for (PendingTgd& p : pending) {
       if (instance_->num_facts() >= options_.max_facts ||
           instance_->num_nodes() >= options_.max_nodes) {
         stats_.budget_exhausted = true;
@@ -136,26 +187,25 @@ Result<ChaseStats> ChaseEngine::Run() {
 
     // --- EGD phase: merges applied eagerly (Find() at application time
     // keeps them sound even as classes collapse mid-phase).
-    for (size_t ci = 0; ci < constraints_.size(); ++ci) {
-      const Constraint& c = constraints_[ci];
-      if (c.kind != Constraint::Kind::kEgd) continue;
+    for (size_t ci = 0; ci < compiled_.size(); ++ci) {
+      if (constraints_[ci].kind != Constraint::Kind::kEgd) continue;
+      CompiledConstraint& c = compiled_[ci];
       std::vector<Binding> matches;
-      collect(c.premise, [&](const Binding& b, const std::vector<FactId>&) {
+      collect(c, [&](const Binding& b, const std::vector<FactId>&) {
         matches.push_back(b);
+        return true;
       });
       for (const Binding& b : matches) {
-        for (const auto& [lhs, rhs] : c.equalities) {
-          NodeId a = lhs.is_constant()
-                         ? instance_->InternConstant(lhs.text)
-                         : b.at(lhs.text);
-          NodeId z = rhs.is_constant()
-                         ? instance_->InternConstant(rhs.text)
-                         : b.at(rhs.text);
+        for (auto& [lhs, rhs] : c.equalities) {
+          NodeId a = lhs.is_variable() ? b[static_cast<size_t>(lhs.slot)]
+                                       : InternTerm(lhs);
+          NodeId z = rhs.is_variable() ? b[static_cast<size_t>(rhs.slot)]
+                                       : InternTerm(rhs);
           if (instance_->Find(a) != instance_->Find(z)) {
             Status st = instance_->Merge(a, z);
             if (!st.ok()) {
-              return Status(st.code(),
-                            "EGD '" + c.name + "': " + st.message());
+              return Status(st.code(), "EGD '" + constraints_[ci].name +
+                                           "': " + st.message());
             }
             ++stats_.merges;
             progress = true;

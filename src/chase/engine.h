@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "chase/ast.h"
@@ -25,6 +26,12 @@ struct ChaseOptions {
   int64_t max_nodes = 60000;
 };
 
+// InvalidArgument, naming the constraint, when its premise or conclusion
+// has more atoms than the matcher handles (kMaxPatternAtoms). Callers that
+// register constraints check them here, so a long view definition is a
+// typed error rather than a failed check inside the chase.
+Status ValidateConstraint(const Constraint& constraint);
+
 struct ChaseStats {
   int rounds = 0;
   int64_t tgd_applications = 0;
@@ -34,10 +41,23 @@ struct ChaseStats {
   bool budget_exhausted = false;
 };
 
+// A constraint compiled against the engine's instance (see CompiledTerm).
+// Premise variables take slots [0, premise_slots); the existential
+// variables of a TGD's conclusion follow, up to num_slots.
+struct CompiledConstraint {
+  std::vector<CompiledAtom> premise;
+  std::vector<CompiledAtom> conclusion;  // TGD only.
+  std::vector<std::pair<CompiledTerm, CompiledTerm>> equalities;  // EGD only.
+  int32_t premise_slots = 0;
+  int32_t num_slots = 0;
+};
+
 // Called before applying a TGD match. Returning false skips the application
 // — the Prune_prov hook (§7.3): PACB++ passes a gate that rejects premise
 // images whose fragment cost exceeds the best-rewriting threshold T, and
-// uses the binding to bound the sizes the conclusion would introduce.
+// uses the binding to bound the sizes the conclusion would introduce. The
+// binding covers the premise slots (existential slots are kNoNode); read
+// the conclusion through ChaseEngine::compiled(constraint_index).
 using TgdGate =
     std::function<bool(int32_t constraint_index, const Binding& binding,
                        const std::vector<FactId>& premise_facts)>;
@@ -51,10 +71,19 @@ using FactsAddedObserver = std::function<void(const std::vector<FactId>&)>;
 // of the match), then EGDs (merging equivalence classes), then
 // re-canonicalizes. Deterministic: constraints and facts are visited in
 // declaration order.
+//
+// Construction compiles every constraint once against `instance`
+// (predicate ids, variable slots, constants resolved as they get interned).
+// The engine borrows `constraints`: they must outlive it.
 class ChaseEngine {
  public:
-  ChaseEngine(Instance* instance, std::vector<Constraint> constraints,
+  ChaseEngine(Instance* instance, const std::vector<Constraint>& constraints,
               ChaseOptions options = {});
+  // The engine keeps a reference: a temporary list would dangle.
+  ChaseEngine(Instance* instance, std::vector<Constraint>&& constraints,
+              ChaseOptions options = {}) = delete;
+  ChaseEngine(const ChaseEngine&) = delete;
+  ChaseEngine& operator=(const ChaseEngine&) = delete;
 
   void set_gate(TgdGate gate) { gate_ = std::move(gate); }
   void set_facts_added_observer(FactsAddedObserver obs) {
@@ -62,6 +91,9 @@ class ChaseEngine {
   }
 
   const std::vector<Constraint>& constraints() const { return constraints_; }
+  const CompiledConstraint& compiled(int32_t index) const {
+    return compiled_[static_cast<size_t>(index)];
+  }
 
   // Runs to fixpoint (or budget). Fails only on unsatisfiability (an EGD
   // equating distinct constants).
@@ -74,11 +106,22 @@ class ChaseEngine {
     std::vector<FactId> premise_facts;
   };
 
-  // Applies one TGD match; returns the number of facts added.
-  int64_t ApplyTgd(const PendingTgd& pending);
+  // Applies one TGD match; returns the number of facts added. Fills the
+  // match's existential slots with fresh nulls.
+  int64_t ApplyTgd(PendingTgd& pending);
+
+  // Resolves constant terms the instance has interned since the last call.
+  void ResolveConstants();
+  // A constant term's node, interning the constant on first use.
+  NodeId InternTerm(CompiledTerm& term);
 
   Instance* instance_;
-  std::vector<Constraint> constraints_;
+  const std::vector<Constraint>& constraints_;
+  std::vector<CompiledConstraint> compiled_;
+  // Constant terms of compiled_ still unresolved, and the instance's
+  // constant count when they were last looked up.
+  std::vector<CompiledTerm*> unresolved_;
+  int64_t constants_seen_ = 0;
   ChaseOptions options_;
   TgdGate gate_;
   FactsAddedObserver facts_added_;

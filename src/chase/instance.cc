@@ -101,30 +101,70 @@ const std::string& Instance::PredicateName(int32_t id) const {
   return predicate_names_[static_cast<size_t>(id)];
 }
 
-std::string Instance::FactKey(int32_t predicate,
-                              const std::vector<NodeId>& args) const {
-  std::string key = std::to_string(predicate);
+namespace {
+
+uint64_t HashFact(int32_t predicate, const std::vector<NodeId>& args) {
+  uint64_t h = static_cast<uint32_t>(predicate);
   for (NodeId a : args) {
-    key += '|';
-    key += std::to_string(a);
+    h = (h ^ static_cast<uint32_t>(a)) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
   }
-  return key;
+  // splitmix64 finalizer: linear probing indexes by the low bits.
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
+}  // namespace
+
+size_t Instance::ProbeFact(const std::vector<Fact>& facts, uint64_t hash,
+                           int32_t predicate,
+                           const std::vector<NodeId>& args) const {
+  const size_t mask = fact_table_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const FactSlot& slot = fact_table_[i];
+    if (slot.id < 0) return i;
+    if (slot.hash != hash) continue;
+    const Fact& f = facts[static_cast<size_t>(slot.id)];
+    if (f.predicate == predicate && f.args == args) return i;
+  }
+}
+
+void Instance::ResetFactTable(size_t facts) {
+  size_t capacity = 64;
+  while (capacity < 2 * facts) capacity *= 2;
+  fact_table_.assign(capacity, FactSlot{});
 }
 
 FactId Instance::AddFact(int32_t predicate, std::vector<NodeId> args,
                          Derivation derivation, bool initial, bool* added) {
   for (NodeId& a : args) a = Find(a);
-  std::string key = FactKey(predicate, args);
-  auto it = fact_index_.find(key);
-  if (it != fact_index_.end()) {
-    Fact& existing = facts_[static_cast<size_t>(it->second)];
+  if (2 * (facts_.size() + 1) > fact_table_.size()) {
+    // Grow: reinsert every stored slot by its recorded hash.
+    std::vector<FactSlot> old = std::move(fact_table_);
+    ResetFactTable(facts_.size() + 1);
+    const size_t mask = fact_table_.size() - 1;
+    for (const FactSlot& slot : old) {
+      if (slot.id < 0) continue;
+      size_t i = slot.hash & mask;
+      while (fact_table_[i].id >= 0) i = (i + 1) & mask;
+      fact_table_[i] = slot;
+    }
+  }
+  const uint64_t hash = HashFact(predicate, args);
+  FactSlot& slot = fact_table_[ProbeFact(facts_, hash, predicate, args)];
+  if (slot.id >= 0) {
+    Fact& existing = facts_[static_cast<size_t>(slot.id)];
     if (derivation.constraint_index >= 0 ||
         !derivation.premise_facts.empty()) {
       existing.derivations.push_back(std::move(derivation));
     }
     existing.initial = existing.initial || initial;
     if (added != nullptr) *added = false;
-    return it->second;
+    return slot.id;
   }
   FactId id = static_cast<FactId>(facts_.size());
   Fact fact;
@@ -135,7 +175,7 @@ FactId Instance::AddFact(int32_t predicate, std::vector<NodeId> args,
     fact.derivations.push_back(std::move(derivation));
   }
   facts_.push_back(std::move(fact));
-  fact_index_.emplace(std::move(key), id);
+  slot = FactSlot{hash, id};
   facts_by_predicate_[static_cast<size_t>(predicate)].push_back(id);
   IndexFact(id);
   if (added != nullptr) *added = true;
@@ -169,9 +209,12 @@ const std::vector<FactId>& Instance::FactsWith(int32_t predicate,
 
 bool Instance::HasFact(int32_t predicate,
                        const std::vector<NodeId>& args) const {
+  if (fact_table_.empty()) return false;
   std::vector<NodeId> canonical = args;
   for (NodeId& a : canonical) a = Find(a);
-  return fact_index_.contains(FactKey(predicate, canonical));
+  const size_t slot = ProbeFact(facts_, HashFact(predicate, canonical),
+                                predicate, canonical);
+  return fact_table_[slot].id >= 0;
 }
 
 const std::vector<FactId>& Instance::FactsOf(int32_t predicate) const {
@@ -186,24 +229,25 @@ void Instance::Rebuild() {
   if (!dirty_) return;
   std::vector<Fact> new_facts;
   new_facts.reserve(facts_.size());
-  std::unordered_map<std::string, FactId> new_index;
+  ResetFactTable(facts_.size());
   std::vector<FactId> remap(facts_.size(), -1);
   for (size_t old_id = 0; old_id < facts_.size(); ++old_id) {
     Fact& f = facts_[old_id];
     for (NodeId& a : f.args) a = Find(a);
-    std::string key = FactKey(f.predicate, f.args);
-    auto it = new_index.find(key);
-    if (it != new_index.end()) {
+    const uint64_t hash = HashFact(f.predicate, f.args);
+    FactSlot& slot =
+        fact_table_[ProbeFact(new_facts, hash, f.predicate, f.args)];
+    if (slot.id >= 0) {
       // Fuse into the surviving fact: provenance becomes a disjunction.
-      Fact& survivor = new_facts[static_cast<size_t>(it->second)];
+      Fact& survivor = new_facts[static_cast<size_t>(slot.id)];
       survivor.initial = survivor.initial || f.initial;
       for (Derivation& d : f.derivations) {
         survivor.derivations.push_back(std::move(d));
       }
-      remap[old_id] = it->second;
+      remap[old_id] = slot.id;
     } else {
       FactId id = static_cast<FactId>(new_facts.size());
-      new_index.emplace(std::move(key), id);
+      slot = FactSlot{hash, id};
       new_facts.push_back(std::move(f));
       remap[old_id] = id;
     }
@@ -217,7 +261,6 @@ void Instance::Rebuild() {
     }
   }
   facts_ = std::move(new_facts);
-  fact_index_ = std::move(new_index);
   for (auto& bucket : facts_by_predicate_) bucket.clear();
   arg_index_.clear();
   for (size_t id = 0; id < facts_.size(); ++id) {

@@ -75,6 +75,10 @@ class Instance {
   }
 
   int64_t num_nodes() const { return static_cast<int64_t>(parent_.size()); }
+  // Interned constants so far; grows whenever InternConstant creates one.
+  int64_t num_constants() const {
+    return static_cast<int64_t>(constant_ids_.size());
+  }
 
   // --- Predicates ------------------------------------------------------
 
@@ -115,7 +119,19 @@ class Instance {
   std::string DebugString() const;
 
  private:
-  std::string FactKey(int32_t predicate, const std::vector<NodeId>& args) const;
+  // One slot of the fact table: a fact id (-1: empty) and the hash of its
+  // (predicate, args) as stored.
+  struct FactSlot {
+    uint64_t hash = 0;
+    FactId id = -1;
+  };
+
+  // The slot holding predicate(args) among `facts`, or the empty slot where
+  // it belongs. A hash match is confirmed against the stored fact.
+  size_t ProbeFact(const std::vector<Fact>& facts, uint64_t hash,
+                   int32_t predicate, const std::vector<NodeId>& args) const;
+  // Empties the fact table, sized for `facts` entries at load <= 1/2.
+  void ResetFactTable(size_t facts);
   void IndexFact(FactId id);
 
   // Union-find state. rank via size; constants always win as root.
@@ -129,7 +145,9 @@ class Instance {
   std::unordered_map<std::string, int32_t> predicate_ids_;
 
   std::vector<Fact> facts_;
-  std::unordered_map<std::string, FactId> fact_index_;
+  // Deduplicates facts by a 64-bit hash of (predicate, args): open
+  // addressing with linear probing over a power-of-two table.
+  std::vector<FactSlot> fact_table_;
   std::vector<std::vector<FactId>> facts_by_predicate_;
   // (predicate, position, node) -> fact ids.
   std::unordered_map<uint64_t, std::vector<FactId>> arg_index_;

@@ -19,24 +19,14 @@ struct NodeEstimate {
 
 class Estimator {
  public:
-  Estimator(const la::MetaCatalog& catalog,
-            const SparsityEstimator& estimator, const DataCatalog* data)
-      : catalog_(catalog), estimator_(estimator), data_(data) {}
+  Estimator(const SparsityEstimator& estimator, const LeafMetaFn& leaf_meta)
+      : estimator_(estimator), leaf_meta_(leaf_meta) {}
 
   Result<NodeEstimate> Visit(const Expr& e) {
     NodeEstimate out;
     switch (e.kind()) {
       case OpKind::kMatrixRef: {
-        auto it = catalog_.find(e.name());
-        if (it == catalog_.end()) {
-          return Status::NotFound("unknown matrix '" + e.name() + "'");
-        }
-        const matrix::Matrix* m = nullptr;
-        if (data_ != nullptr) {
-          auto dit = data_->find(e.name());
-          if (dit != data_->end()) m = dit->second.get();
-        }
-        out.meta = estimator_.MakeBase(it->second, m);
+        HADAD_ASSIGN_OR_RETURN(out.meta, leaf_meta_(e.name()));
         out.is_leaf = true;
         return out;
       }
@@ -84,9 +74,8 @@ class Estimator {
   }
 
  private:
-  const la::MetaCatalog& catalog_;
   const SparsityEstimator& estimator_;
-  const DataCatalog* data_;
+  const LeafMetaFn& leaf_meta_;
 };
 
 }  // namespace
@@ -185,15 +174,34 @@ Result<OpRelation> RelationFor(const la::Expr& e, bool lhs_scalar,
 }
 
 Result<ExprEstimate> EstimateExpression(const la::Expr& expr,
-                                        const la::MetaCatalog& catalog,
                                         const SparsityEstimator& estimator,
-                                        const DataCatalog* data) {
-  Estimator walker(catalog, estimator, data);
+                                        const LeafMetaFn& leaf_meta) {
+  Estimator walker(estimator, leaf_meta);
   HADAD_ASSIGN_OR_RETURN(NodeEstimate root, walker.Visit(expr));
   ExprEstimate out;
   out.cost = root.inner_cost;
   out.output = root.meta;
   return out;
+}
+
+Result<ExprEstimate> EstimateExpression(const la::Expr& expr,
+                                        const la::MetaCatalog& catalog,
+                                        const SparsityEstimator& estimator,
+                                        const DataCatalog* data) {
+  const LeafMetaFn leaf_meta =
+      [&](const std::string& name) -> Result<ClassMeta> {
+    auto it = catalog.find(name);
+    if (it == catalog.end()) {
+      return Status::NotFound("unknown matrix '" + name + "'");
+    }
+    const matrix::Matrix* m = nullptr;
+    if (data != nullptr) {
+      auto dit = data->find(name);
+      if (dit != data->end()) m = dit->second.get();
+    }
+    return estimator.MakeBase(it->second, m);
+  };
+  return EstimateExpression(expr, estimator, leaf_meta);
 }
 
 bool TreatAsDense(const ClassMeta& m, double dense_threshold) {

@@ -1,6 +1,7 @@
 #ifndef HADAD_COST_COST_MODEL_H_
 #define HADAD_COST_COST_MODEL_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,8 +29,18 @@ struct ExprEstimate {
   ClassMeta output;
 };
 
-// Estimates `expr` under `estimator`. Fails on shape errors or unknown
-// matrix names.
+// The base metadata of the leaf matrix `name`, or NotFound. The optimizer
+// answers from its memoized per-version leaf statistics.
+using LeafMetaFn = std::function<Result<ClassMeta>(const std::string& name)>;
+
+// Estimates `expr` under `estimator`, taking leaf metadata from
+// `leaf_meta`. Fails on shape errors or unknown matrix names.
+Result<ExprEstimate> EstimateExpression(const la::Expr& expr,
+                                        const SparsityEstimator& estimator,
+                                        const LeafMetaFn& leaf_meta);
+
+// As above, with leaves from `catalog` and, when `data` binds them, the
+// estimator's statistics of their data (SparsityEstimator::MakeBase).
 Result<ExprEstimate> EstimateExpression(const la::Expr& expr,
                                         const la::MetaCatalog& catalog,
                                         const SparsityEstimator& estimator,

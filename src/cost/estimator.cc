@@ -26,11 +26,30 @@ double Cells(const la::MatrixMeta& m) { return m.Cells(); }
 
 MncHistogram MncHistogram::FromMatrix(const matrix::Matrix& m) {
   MncHistogram h;
-  matrix::SparseMatrix s = m.ToSparse();
-  auto rows = s.RowNnzCounts();
-  auto cols = s.ColNnzCounts();
-  h.row_nnz.assign(rows.begin(), rows.end());
-  h.col_nnz.assign(cols.begin(), cols.end());
+  if (m.is_sparse()) {
+    auto rows = m.sparse().RowNnzCounts();
+    auto cols = m.sparse().ColNnzCounts();
+    h.row_nnz.assign(rows.begin(), rows.end());
+    h.col_nnz.assign(cols.begin(), cols.end());
+    return h;
+  }
+  // One pass over the dense values, counting what ToSparse() would store:
+  // SparseMatrix::FromDense's test, under which a NaN does not count.
+  const matrix::DenseMatrix& d = m.dense();
+  h.row_nnz.assign(static_cast<size_t>(d.rows()), 0.0);
+  h.col_nnz.assign(static_cast<size_t>(d.cols()), 0.0);
+  for (int64_t r = 0; r < d.rows(); ++r) {
+    const double* row = d.row(r);
+    double count = 0.0;
+    for (int64_t c = 0; c < d.cols(); ++c) {
+      const double v = row[c];
+      if (v != 0.0 && std::abs(v) > 0.0) {
+        count += 1.0;
+        h.col_nnz[static_cast<size_t>(c)] += 1.0;
+      }
+    }
+    h.row_nnz[static_cast<size_t>(r)] = count;
+  }
   return h;
 }
 

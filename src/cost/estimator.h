@@ -19,6 +19,8 @@ struct MncHistogram {
   std::vector<double> row_nnz;
   std::vector<double> col_nnz;
 
+  // Counts the non-zeros ToSparse() would store (a NaN does not count), in
+  // one pass over the data without building a sparse copy.
   static MncHistogram FromMatrix(const matrix::Matrix& m);
 };
 

@@ -1,6 +1,7 @@
 #include "la/catalog.h"
 
 #include <initializer_list>
+#include <mutex>
 
 #include "la/encoder.h"
 #include "la/vrem.h"
@@ -735,6 +736,19 @@ std::vector<Constraint> BuildMmc(const CatalogOptions& options) {
   if (options.stat_agg) append(MmcStatAgg());
   if (options.morpheus) append(MorpheusRules());
   return out;
+}
+
+const std::vector<Constraint>& SharedMmc(const CatalogOptions& options) {
+  // One list per combination of the three options.
+  static std::once_flag built[8];
+  static const std::vector<Constraint>* lists[8];
+  const size_t k = (options.stat_agg ? 1u : 0u) |
+                   (options.decompositions ? 2u : 0u) |
+                   (options.morpheus ? 4u : 0u);
+  std::call_once(built[k], [&options, k] {
+    lists[k] = new std::vector<Constraint>(BuildMmc(options));
+  });
+  return *lists[k];
 }
 
 Result<std::vector<Constraint>> EncodeViewConstraints(

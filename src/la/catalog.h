@@ -53,6 +53,10 @@ struct CatalogOptions {
 // [∪ MMC_StatAgg] [∪ Morpheus].
 std::vector<chase::Constraint> BuildMmc(const CatalogOptions& options = {});
 
+// BuildMmc(options), built once per process on first use and shared
+// read-only from then on.
+const std::vector<chase::Constraint>& SharedMmc(const CatalogOptions& options);
+
 // enc_LA(V) (§6.2.4): the constraint pair for a materialized view `name`
 // defined by `definition`. V_IO maps the definition's body pattern to a
 // name(root, name) fact ("the view can answer this class"); V_OI expands a

@@ -17,9 +17,11 @@ namespace vrem = la::vrem;
 }
 
 MetaTracker::MetaTracker(chase::Instance* instance,
+                         SignatureTable* signatures,
                          const cost::SparsityEstimator* estimator)
-    : instance_(instance), estimator_(estimator) {
+    : instance_(instance), signatures_(signatures), estimator_(estimator) {
   HADAD_CHECK(instance != nullptr);
+  HADAD_CHECK(signatures != nullptr);
   HADAD_CHECK(estimator != nullptr);
 }
 
@@ -114,14 +116,18 @@ void MetaTracker::OnMerge(chase::NodeId absorbed, chase::NodeId survivor) {
 }
 
 bool MetaTracker::TryPropagate(chase::FactId id) {
-  // Copy, not reference: SetMeta below emits size/type facts, and the
-  // resulting AddFact can reallocate the instance's fact storage, which
-  // would dangle a reference mid-loop.
-  const chase::Fact f = instance_->fact(id);
-  const std::string& pred = instance_->PredicateName(f.predicate);
+  // Copy the args, not a reference: SetMeta below emits size/type facts,
+  // and the resulting AddFact can reallocate the instance's fact storage,
+  // which would dangle a reference mid-loop. Only the args: a fact's
+  // derivation list can be long.
+  const int32_t predicate = instance_->fact(id).predicate;
+  const std::vector<chase::NodeId> args = instance_->fact(id).args;
+  if (sconst_predicate_ < 0) {
+    sconst_predicate_ = instance_->LookupPredicate(vrem::kSconst);
+  }
   // Scalar literals carry their own metadata.
-  if (pred == vrem::kSconst) {
-    chase::NodeId node = instance_->Find(f.args[0]);
+  if (predicate == sconst_predicate_) {
+    chase::NodeId node = instance_->Find(args[0]);
     if (meta_.contains(node)) return false;
     cost::ClassMeta meta;
     meta.shape.rows = 1;
@@ -130,13 +136,13 @@ bool MetaTracker::TryPropagate(chase::FactId id) {
     SetMeta(node, std::move(meta));
     return true;
   }
-  const OpSignature* sig = GetOpSignature(pred);
+  const OpSignature* sig = signatures_->Get(predicate);
   if (sig == nullptr) return false;
   // Gather input metadata; park the fact on the first unknown input.
   std::vector<cost::ClassMeta> inputs;
   inputs.reserve(sig->input_positions.size());
   for (int pos : sig->input_positions) {
-    chase::NodeId in = instance_->Find(f.args[static_cast<size_t>(pos)]);
+    chase::NodeId in = instance_->Find(args[static_cast<size_t>(pos)]);
     const cost::ClassMeta* m = Get(in);
     if (m == nullptr) {
       waiters_[in].push_back(id);
@@ -147,9 +153,10 @@ bool MetaTracker::TryPropagate(chase::FactId id) {
   bool changed = false;
   for (const OpOutput& out : sig->outputs) {
     chase::NodeId out_node =
-        instance_->Find(f.args[static_cast<size_t>(out.position)]);
+        instance_->Find(args[static_cast<size_t>(out.position)]);
     if (meta_.contains(out_node)) continue;
-    auto derived = estimator_->Propagate(pred, inputs, out.output_index);
+    auto derived = estimator_->Propagate(instance_->PredicateName(predicate),
+                                         inputs, out.output_index);
     if (!derived.has_value()) continue;
     SetMeta(out_node, std::move(*derived));
     changed = true;

@@ -7,6 +7,7 @@
 
 #include "chase/instance.h"
 #include "cost/estimator.h"
+#include "pacb/op_signature.h"
 
 namespace hadad::pacb {
 
@@ -17,7 +18,9 @@ namespace hadad::pacb {
 // constraints (the row/column-vector rules of MMC_StatAgg) can fire.
 class MetaTracker {
  public:
-  MetaTracker(chase::Instance* instance,
+  // `signatures` resolves the instance's predicate ids; both must outlive
+  // the tracker.
+  MetaTracker(chase::Instance* instance, SignatureTable* signatures,
               const cost::SparsityEstimator* estimator);
 
   // Seeds the metadata of a class (canonicalized). Emits its size fact.
@@ -55,7 +58,9 @@ class MetaTracker {
   void EmitTypeFacts(chase::NodeId canonical, const cost::ClassMeta& meta);
 
   chase::Instance* instance_;
+  SignatureTable* signatures_;
   const cost::SparsityEstimator* estimator_;
+  int32_t sconst_predicate_ = -1;  // Looked up until interned.
   std::unordered_map<chase::NodeId, cost::ClassMeta> meta_;
   // Facts to revisit when a class gains metadata.
   std::unordered_map<chase::NodeId, std::vector<chase::FactId>> waiters_;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "chase/instance.h"
 #include "la/expr.h"
 
 namespace hadad::pacb {
@@ -25,6 +26,26 @@ struct OpSignature {
 // Signature for `predicate`, or nullptr when the relation is not an
 // operation (name/size/type/sconst/zero/identity/morpheusJoin).
 const OpSignature* GetOpSignature(const std::string& predicate);
+
+// GetOpSignature by the predicate ids of one instance: each id's name is
+// looked up once, the first time the id is asked for.
+class SignatureTable {
+ public:
+  explicit SignatureTable(const chase::Instance* instance)
+      : instance_(instance) {}
+
+  const OpSignature* Get(int32_t predicate) {
+    while (by_id_.size() <= static_cast<size_t>(predicate)) {
+      by_id_.push_back(GetOpSignature(
+          instance_->PredicateName(static_cast<int32_t>(by_id_.size()))));
+    }
+    return by_id_[static_cast<size_t>(predicate)];
+  }
+
+ private:
+  const chase::Instance* instance_;
+  std::vector<const OpSignature*> by_id_;
+};
 
 }  // namespace hadad::pacb
 

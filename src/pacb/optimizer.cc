@@ -57,40 +57,37 @@ class RewriteSession {
                  const OptimizerOptions& options,
                  const std::vector<chase::Constraint>& constraints,
                  const std::vector<MorpheusJoinDecl>& morpheus_joins,
-                 const cost::DataCatalog* data,
+                 const cost::LeafMetaFn& leaf_meta,
                  const cost::SparsityEstimator* estimator)
       : catalog_(catalog),
         options_(options),
         constraints_(constraints),
         morpheus_joins_(morpheus_joins),
-        data_(data),
+        leaf_meta_(leaf_meta),
         estimator_(estimator),
-        tracker_(&instance_, estimator) {}
+        signatures_(&instance_),
+        tracker_(&instance_, &signatures_, estimator) {}
 
   Result<RewriteResult> Run(const ExprPtr& expr);
 
  private:
-  const matrix::Matrix* DataFor(const std::string& name) const {
-    if (data_ == nullptr) return nullptr;
-    auto it = data_->find(name);
-    return it == data_->end() ? nullptr : it->second.get();
-  }
-
   Status SeedInstance(const la::EncodedExpr& enc);
-  bool Gate(int32_t constraint_index, const Binding& binding,
+  bool Gate(const chase::CompiledConstraint& c, const Binding& binding,
             const std::vector<FactId>& premise);
   void ComputeContribs();
-  Result<ExprPtr> Decode(NodeId cls, int depth) const;
+  Result<ExprPtr> Decode(NodeId cls, int depth);
 
   const la::MetaCatalog& catalog_;
   const OptimizerOptions& options_;
   const std::vector<chase::Constraint>& constraints_;
   const std::vector<MorpheusJoinDecl>& morpheus_joins_;
-  const cost::DataCatalog* data_;
+  const cost::LeafMetaFn& leaf_meta_;
   const cost::SparsityEstimator* estimator_;
 
   Instance instance_;
+  SignatureTable signatures_;
   MetaTracker tracker_;
+  int32_t name_predicate_ = -1;
   double threshold_ = kInf;  // T: cost of the best rewriting known so far.
   // Pruning bound: max(T, largest class of the original encoding). Chase
   // steps at the scale of the query's own operands always pass (they belong
@@ -127,12 +124,11 @@ Status RewriteSession::SeedInstance(const la::EncodedExpr& enc) {
   for (const chase::Atom& atom : enc.query.body) {
     if (atom.predicate != vrem::kName) continue;
     const std::string& name = atom.args[1].text;
-    auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
+    if (!catalog_.contains(name)) {
       return Status::NotFound("no metadata for matrix '" + name + "'");
     }
-    tracker_.Seed(var_nodes.at(atom.args[0].text),
-                  estimator_->MakeBase(it->second, DataFor(name)));
+    HADAD_ASSIGN_OR_RETURN(cost::ClassMeta meta, leaf_meta_(name));
+    tracker_.Seed(var_nodes.at(atom.args[0].text), std::move(meta));
   }
 
   // Morpheus normalized-matrix declarations: bind by name (I_name merges
@@ -142,15 +138,15 @@ Status RewriteSession::SeedInstance(const la::EncodedExpr& enc) {
   for (const MorpheusJoinDecl& decl : morpheus_joins_) {
     std::vector<NodeId> nodes;
     for (const std::string& n : {decl.t, decl.k, decl.u, decl.m}) {
-      auto it = catalog_.find(n);
-      if (it == catalog_.end()) {
+      if (!catalog_.contains(n)) {
         return Status::NotFound("morpheus join references unknown matrix '" +
                                 n + "'");
       }
       NodeId node = instance_.FreshNull();
       instance_.AddFact(name_pred, {node, instance_.InternConstant(n)},
                         chase::Derivation{}, /*initial=*/true, nullptr);
-      tracker_.Seed(node, estimator_->MakeBase(it->second, DataFor(n)));
+      HADAD_ASSIGN_OR_RETURN(cost::ClassMeta meta, leaf_meta_(n));
+      tracker_.Seed(node, std::move(meta));
       nodes.push_back(node);
     }
     instance_.AddFact(mj_pred, std::move(nodes), chase::Derivation{},
@@ -160,22 +156,17 @@ Status RewriteSession::SeedInstance(const la::EncodedExpr& enc) {
   return Status::OK();
 }
 
-bool RewriteSession::Gate(int32_t constraint_index, const Binding& binding,
+bool RewriteSession::Gate(const chase::CompiledConstraint& c,
+                          const Binding& binding,
                           const std::vector<FactId>& premise) {
   // View-IO constraints belong to PACB's chase phase, which is never pruned
   // (§4.2): their premise is the view's body, but *using* the view computes
   // none of it. They conclude only `name` atoms.
-  {
-    const chase::Constraint& c =
-        constraints_[static_cast<size_t>(constraint_index)];
-    bool names_only = true;
-    for (const chase::Atom& atom : c.conclusion) {
-      if (atom.predicate != vrem::kName) {
-        names_only = false;
-        break;
-      }
-    }
-    if (names_only) return true;
+  if (std::all_of(c.conclusion.begin(), c.conclusion.end(),
+                  [this](const chase::CompiledAtom& atom) {
+                    return atom.predicate == name_predicate_;
+                  })) {
+    return true;
   }
   // (1) Premise-fragment pruning (Example 7.2): the subquery determined by
   // the premise image must not already cost more than T. Its cost is the
@@ -184,8 +175,7 @@ bool RewriteSession::Gate(int32_t constraint_index, const Binding& binding,
   std::vector<NodeId> outputs;
   for (FactId fid : premise) {
     const chase::Fact& f = instance_.fact(fid);
-    const OpSignature* sig =
-        GetOpSignature(instance_.PredicateName(f.predicate));
+    const OpSignature* sig = signatures_.Get(f.predicate);
     if (sig == nullptr) continue;
     for (int pos : sig->input_positions) {
       used_as_input.insert(instance_.Find(f.args[static_cast<size_t>(pos)]));
@@ -205,24 +195,17 @@ bool RewriteSession::Gate(int32_t constraint_index, const Binding& binding,
 
   // (2) Conclusion-output pruning: an operator output larger than T can
   // only appear in plans costing more than T (γ is monotone), unless it is
-  // the goal class itself.
-  const chase::Constraint& c =
-      constraints_[static_cast<size_t>(constraint_index)];
+  // the goal class itself. Existential slots are unbound (kNoNode).
   const NodeId root = instance_.Find(root_);
-  for (const chase::Atom& atom : c.conclusion) {
-    const OpSignature* sig = GetOpSignature(atom.predicate);
+  for (const chase::CompiledAtom& atom : c.conclusion) {
+    const OpSignature* sig = signatures_.Get(atom.predicate);
     if (sig == nullptr) continue;
     std::vector<cost::ClassMeta> inputs;
     bool all_known = true;
     for (int pos : sig->input_positions) {
-      const chase::Term& t = atom.args[static_cast<size_t>(pos)];
-      NodeId n = chase::kNoNode;
-      if (t.is_constant()) {
-        n = instance_.LookupConstant(t.text);
-      } else {
-        auto it = binding.find(t.text);
-        if (it != binding.end()) n = it->second;
-      }
+      const chase::CompiledTerm& t = atom.args[static_cast<size_t>(pos)];
+      const NodeId n =
+          t.is_variable() ? binding[static_cast<size_t>(t.slot)] : t.node;
       const cost::ClassMeta* m =
           (n == chase::kNoNode) ? nullptr : tracker_.Get(n);
       if (m == nullptr) {
@@ -233,15 +216,16 @@ bool RewriteSession::Gate(int32_t constraint_index, const Binding& binding,
     }
     if (!all_known) continue;
     for (const OpOutput& out : sig->outputs) {
-      const chase::Term& t = atom.args[static_cast<size_t>(out.position)];
+      const chase::CompiledTerm& t =
+          atom.args[static_cast<size_t>(out.position)];
       if (t.is_variable()) {
-        auto it = binding.find(t.text);
-        if (it != binding.end() && instance_.Find(it->second) == root) {
+        const NodeId n = binding[static_cast<size_t>(t.slot)];
+        if (n != chase::kNoNode && instance_.Find(n) == root) {
           continue;  // The goal class: its own size never counts.
         }
       }
-      auto meta = estimator_->Propagate(atom.predicate, inputs,
-                                        out.output_index);
+      auto meta = estimator_->Propagate(instance_.PredicateName(atom.predicate),
+                                        inputs, out.output_index);
       if (meta.has_value() && meta->SizeEstimate() > prune_bound_ + kEps) {
         return false;
       }
@@ -296,8 +280,7 @@ void RewriteSession::ComputeContribs() {
   std::vector<OpOption> ops;
   for (FactId fid = 0; fid < instance_.num_facts(); ++fid) {
     const chase::Fact& f = instance_.fact(fid);
-    const OpSignature* sig =
-        GetOpSignature(instance_.PredicateName(f.predicate));
+    const OpSignature* sig = signatures_.Get(f.predicate);
     if (sig == nullptr) continue;
     std::vector<NodeId> ins;
     ins.reserve(sig->input_positions.size());
@@ -339,7 +322,7 @@ void RewriteSession::ComputeContribs() {
   }
 }
 
-Result<ExprPtr> RewriteSession::Decode(NodeId cls, int depth) const {
+Result<ExprPtr> RewriteSession::Decode(NodeId cls, int depth) {
   if (depth > 256) {
     return Status::Internal("decode recursion limit hit (cyclic extraction)");
   }
@@ -357,8 +340,7 @@ Result<ExprPtr> RewriteSession::Decode(NodeId cls, int depth) const {
       break;
   }
   const chase::Fact& f = instance_.fact(d.fact);
-  const std::string& pred = instance_.PredicateName(f.predicate);
-  const OpSignature* sig = GetOpSignature(pred);
+  const OpSignature* sig = signatures_.Get(f.predicate);
   HADAD_CHECK(sig != nullptr);
   std::vector<ExprPtr> kids;
   kids.reserve(sig->input_positions.size());
@@ -371,7 +353,7 @@ Result<ExprPtr> RewriteSession::Decode(NodeId cls, int depth) const {
   const OpKind kind =
       sig->outputs[static_cast<size_t>(d.output_slot)].decode_kind;
   // Special spellings.
-  if (pred == vrem::kInvS) {
+  if (instance_.PredicateName(f.predicate) == vrem::kInvS) {
     return Expr::Binary(OpKind::kDivide, Expr::Scalar(1.0), kids[0]);
   }
   if (la::Arity(kind) == 1) {
@@ -388,7 +370,7 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
   // γ(E): the threshold T starts at the cost of running E as stated.
   HADAD_ASSIGN_OR_RETURN(
       cost::ExprEstimate original,
-      cost::EstimateExpression(*expr, catalog_, *estimator_, data_));
+      cost::EstimateExpression(*expr, *estimator_, leaf_meta_));
   result.original_cost = original.cost;
   threshold_ = original.cost;
 
@@ -400,14 +382,15 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
       });
   HADAD_RETURN_IF_ERROR(SeedInstance(enc));
   prune_bound_ = std::max(threshold_, tracker_.MaxKnownSize());
+  name_predicate_ = instance_.InternPredicate(vrem::kName);
 
   chase::ChaseEngine engine(&instance_, constraints_, options_.chase);
   engine.set_facts_added_observer(
       [this](const std::vector<FactId>& ids) { tracker_.OnFactsAdded(ids); });
   if (options_.prune) {
-    engine.set_gate([this](int32_t ci, const Binding& b,
-                           const std::vector<FactId>& premise) {
-      return Gate(ci, b, premise);
+    engine.set_gate([this, &engine](int32_t ci, const Binding& b,
+                                    const std::vector<FactId>& premise) {
+      return Gate(engine.compiled(ci), b, premise);
     });
   }
   HADAD_ASSIGN_OR_RETURN(result.chase_stats, engine.Run());
@@ -436,8 +419,7 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
     // Re-estimate the decoded tree for the reported cost; fall back to the
     // extraction cost if estimation fails (it should not).
     double reported = cost;
-    auto est = cost::EstimateExpression(**decoded, catalog_, *estimator_,
-                                        data_);
+    auto est = cost::EstimateExpression(**decoded, *estimator_, leaf_meta_);
     if (est.ok()) reported = est->cost;
     candidates.push_back({*decoded, reported});
   };
@@ -450,8 +432,7 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
   }
   for (FactId fid = 0; fid < instance_.num_facts(); ++fid) {
     const chase::Fact& f = instance_.fact(fid);
-    const std::string& pred = instance_.PredicateName(f.predicate);
-    const OpSignature* sig = GetOpSignature(pred);
+    const OpSignature* sig = signatures_.Get(f.predicate);
     if (sig == nullptr) continue;
     for (size_t slot = 0; slot < sig->outputs.size(); ++slot) {
       NodeId out = instance_.Find(
@@ -512,6 +493,79 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
 Optimizer::Optimizer(la::MetaCatalog catalog, OptimizerOptions options)
     : catalog_(std::move(catalog)), options_(options) {}
 
+const std::vector<chase::Constraint>& Optimizer::Constraints() const {
+  return constraints_.empty() ? la::SharedMmc(options_.catalog)
+                              : constraints_;
+}
+
+void Optimizer::RebuildConstraints() {
+  const std::vector<chase::Constraint>& mmc = la::SharedMmc(options_.catalog);
+  if (views_.empty() && extra_constraints_.empty()) {
+    constraints_.clear();
+    return;
+  }
+  // Keep the MMC prefix; re-append the rest.
+  if (constraints_.empty()) constraints_ = mmc;
+  constraints_.erase(
+      constraints_.begin() + static_cast<ptrdiff_t>(mmc.size()),
+      constraints_.end());
+  for (const ViewDef& v : views_) {
+    constraints_.insert(constraints_.end(), v.constraints.begin(),
+                        v.constraints.end());
+  }
+  constraints_.insert(constraints_.end(), extra_constraints_.begin(),
+                      extra_constraints_.end());
+}
+
+cost::ClassMeta Optimizer::LeafMeta(const std::string& name,
+                                    const la::MatrixMeta& meta) const {
+  cost::ClassMeta out;
+  out.shape = meta;
+  if (data_ == nullptr) return out;
+  auto it = data_->find(name);
+  if (it == data_->end()) return out;
+  const std::shared_ptr<const matrix::Matrix>& version = it->second;
+  auto current = [&version](const LeafStats& s) {
+    return !s.version.owner_before(version) &&
+           !version.owner_before(s.version) && s.rows == version->rows();
+  };
+  auto with = [&out](const LeafStats& s) {
+    out.shape.nnz = s.nnz;
+    out.mnc = s.mnc;
+    return out;
+  };
+  {
+    common::MutexLock lock(&leaf_mu_);
+    auto sit = leaf_stats_.find(name);
+    if (sit != leaf_stats_.end() && current(sit->second)) {
+      return with(sit->second);
+    }
+  }
+  // First sight of this version: scan it with no lock held.
+  LeafStats scanned;
+  scanned.version = version;
+  scanned.rows = version->rows();
+  scanned.nnz = static_cast<double>(version->Nnz());
+  if (options_.estimator == EstimatorKind::kMnc) {
+    scanned.mnc = std::make_shared<const cost::MncHistogram>(
+        cost::MncHistogram::FromMatrix(*version));
+  }
+  common::MutexLock lock(&leaf_mu_);
+  LeafStats& entry = leaf_stats_[name];
+  if (!current(entry)) entry = std::move(scanned);  // First insert wins.
+  return with(entry);
+}
+
+cost::LeafMetaFn Optimizer::LeafResolver() const {
+  return [this](const std::string& name) -> Result<cost::ClassMeta> {
+    auto it = catalog_.find(name);
+    if (it == catalog_.end()) {
+      return Status::NotFound("unknown matrix '" + name + "'");
+    }
+    return LeafMeta(name, it->second);
+  };
+}
+
 std::unique_ptr<cost::SparsityEstimator> Optimizer::MakeEstimator() const {
   if (options_.estimator == EstimatorKind::kMnc) {
     return std::make_unique<cost::MncEstimator>();
@@ -527,12 +581,19 @@ Status Optimizer::AddView(const std::string& name,
   auto estimator = MakeEstimator();
   HADAD_ASSIGN_OR_RETURN(
       cost::ExprEstimate est,
-      cost::EstimateExpression(*definition, catalog_, *estimator, data_));
+      cost::EstimateExpression(*definition, *estimator, LeafResolver()));
   HADAD_ASSIGN_OR_RETURN(
       std::vector<chase::Constraint> constraints,
       la::EncodeViewConstraints(name, *definition, catalog_));
+  for (const chase::Constraint& c : constraints) {
+    Status valid = chase::ValidateConstraint(c);
+    if (!valid.ok()) {
+      return Status(valid.code(), "view '" + name + "': " + valid.message());
+    }
+  }
   catalog_[name] = est.output.shape;
   views_.push_back(ViewDef{name, definition, std::move(constraints)});
+  RebuildConstraints();
   return Status::OK();
 }
 
@@ -551,6 +612,7 @@ Status Optimizer::RemoveView(const std::string& name) {
   }
   views_.erase(it);
   catalog_.erase(name);
+  RebuildConstraints();
   return Status::OK();
 }
 
@@ -602,25 +664,22 @@ Status Optimizer::AddMorpheusJoin(const MorpheusJoinDecl& decl) {
   return Status::OK();
 }
 
-void Optimizer::AddConstraints(std::vector<chase::Constraint> constraints) {
+Status Optimizer::AddConstraints(std::vector<chase::Constraint> constraints) {
+  for (const chase::Constraint& c : constraints) {
+    HADAD_RETURN_IF_ERROR(chase::ValidateConstraint(c));
+  }
   for (chase::Constraint& c : constraints) {
     extra_constraints_.push_back(std::move(c));
   }
+  RebuildConstraints();
+  return Status::OK();
 }
 
 Result<RewriteResult> Optimizer::Optimize(const la::ExprPtr& expr) const {
   auto estimator = MakeEstimator();
-  std::vector<chase::Constraint> constraints = la::BuildMmc(options_.catalog);
-  for (const ViewDef& v : views_) {
-    for (const chase::Constraint& c : v.constraints) {
-      constraints.push_back(c);
-    }
-  }
-  for (const chase::Constraint& c : extra_constraints_) {
-    constraints.push_back(c);
-  }
-  RewriteSession session(catalog_, options_, constraints, morpheus_joins_,
-                         data_, estimator.get());
+  const cost::LeafMetaFn leaf_meta = LeafResolver();
+  RewriteSession session(catalog_, options_, Constraints(), morpheus_joins_,
+                         leaf_meta, estimator.get());
   return session.Run(expr);
 }
 

@@ -3,10 +3,13 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chase/engine.h"
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "cost/cost_model.h"
 #include "cost/estimator.h"
 #include "la/catalog.h"
@@ -65,12 +68,18 @@ struct RewriteResult {
 // Construction declares the static environment (base-matrix metadata, views,
 // Morpheus joins, data for MNC base histograms); Optimize() rewrites one
 // expression against it.
+//
+// Optimize() is const and may run on many threads at once, as long as no
+// mutator runs concurrently (api::Session holds its state lock shared
+// around Optimize and exclusively around every mutator).
 class Optimizer {
  public:
   explicit Optimizer(la::MetaCatalog catalog, OptimizerOptions options = {});
 
   // Registers a materialized view. Its output shape joins the metadata
   // catalog under `name`, so both queries and rewritings may reference it.
+  // InvalidArgument when one of its view constraints is too long for the
+  // chase (see chase::ValidateConstraint).
   Status AddView(const std::string& name, const la::ExprPtr& definition);
   // Convenience: parse `definition_text` first.
   Status AddViewText(const std::string& name,
@@ -100,14 +109,18 @@ class Optimizer {
   // Same view/NotFound contract as UpdateBaseMeta.
   Status RemoveBaseMeta(const std::string& name);
 
-  // Supplies actual matrices (by name) so the MNC estimator can build exact
-  // base histograms; also used for materialized view contents. Not owned;
-  // must outlive the optimizer.
+  // Supplies actual matrices (by name) so leaves get their exact nnz and,
+  // under MNC, exact base histograms; also used for materialized view
+  // contents. Not owned; must outlive the optimizer. Statistics are read
+  // from a version's data the first time a query mentions it and memoized
+  // until the name is bound to another version (or the version grows).
   void SetData(const cost::DataCatalog* data) { data_ = data; }
 
   // Extends HADAD's semantic knowledge: appends user constraints to MMC
   // (the extensibility contract of §1 — declare, don't code).
-  void AddConstraints(std::vector<chase::Constraint> constraints);
+  // InvalidArgument, adding none of them, when one is too long for the
+  // chase (see chase::ValidateConstraint).
+  Status AddConstraints(std::vector<chase::Constraint> constraints);
 
   // The metadata catalog including registered view shapes.
   const la::MetaCatalog& catalog() const { return catalog_; }
@@ -117,14 +130,47 @@ class Optimizer {
   Result<RewriteResult> OptimizeText(const std::string& expr_text) const;
 
  private:
+  // What a leaf version's data says beyond its catalog shape: the exact
+  // nnz and, under MNC, the row/column histogram. Valid while data_ binds
+  // the name to the same handle with the same row count (Workspace::Append
+  // may grow the live version in place). The weak handle lets a superseded
+  // version free as soon as its last owner drops it.
+  struct LeafStats {
+    std::weak_ptr<const matrix::Matrix> version;
+    int64_t rows = 0;
+    double nnz = 0.0;
+    std::shared_ptr<const cost::MncHistogram> mnc;
+  };
+
   std::unique_ptr<cost::SparsityEstimator> MakeEstimator() const;
+  // Base metadata for leaf `name` with catalog entry `meta`: `meta` with
+  // the statistics of the data bound to `name`, if any, memoized per
+  // version. Scans the data outside leaf_mu_.
+  cost::ClassMeta LeafMeta(const std::string& name,
+                           const la::MatrixMeta& meta) const;
+  // LeafMeta over catalog_; NotFound for names it lacks.
+  cost::LeafMetaFn LeafResolver() const;
+  // The list every chase runs: MMC, then each view's constraints in
+  // registration order, then the user constraints. While there are neither
+  // views nor user constraints it is the process-wide la::SharedMmc list,
+  // and constraints_ stays empty.
+  const std::vector<chase::Constraint>& Constraints() const;
+  // Rebuilds constraints_ after a view or user constraint came or went.
+  void RebuildConstraints();
 
   la::MetaCatalog catalog_;
   OptimizerOptions options_;
   std::vector<ViewDef> views_;
   std::vector<chase::Constraint> extra_constraints_;
   std::vector<MorpheusJoinDecl> morpheus_joins_;
+  std::vector<chase::Constraint> constraints_;
   const cost::DataCatalog* data_ = nullptr;
+
+  mutable common::Mutex leaf_mu_;
+  // Leaf statistics by name, one entry per name (a stale entry is
+  // replaced, never kept beside the new one).
+  mutable std::unordered_map<std::string, LeafStats> leaf_stats_
+      HADAD_GUARDED_BY(leaf_mu_);
 };
 
 }  // namespace hadad::pacb

@@ -2,12 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "chase/ast.h"
 #include "chase/homomorphism.h"
 #include "chase/instance.h"
 
 namespace hadad::chase {
 namespace {
+
+// A pattern compiled for the matcher, keeping its source atoms (compiled
+// constants point into them) and its variable names (for slot lookups).
+struct Pattern {
+  Pattern(std::vector<Atom> atoms, Instance* inst) : source(std::move(atoms)) {
+    compiled = CompileAtoms(source, inst, &vars);
+  }
+  Pattern(const Pattern&) = delete;
+  Pattern& operator=(const Pattern&) = delete;
+
+  size_t Slot(const std::string& var) const {
+    auto it = std::find(vars.begin(), vars.end(), var);
+    EXPECT_NE(it, vars.end()) << var;
+    return static_cast<size_t>(it - vars.begin());
+  }
+  // A binding with `seed` bound by variable name, every other slot unbound.
+  Binding Seed(const std::vector<std::pair<std::string, NodeId>>& seed = {})
+      const {
+    Binding b(vars.size(), kNoNode);
+    for (const auto& [var, node] : seed) b[Slot(var)] = node;
+    return b;
+  }
+
+  std::vector<Atom> source;
+  std::vector<std::string> vars;
+  std::vector<CompiledAtom> compiled;
+};
 
 TEST(InstanceTest, ConstantsAreInterned) {
   Instance inst;
@@ -97,9 +129,10 @@ TEST(HomomorphismTest, ConstantsRestrictMatches) {
   inst.AddFact(name, {n, inst.InternConstant("N.csv")}, Derivation{}, true,
                nullptr);
   int count = 0;
-  FindHomomorphisms({MakeAtom("name", {Var("X"), Cst("M.csv")})}, inst, {},
+  Pattern p({MakeAtom("name", {Var("X"), Cst("M.csv")})}, &inst);
+  FindHomomorphisms(p.compiled, inst, p.Seed(),
                     [&](const Binding& b, const std::vector<FactId>&) {
-                      EXPECT_EQ(b.at("X"), inst.Find(m));
+                      EXPECT_EQ(b[p.Slot("X")], inst.Find(m));
                       ++count;
                       return true;
                     });
@@ -114,7 +147,8 @@ TEST(HomomorphismTest, RepeatedVariablesEnforceEquality) {
   inst.AddFact(e, {a, b}, Derivation{}, true, nullptr);
   inst.AddFact(e, {a, a}, Derivation{}, true, nullptr);
   int count = 0;
-  FindHomomorphisms({MakeAtom("edge", {Var("X"), Var("X")})}, inst, {},
+  Pattern p({MakeAtom("edge", {Var("X"), Var("X")})}, &inst);
+  FindHomomorphisms(p.compiled, inst, p.Seed(),
                     [&](const Binding&, const std::vector<FactId>&) {
                       ++count;
                       return true;
@@ -132,11 +166,12 @@ TEST(HomomorphismTest, MultiAtomJoin) {
   inst.AddFact(s, {z, y}, Derivation{}, true, nullptr);
   inst.AddFact(s, {w, y}, Derivation{}, true, nullptr);  // Doesn't join R.
   int count = 0;
-  FindHomomorphisms({MakeAtom("R", {Var("A"), Var("B")}),
-                     MakeAtom("S", {Var("B"), Var("C")})},
-                    inst, {},
+  Pattern p({MakeAtom("R", {Var("A"), Var("B")}),
+             MakeAtom("S", {Var("B"), Var("C")})},
+            &inst);
+  FindHomomorphisms(p.compiled, inst, p.Seed(),
                     [&](const Binding& b, const std::vector<FactId>&) {
-                      EXPECT_EQ(b.at("B"), inst.Find(z));
+                      EXPECT_EQ(b[p.Slot("B")], inst.Find(z));
                       ++count;
                       return true;
                     });
@@ -157,7 +192,8 @@ TEST(ChaseEngineTest, ViewIoConstraintFires) {
       "V_IO",
       {MakeAtom("R", {Var("x"), Var("z")}), MakeAtom("S", {Var("z"), Var("y")})},
       {MakeAtom("V", {Var("x"), Var("y")})});
-  ChaseEngine engine(&inst, {v_io});
+  const std::vector<Constraint> constraints = {v_io};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   int32_t v = inst.LookupPredicate("V");
@@ -181,7 +217,8 @@ TEST(ChaseEngineTest, ExistentialsCreateLabelledNulls) {
   Constraint v_oi = MakeTgd(
       "V_OI", {MakeAtom("V", {Var("x"), Var("y")})},
       {MakeAtom("R", {Var("x"), Var("z")}), MakeAtom("S", {Var("z"), Var("y")})});
-  ChaseEngine engine(&inst, {v_oi});
+  const std::vector<Constraint> constraints = {v_oi};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   int32_t r = inst.LookupPredicate("R");
@@ -204,7 +241,8 @@ TEST(ChaseEngineTest, RestrictedChaseTerminatesOnCommutativity) {
       "add-commutative",
       {MakeAtom("addM", {Var("M"), Var("N"), Var("R")})},
       {MakeAtom("addM", {Var("N"), Var("M"), Var("R")})});
-  ChaseEngine engine(&inst, {comm});
+  const std::vector<Constraint> constraints = {comm};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(inst.FactsOf(add).size(), 2u);
@@ -224,7 +262,8 @@ TEST(ChaseEngineTest, FunctionalEgdMergesResults) {
       {MakeAtom("multiM", {Var("M"), Var("N"), Var("R1")}),
        MakeAtom("multiM", {Var("M"), Var("N"), Var("R2")})},
       {{Var("R1"), Var("R2")}});
-  ChaseEngine engine(&inst, {functional});
+  const std::vector<Constraint> constraints = {functional};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(inst.Find(r1), inst.Find(r2));
@@ -245,7 +284,8 @@ TEST(ChaseEngineTest, ConstantClashIsUnsatisfiable) {
                            {MakeAtom("name", {Var("M"), Var("X")}),
                             MakeAtom("name", {Var("M"), Var("Y")})},
                            {{Var("X"), Var("Y")}});
-  ChaseEngine engine(&inst, {key});
+  const std::vector<Constraint> constraints = {key};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   EXPECT_FALSE(stats.ok());
 }
@@ -264,7 +304,8 @@ TEST(ChaseEngineTest, EgdEquatesNullWithConstant) {
                          {MakeAtom("identity", {Var("I")}),
                           MakeAtom("det", {Var("I"), Var("D")})},
                          {{Var("D"), Cst("1")}});
-  ChaseEngine engine(&inst, {c});
+  const std::vector<Constraint> constraints = {c};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(inst.IsConstant(d));
@@ -279,7 +320,8 @@ TEST(ChaseEngineTest, GateSkipsApplications) {
   inst.AddFact(p, {a}, Derivation{}, true, nullptr);
   Constraint grow = MakeTgd("grow", {MakeAtom("p", {Var("X")})},
                             {MakeAtom("q", {Var("X")})});
-  ChaseEngine engine(&inst, {grow});
+  const std::vector<Constraint> constraints = {grow};
+  ChaseEngine engine(&inst, constraints);
   engine.set_gate([](int32_t, const Binding&, const std::vector<FactId>&) {
     return false;
   });
@@ -301,7 +343,8 @@ TEST(ChaseEngineTest, BudgetStopsDivergingChase) {
   ChaseOptions options;
   options.max_facts = 50;
   options.max_rounds = 1000;
-  ChaseEngine engine(&inst, {diverge}, options);
+  const std::vector<Constraint> constraints = {diverge};
+  ChaseEngine engine(&inst, constraints, options);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(stats->budget_exhausted);
@@ -316,7 +359,8 @@ TEST(ChaseEngineTest, ObserverSeesAdditions) {
   inst.AddFact(p, {a}, Derivation{}, true, nullptr);
   Constraint grow = MakeTgd("grow", {MakeAtom("p", {Var("X")})},
                             {MakeAtom("q", {Var("X"), Var("Z")})});
-  ChaseEngine engine(&inst, {grow});
+  const std::vector<Constraint> constraints = {grow};
+  ChaseEngine engine(&inst, constraints);
   int64_t seen = 0;
   engine.set_facts_added_observer(
       [&seen](const std::vector<FactId>& ids) { seen += ids.size(); });
@@ -346,18 +390,20 @@ TEST(ChaseEngineTest, AssociativityOnChainTerminates) {
       {MakeAtom("multiM", {Var("M"), Var("N"), Var("R1")}),
        MakeAtom("multiM", {Var("M"), Var("N"), Var("R2")})},
       {{Var("R1"), Var("R2")}});
-  ChaseEngine engine(&inst, {assoc, functional});
+  const std::vector<Constraint> constraints = {assoc, functional};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_FALSE(stats->budget_exhausted);
   // The alternative association M (N M) must now be present: some fact
   // multiM(N, M, X) and multiM(M, X, R2).
   bool found = false;
+  Pattern p({MakeAtom("multiM", {Var("N"), Var("M"), Var("X")}),
+             MakeAtom("multiM", {Var("M"), Var("X"), Var("R")})},
+            &inst);
   FindHomomorphisms(
-      {MakeAtom("multiM", {Var("N"), Var("M"), Var("X")}),
-       MakeAtom("multiM", {Var("M"), Var("X"), Var("R")})},
-      inst,
-      {{"N", inst.Find(n)}, {"M", inst.Find(m)}, {"R", inst.Find(r2)}},
+      p.compiled, inst,
+      p.Seed({{"N", inst.Find(n)}, {"M", inst.Find(m)}, {"R", inst.Find(r2)}}),
       [&](const Binding&, const std::vector<FactId>&) {
         found = true;
         return false;

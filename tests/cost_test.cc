@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "la/parser.h"
@@ -124,6 +127,31 @@ TEST(EstimatorTest, MncBaseHistogramsAreExact) {
   double total = 0;
   for (double r : base.mnc->row_nnz) total += r;
   EXPECT_DOUBLE_EQ(total, base.shape.nnz);
+}
+
+// The one-pass histogram counts exactly what ToSparse() stores: NaN and
+// -0.0 do not count, subnormals do.
+TEST(EstimatorTest, FromMatrixCountsLikeToSparse) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  matrix::Matrix m(matrix::DenseMatrix(
+      3, 4, {nan, 0.0, -0.0, 1.0,      //
+             tiny, -tiny, 2.5, nan,    //
+             -0.0, 0.0, 0.0, -3.0}));
+  MncHistogram h = MncHistogram::FromMatrix(m);
+  matrix::SparseMatrix s = m.ToSparse();
+  auto as_doubles = [](const std::vector<int64_t>& v) {
+    return std::vector<double>(v.begin(), v.end());
+  };
+  EXPECT_EQ(h.row_nnz, as_doubles(s.RowNnzCounts()));
+  EXPECT_EQ(h.col_nnz, as_doubles(s.ColNnzCounts()));
+  EXPECT_EQ(h.row_nnz, (std::vector<double>{1, 3, 1}));
+
+  Rng rng(9);
+  matrix::Matrix sparse = matrix::RandomSparse(rng, 40, 25, 0.1);
+  MncHistogram hs = MncHistogram::FromMatrix(sparse);
+  EXPECT_EQ(hs.row_nnz, as_doubles(sparse.sparse().RowNnzCounts()));
+  EXPECT_EQ(hs.col_nnz, as_doubles(sparse.sparse().ColNnzCounts()));
 }
 
 TEST(EstimatorTest, MncBeatsNaiveOnStructuredProduct) {

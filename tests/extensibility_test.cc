@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "chase/ast.h"
 #include "common/rng.h"
 #include "engine/evaluator.h"
@@ -39,10 +42,10 @@ TEST(ExtensibilityTest, DeclaredInvolutionIsExploited) {
     EXPECT_EQ(la::ToString(r->best), "rev(rev(A))");
   }
   pacb::Optimizer with(Catalog());
-  with.AddConstraints({MakeTgd(
+  ASSERT_TRUE(with.AddConstraints({MakeTgd(
       "user:rev-involution",
       {MakeAtom(la::vrem::kRev, {Var("M"), Var("R")})},
-      {MakeAtom(la::vrem::kRev, {Var("R"), Var("M")})})});
+      {MakeAtom(la::vrem::kRev, {Var("R"), Var("M")})})}).ok());
   auto r = with.OptimizeText("rev(rev(A))");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(la::ToString(r->best), "A");
@@ -55,11 +58,11 @@ TEST(ExtensibilityTest, DeclaredInvolutionIsExploited) {
 // another true identity the built-ins omit).
 TEST(ExtensibilityTest, DeclaredAggregateRuleIsExploited) {
   pacb::Optimizer with(Catalog());
-  with.AddConstraints({MakeTgd(
+  ASSERT_TRUE(with.AddConstraints({MakeTgd(
       "user:trace-rev",
       {MakeAtom(la::vrem::kRev, {Var("M"), Var("R1")}),
        MakeAtom(la::vrem::kTrace, {Var("R1"), Var("s")})},
-      {MakeAtom(la::vrem::kTrace, {Var("M"), Var("s")})})});
+      {MakeAtom(la::vrem::kTrace, {Var("M"), Var("s")})})}).ok());
   // trace(rev(C)) is NOT trace(C) in general — this test only checks the
   // machinery applies whatever the user declares; semantic responsibility
   // stays with the declarer (the paper's contract as well).
@@ -76,10 +79,10 @@ TEST(ExtensibilityTest, SoundUserRulePreservesSemantics) {
   engine::Workspace ws;
   ws.Put("A", matrix::RandomDense(rng, 50, 20));
   pacb::Optimizer opt(ws.BuildMetaCatalog());
-  opt.AddConstraints({MakeTgd(
+  ASSERT_TRUE(opt.AddConstraints({MakeTgd(
       "user:rev-involution",
       {MakeAtom(la::vrem::kRev, {Var("M"), Var("R")})},
-      {MakeAtom(la::vrem::kRev, {Var("R"), Var("M")})})});
+      {MakeAtom(la::vrem::kRev, {Var("R"), Var("M")})})}).ok());
   auto r = opt.OptimizeText("sum(rev(rev(A)) + A)");
   ASSERT_TRUE(r.ok());
   auto original = engine::Execute(
@@ -87,6 +90,31 @@ TEST(ExtensibilityTest, SoundUserRulePreservesSemantics) {
   auto rewritten = engine::Execute(*r->best, ws);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_TRUE(original->ApproxEquals(*rewritten, 1e-9));
+}
+
+// A declared constraint longer than the chase matches (32 atoms) is
+// rejected when registered, naming it, and none of the batch is added.
+TEST(ExtensibilityTest, OverlongConstraintIsRejectedAtRegistration) {
+  std::vector<chase::Atom> premise;
+  for (int i = 0; i <= 32; ++i) {
+    premise.push_back(MakeAtom(
+        la::vrem::kTr, {Var("M" + std::to_string(i)),
+                        Var("M" + std::to_string(i + 1))}));
+  }
+  pacb::Optimizer opt(Catalog());
+  Status st = opt.AddConstraints(
+      {MakeTgd("user:rev-involution",
+               {MakeAtom(la::vrem::kRev, {Var("M"), Var("R")})},
+               {MakeAtom(la::vrem::kRev, {Var("R"), Var("M")})}),
+       MakeTgd("user:too-long", premise,
+               {MakeAtom(la::vrem::kTr, {Var("M0"), Var("M33")})})});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("user:too-long"), std::string::npos)
+      << st.ToString();
+  // The valid constraint in the rejected batch was not added either.
+  auto r = opt.OptimizeText("rev(rev(A))");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(la::ToString(r->best), "rev(rev(A))");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -536,6 +537,41 @@ TEST(SessionMetricsTest, TextCarriesSessionCounters) {
   EXPECT_EQ(stats.runs, 2);
   EXPECT_EQ(stats.cache_hits, 1);
   EXPECT_EQ(stats.cache_misses, 1);
+}
+
+// The plan_derivation span carries the chase's statistics, and a chase that
+// stops at its fact budget counts in hadad_chase_budget_exhausted_total.
+TEST(SessionTracingTest, PlanDerivationCarriesChaseStatistics) {
+  Rng rng(7);
+  pacb::OptimizerOptions options;
+  options.chase.max_facts = 20;
+  auto built = api::SessionBuilder()
+                   .Put("M", matrix::RandomDense(rng, 40, 12))
+                   .Put("N", matrix::RandomDense(rng, 12, 40))
+                   .Put("v", matrix::RandomDense(rng, 40, 1))
+                   .SetOptimizerOptions(options)
+                   .Tracing()
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::shared_ptr<api::Session> session = *built;
+  EXPECT_NE(session->MetricsText().find("hadad_chase_budget_exhausted_total 0"),
+            std::string::npos);
+  ASSERT_TRUE(session->Run("t(N) %*% t(M) %*% v").ok());
+  EXPECT_NE(session->MetricsText().find("hadad_chase_budget_exhausted_total 1"),
+            std::string::npos);
+
+  std::map<std::string, std::string> attrs;
+  for (const Span& s : session->trace()->Snapshot()) {
+    if (s.name != "plan_derivation") continue;
+    attrs.insert(s.attrs.begin(), s.attrs.end());
+  }
+  for (const char* key :
+       {"chase_rounds", "chase_tgd_applications", "chase_facts_added",
+        "chase_merges", "chase_pruned_applications"}) {
+    EXPECT_TRUE(attrs.contains(key)) << key;
+  }
+  EXPECT_EQ(attrs["chase_budget_exhausted"], "1");
+  EXPECT_NE(attrs["chase_tgd_applications"], "0");
 }
 
 TEST(ExplainAnalyzeTest, RendersExecutedDagWithTimings) {

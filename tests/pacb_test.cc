@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
+#include "core/data.h"
+#include "core/workloads.h"
+#include "engine/workspace.h"
 #include "la/parser.h"
+#include "matrix/generate.h"
 
 namespace hadad::pacb {
 namespace {
@@ -290,6 +301,130 @@ TEST(OptimizerTest, MncEstimatorSelectsSparseAwarePlan) {
   auto r = opt.OptimizeText("(A + B) %*% v1");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(la::ToString(r->best), "A %*% v1 + B %*% v1");
+}
+
+// ---------------------------------------------------------------------------
+// Leaf statistics: read from a version's data once, memoized per version.
+// ---------------------------------------------------------------------------
+
+OptimizerOptions WithEstimator(EstimatorKind kind) {
+  OptimizerOptions options;
+  options.estimator = kind;
+  return options;
+}
+
+// A workspace whose leaf A is sparse enough that even the naive estimate
+// of A %*% B (bounded by nnz(A) x cols(B)) depends on A's nnz.
+engine::Workspace LeafStatisticsWorkspace() {
+  Rng rng(17);
+  engine::Workspace ws;
+  ws.Put("A", matrix::RandomSparse(rng, 300, 40, 0.005));
+  ws.Put("B", matrix::RandomDense(rng, 40, 30));
+  return ws;
+}
+
+// Optimizes `query` once (filling the leaf statistics), applies `mutate` to
+// the workspace, updates A's catalog entry as a session does, and checks
+// that the optimizer now answers exactly as one built fresh over the
+// mutated workspace: best text and both costs, under both estimators.
+void ExpectLeafStatisticsFollow(
+    const std::function<void(engine::Workspace&)>& mutate) {
+  const std::string query = "colSums(A %*% B)";
+  for (EstimatorKind kind : {EstimatorKind::kNaive, EstimatorKind::kMnc}) {
+    SCOPED_TRACE(kind == EstimatorKind::kMnc ? "mnc" : "naive");
+    engine::Workspace ws = LeafStatisticsWorkspace();
+    Optimizer opt(ws.BuildMetaCatalog(), WithEstimator(kind));
+    opt.SetData(&ws.data());
+    ASSERT_TRUE(opt.OptimizeText(query).ok());
+    mutate(ws);
+    if (::testing::Test::HasFatalFailure()) return;
+    const la::MetaCatalog catalog = ws.BuildMetaCatalog();
+    ASSERT_TRUE(opt.UpdateBaseMeta("A", catalog.at("A")).ok());
+    Optimizer fresh(catalog, WithEstimator(kind));
+    fresh.SetData(&ws.data());
+    auto got = opt.OptimizeText(query);
+    auto want = fresh.OptimizeText(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(la::ToString(got->best), la::ToString(want->best));
+    EXPECT_EQ(got->best_cost, want->best_cost);
+    EXPECT_EQ(got->original_cost, want->original_cost);
+  }
+}
+
+// Workspace::Append grows the unpinned live version in place: same handle,
+// more rows, more non-zeros.
+TEST(OptimizerTest, LeafStatisticsFollowInPlaceAppend) {
+  ExpectLeafStatisticsFollow([](engine::Workspace& ws) {
+    const matrix::Matrix* before = ws.Find("A");
+    Rng rng(18);
+    ASSERT_TRUE(ws.Append("A", matrix::RandomDense(rng, 60, 40)).ok());
+    ASSERT_EQ(ws.Find("A"), before) << "append did not grow in place";
+  });
+}
+
+// A same-shape Update binds a new version with a different nnz.
+TEST(OptimizerTest, LeafStatisticsFollowSameShapeUpdate) {
+  ExpectLeafStatisticsFollow([](engine::Workspace& ws) {
+    Rng rng(19);
+    ASSERT_TRUE(ws.Update("A", matrix::RandomSparse(rng, 300, 40, 0.5)).ok());
+  });
+}
+
+// Optimize() is const and runs concurrently: 4 threads sharing one MNC
+// optimizer, all filling its leaf statistics at once, must each return
+// what a sequential optimizer returns for every benchmark pipeline.
+TEST(OptimizerTest, ConcurrentOptimizeMatchesSequential) {
+  core::LaBenchConfig config;
+  config.n_a = 400;
+  config.n_m = 120;
+  config.k = 20;
+  config.n_c = 32;
+  config.n_r = 20;
+  config.x_rows = 120;
+  config.x_cols = 80;
+  Rng rng(2024);
+  engine::Workspace ws = core::MakeLaBenchWorkspace(rng, config);
+  const std::vector<core::Pipeline>& pipelines = core::LaBenchmark();
+  auto describe = [](const RewriteResult& r) {
+    char costs[64];
+    std::snprintf(costs, sizeof(costs), " %.17g %.17g", r.best_cost,
+                  r.original_cost);
+    return la::ToString(r.best) + costs;
+  };
+  std::vector<std::string> sequential;
+  {
+    Optimizer opt(ws.BuildMetaCatalog(), WithEstimator(EstimatorKind::kMnc));
+    opt.SetData(&ws.data());
+    for (const core::Pipeline& p : pipelines) {
+      auto r = opt.OptimizeText(p.text);
+      ASSERT_TRUE(r.ok()) << p.id << ": " << r.status().ToString();
+      sequential.push_back(describe(*r));
+    }
+  }
+  Optimizer shared(ws.BuildMetaCatalog(), WithEstimator(EstimatorKind::kMnc));
+  shared.SetData(&ws.data());
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different pipeline.
+      results[t].resize(pipelines.size());
+      for (size_t i = 0; i < pipelines.size(); ++i) {
+        const size_t k = (i + static_cast<size_t>(t) * 7) % pipelines.size();
+        auto r = shared.OptimizeText(pipelines[k].text);
+        results[t][k] = r.ok() ? describe(*r) : r.status().ToString();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t k = 0; k < pipelines.size(); ++k) {
+      EXPECT_EQ(results[t][k], sequential[k])
+          << "thread " << t << ", " << pipelines[k].id;
+    }
+  }
 }
 
 }  // namespace

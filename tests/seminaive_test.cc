@@ -33,15 +33,18 @@ TEST(RangedMatchingTest, PivotDecompositionCoversExactlyNewMatches) {
   const FactId watermark = static_cast<FactId>(inst.num_facts());
   add_edges(20);
 
-  std::vector<Atom> pattern = {MakeAtom("edge", {Var("X"), Var("Y")}),
-                               MakeAtom("edge", {Var("Y"), Var("Z")})};
+  const std::vector<Atom> atoms = {MakeAtom("edge", {Var("X"), Var("Y")}),
+                                   MakeAtom("edge", {Var("Y"), Var("Z")})};
+  std::vector<std::string> vars;
+  const std::vector<CompiledAtom> pattern = CompileAtoms(atoms, &inst, &vars);
+  const Binding seed(vars.size(), kNoNode);
   auto key = [](const std::vector<FactId>& facts) {
     return std::to_string(facts[0]) + "," + std::to_string(facts[1]);
   };
   // All matches.
   std::set<std::string> all;
-  FindHomomorphisms(pattern, inst, {}, [&](const Binding&,
-                                           const std::vector<FactId>& f) {
+  FindHomomorphisms(pattern, inst, seed, [&](const Binding&,
+                                             const std::vector<FactId>& f) {
     all.insert(key(f));
     return true;
   });
@@ -51,11 +54,12 @@ TEST(RangedMatchingTest, PivotDecompositionCoversExactlyNewMatches) {
     std::vector<FactRange> ranges(2);
     ranges[0].hi = watermark;
     ranges[1].hi = watermark;
-    FindHomomorphismsRanged(pattern, inst, {}, ranges,
-                            [&](const Binding&, const std::vector<FactId>& f) {
-                              old_only.insert(key(f));
-                              return true;
-                            });
+    FindHomomorphisms(pattern, inst, seed,
+                      [&](const Binding&, const std::vector<FactId>& f) {
+                        old_only.insert(key(f));
+                        return true;
+                      },
+                      &ranges);
   }
   // Pivot decomposition of the new matches.
   std::set<std::string> pivoted;
@@ -63,12 +67,13 @@ TEST(RangedMatchingTest, PivotDecompositionCoversExactlyNewMatches) {
     std::vector<FactRange> ranges(2);
     for (size_t i = 0; i < pivot; ++i) ranges[i].hi = watermark;
     ranges[pivot].lo = watermark;
-    FindHomomorphismsRanged(pattern, inst, {}, ranges,
-                            [&](const Binding&, const std::vector<FactId>& f) {
-                              EXPECT_TRUE(pivoted.insert(key(f)).second)
-                                  << "duplicate match across pivots";
-                              return true;
-                            });
+    FindHomomorphisms(pattern, inst, seed,
+                      [&](const Binding&, const std::vector<FactId>& f) {
+                        EXPECT_TRUE(pivoted.insert(key(f)).second)
+                            << "duplicate match across pivots";
+                        return true;
+                      },
+                      &ranges);
   }
   // old ∪ pivoted-new = all, disjointly.
   EXPECT_EQ(old_only.size() + pivoted.size(), all.size());
@@ -127,7 +132,8 @@ TEST(SemiNaiveEngineTest, TransitiveClosureMatchesNaiveFixpoint) {
                           {MakeAtom("edge", {Var("X"), Var("Z")})});
   Instance inst;
   build(inst);
-  ChaseEngine engine(&inst, {tc});
+  const std::vector<Constraint> constraints = {tc};
+  ChaseEngine engine(&inst, constraints);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   // Closure of a 7-node path: C(7,2) = 21 edges.

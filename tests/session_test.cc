@@ -100,6 +100,32 @@ TEST(SessionBuilderTest, MorpheusJoinOverUnknownNamesRejected) {
   EXPECT_EQ(session.status().code(), StatusCode::kNotFound);
 }
 
+// A view's constraints must fit the chase's pattern limit (32 atoms): a
+// chain of 31 additions builds and answers queries; at 32 additions Build()
+// fails with a typed error naming the view instead of the first Run
+// aborting inside the matcher.
+TEST(SessionBuilderTest, OverlongViewDefinitionIsATypedError) {
+  auto chain = [](int additions) {
+    std::string text = "A";
+    for (int i = 0; i < additions; ++i) text = "(" + text + " + A)";
+    return text;
+  };
+  TestData d = MakeTestData();
+  auto fits = SessionBuilder().Put("A", d.c).AddView("V", chain(31)).Build();
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  auto answer = (*fits)->Run(chain(31));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(
+      answer->ApproxEquals(matrix::ScalarMultiply(32.0, d.c), 1e-9));
+
+  auto too_long =
+      SessionBuilder().Put("A", d.c).AddView("V", chain(32)).Build();
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_long.status().message().find("view 'V'"), std::string::npos)
+      << too_long.status().ToString();
+}
+
 TEST(SessionBuilderTest, BuildersAreSingleUse) {
   TestData d = MakeTestData();
   SessionBuilder builder;
