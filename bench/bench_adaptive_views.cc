@@ -14,14 +14,25 @@
 // 1e-9; the driver exits non-zero on a mismatch or if the warmed path is
 // not at least 1.5x faster than cold.
 //
-//   $ ./build/bench/bench_adaptive_views
+// A second workload, sweep_overhead, prices the advisor sweep that follows
+// every execution while nothing is pending: a warm pipeline over two
+// 20000x100 dense leaves runs on a plain session and on an AdaptiveViews
+// session whose byte budget admits no candidate, so every Run pays a full
+// sweep (each qualifying subexpression re-estimated) and nothing ever
+// materializes. Speedup = plain / adaptive seconds per Run; results are
+// verified against the plain session at 1e-9.
+//
+//   $ ./build/bench/bench_adaptive_views [--json=PATH]
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
+#include "bench_json.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "matrix/generate.h"
@@ -33,6 +44,18 @@ namespace {
 
 constexpr int kQueries = 3;
 constexpr int kTimedRounds = 30;
+constexpr double kTolerance = 1e-9;
+
+// sweep_overhead: leaf shape (2M dense cells each), warm-up runs (past the
+// advisor's min_hits, so every sweep scores candidates), and timed blocks
+// of runs per session, interleaved; the median block is reported.
+constexpr int64_t kSweepRows = 20000;
+constexpr int64_t kSweepCols = 100;
+constexpr int kSweepWarmRuns = 5;
+constexpr int kSweepBlocks = 5;
+constexpr int kSweepRunsPerBlock = 10;
+constexpr char kSweepPipeline[] =
+    "colSums(t(A) %*% B) + colSums(t(B) %*% A)";
 
 std::vector<std::string> QueryMix() {
   std::vector<std::string> queries;
@@ -65,7 +88,7 @@ double TimedSweep(api::Session& session,
         std::printf("run failed: %s\n", result.status().ToString().c_str());
         return -1.0;
       }
-      if (!result->ApproxEquals(expected[q], 1e-9)) {
+      if (!result->ApproxEquals(expected[q], kTolerance)) {
         std::printf("VERIFICATION FAILED for %s\n", queries[q].c_str());
         return -1.0;
       }
@@ -74,9 +97,72 @@ double TimedSweep(api::Session& session,
   return timer.ElapsedSeconds();
 }
 
+// Median seconds per Run of kSweepPipeline on each session, timed in
+// interleaved blocks after kSweepWarmRuns; false on a failed run or a
+// result that differs from the plain session's beyond kTolerance.
+bool SweepOverhead(double* plain_s, double* adaptive_s) {
+  Rng rng(7);
+  const matrix::Matrix a = matrix::RandomDense(rng, kSweepRows, kSweepCols);
+  const matrix::Matrix b = matrix::RandomDense(rng, kSweepRows, kSweepCols);
+  auto build = [&](bool adaptive) {
+    api::SessionBuilder builder;
+    builder.Put("A", a).Put("B", b);
+    if (adaptive) {
+      views::AdaptiveOptions options;
+      options.budget_bytes = 1;  // Admits no candidate: nothing pends.
+      builder.AdaptiveViews(options);
+    }
+    return builder.Build().value();
+  };
+  auto plain = build(false);
+  auto adaptive = build(true);
+  auto expected = plain->Run(kSweepPipeline);
+  if (!expected.ok()) {
+    std::printf("sweep baseline failed: %s\n",
+                expected.status().ToString().c_str());
+    return false;
+  }
+  auto run = [&](api::Session& session, int runs) {
+    for (int i = 0; i < runs; ++i) {
+      auto result = session.Run(kSweepPipeline);
+      if (!result.ok() || !result->ApproxEquals(*expected, kTolerance)) {
+        std::printf("SWEEP VERIFICATION FAILED\n");
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!run(*plain, kSweepWarmRuns) || !run(*adaptive, kSweepWarmRuns)) {
+    return false;
+  }
+  std::vector<double> plain_blocks;
+  std::vector<double> adaptive_blocks;
+  for (int block = 0; block < kSweepBlocks; ++block) {
+    for (auto [session, blocks] :
+         {std::pair{plain.get(), &plain_blocks},
+          std::pair{adaptive.get(), &adaptive_blocks}}) {
+      Timer timer;
+      if (!run(*session, kSweepRunsPerBlock)) return false;
+      blocks->push_back(timer.ElapsedSeconds() / kSweepRunsPerBlock);
+    }
+  }
+  if (adaptive->stats().adaptive_views_created != 0) {
+    std::printf("SWEEP FAILED: a view was admitted under a 1-byte budget\n");
+    return false;
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  *plain_s = median(plain_blocks);
+  *adaptive_s = median(adaptive_blocks);
+  return true;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonWriter json("bench_adaptive_views", argc, argv);
   const std::vector<std::string> queries = QueryMix();
 
   // Cold configuration doubles as the ground truth.
@@ -130,6 +216,9 @@ int main() {
   row("cold (no views)", cold_s);
   row("warmed (adaptive)", warmed_s);
   row("oracle (hand views)", oracle_s);
+  json.Add("cold", cold_s, /*speedup=*/-1.0, /*threads=*/1, kTolerance);
+  json.Add("warmed", warmed_s, cold_s / warmed_s, /*threads=*/1, kTolerance);
+  json.Add("oracle", oracle_s, cold_s / oracle_s, /*threads=*/1, kTolerance);
 
   api::SessionStats stats = adaptive_session->stats();
   std::printf("\nadaptive store: %lld views created, %lld evicted, "
@@ -140,11 +229,26 @@ int main() {
               static_cast<long long>(stats.adaptive_bytes_in_use),
               static_cast<long long>(stats.adaptive_budget_bytes));
 
+  double plain_run_s = 0.0;
+  double adaptive_run_s = 0.0;
+  if (!SweepOverhead(&plain_run_s, &adaptive_run_s)) return 1;
+  std::printf("\n== advisor sweep overhead: %s over %lldx%lld dense leaves "
+              "(verified at 1e-9) ==\n",
+              kSweepPipeline, static_cast<long long>(kSweepRows),
+              static_cast<long long>(kSweepCols));
+  std::printf("%-22s %14s %10s\n", "configuration", "per-run[ms]",
+              "speedup");
+  std::printf("%-22s %14.3f\n", "plain session", plain_run_s * 1e3);
+  std::printf("%-22s %14.3f %9.2fx\n", "adaptive, no admits",
+              adaptive_run_s * 1e3, plain_run_s / adaptive_run_s);
+  json.Add("sweep_overhead", adaptive_run_s, plain_run_s / adaptive_run_s,
+           /*threads=*/1, kTolerance);
+
   const double speedup = warmed_s > 0 ? cold_s / warmed_s : 0.0;
   if (speedup < 1.5) {
     std::printf("FAILED: warmed speedup %.2fx < 1.5x\n", speedup);
     return 1;
   }
   std::printf("warmed-path speedup %.2fx (>= 1.5x required)\n", speedup);
-  return 0;
+  return json.Write() ? 0 : 1;
 }

@@ -17,7 +17,9 @@
 #                            results against the committed baseline with
 #                            scripts/bench_diff.py (speedup regressions
 #                            beyond 15% fail); also smoke-runs the Fig. 9
-#                            and Fig. 12 factorized benches
+#                            and Fig. 12 factorized benches, and the
+#                            adaptive-views bench (exits non-zero on a
+#                            1e-9 mismatch or a warmed speedup < 1.5x)
 #   ./scripts/ci.sh trace    Observability validation: builds and runs
 #                            examples/trace_demo with tracing on, then
 #                            validates the emitted Chrome trace-event JSON
@@ -109,7 +111,8 @@ case "$mode" in
       -DHADAD_BUILD_EXAMPLES=OFF
     cmake --build build-bench --parallel "$(nproc)" --target \
       bench_session_cache bench_update_refresh bench_server_concurrency \
-      bench_simd_kernels bench_fig9_morpheus bench_fig12_morpheus_overhead
+      bench_simd_kernels bench_adaptive_views bench_fig9_morpheus \
+      bench_fig12_morpheus_overhead
     # Factorized smoke: both figures run on a Session over a normalized M
     # (nm_* DAG kernels); fig9 aborts when the rewritten and as-stated
     # results disagree beyond 1e-6.
@@ -123,13 +126,16 @@ case "$mode" in
       --json=build-bench/bench_server_concurrency.json
     ./build-bench/bench/bench_simd_kernels \
       --json=build-bench/bench_simd_kernels.json
+    ./build-bench/bench/bench_adaptive_views \
+      --json=build-bench/bench_adaptive_views.json
     # Merge the per-driver documents into the machine-readable summary that
     # perf tooling consumes (the stdout tables above are for humans).
     python3 - <<'PYEOF'
 import json
 
 drivers = ["bench_session_cache", "bench_update_refresh",
-           "bench_server_concurrency", "bench_simd_kernels"]
+           "bench_server_concurrency", "bench_simd_kernels",
+           "bench_adaptive_views"]
 merged = {"schema_version": 1, "generated_by": "scripts/ci.sh bench",
           "benchmarks": []}
 for name in drivers:

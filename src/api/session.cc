@@ -210,11 +210,11 @@ Result<exec::CompiledPlan> Session::CompileQuery(
   // Respect the engine profile (kSmart applies its internal rewrites
   // before execution), then hand the plan to the DAG engine.
   HADAD_ASSIGN_OR_RETURN(la::ExprPtr planned,
-                         engine_->Plan(expr, &exec_catalog_));
+                         engine_->Plan(expr, &optimizer_->catalog()));
+  const cost::LeafMetaFn leaf_meta = optimizer_->LeafResolver();
   HADAD_ASSIGN_OR_RETURN(
       exec::CompiledPlan compiled,
-      executor_->Compile(planned, workspace_, &exec_catalog_,
-                         fusion_barriers));
+      executor_->Compile(planned, workspace_, &leaf_meta, fusion_barriers));
   compiled_plans_->Inc();
   fused_nodes_->Inc(compiled.fused_nodes);
   fused_ops_eliminated_->Inc(compiled.fused_ops_eliminated);
@@ -428,6 +428,16 @@ namespace {
 // visible to queries — each exists only inside the unique state lock).
 constexpr char kUserDeltaPrefix[] = "__delta_rows_";
 
+// What the session registers with the optimizer for a stored matrix: its
+// shape. The optimizer reads nnz (and MNC histograms) from the bound
+// version itself, on first use.
+la::MatrixMeta ShapeOf(const matrix::Matrix& m) {
+  la::MatrixMeta meta;
+  meta.rows = m.rows();
+  meta.cols = m.cols();
+  return meta;
+}
+
 bool ReferencesAny(const la::Expr& e, const std::set<std::string>& names) {
   std::set<std::string> leaves;
   la::CollectMatrixRefs(e, &leaves);
@@ -611,7 +621,6 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
       case Mutation::Op::kRemove:
         c.old_version = workspace_.Take(m.name);
         (void)optimizer_->RemoveBaseMeta(m.name);
-        exec_catalog_.erase(m.name);
         break;
     }
     // A Put that introduced the name has no prior version.
@@ -624,15 +633,13 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
       change.changed.insert(m.name);
     }
     if (m.op != Mutation::Op::kRemove) {
-      la::MatrixMeta meta = engine::Workspace::MetaFor(
-          *workspace_.Find(m.name), flag_detect_limit_);
+      const la::MatrixMeta meta = ShapeOf(*workspace_.Find(m.name));
       Status registered = added ? optimizer_->AddBaseMeta(m.name, meta)
                                 : optimizer_->UpdateBaseMeta(m.name, meta);
       if (!registered.ok()) {
         RollbackBatch(&journal, &refreshed, staged);
         return registered;
       }
-      exec_catalog_[m.name] = meta;
     }
   }
 
@@ -665,7 +672,6 @@ Status Session::MutateBatchLocked(std::vector<Mutation>* mutations,
                     "re-registering view '" + vname + "': " +
                         reregistered.message() + " (rolled back)");
     }
-    exec_catalog_[vname] = engine::Workspace::MetaFor(*workspace_.Find(vname));
     change.changed.insert(vname);
   }
   for (const std::string& name : staged) workspace_.Erase(name);
@@ -702,28 +708,23 @@ void Session::RollbackBatch(std::vector<BaseChange>* journal,
       workspace_.Erase(it->name);  // A Put that introduced the name.
     }
   }
-  // Re-derive the dependent facts from the restored values.
+  // Re-register the restored shapes.
   for (const BaseChange& c : *journal) {
     const matrix::Matrix* cur = workspace_.Find(c.name);
     if (cur == nullptr) {
       // A rolled-back Put: the name is gone again.
       (void)optimizer_->RemoveBaseMeta(c.name);
-      exec_catalog_.erase(c.name);
       continue;
     }
-    la::MatrixMeta meta = engine::Workspace::MetaFor(*cur,
-                                                     flag_detect_limit_);
+    const la::MatrixMeta meta = ShapeOf(*cur);
     if (!optimizer_->UpdateBaseMeta(c.name, meta).ok()) {
       (void)optimizer_->AddBaseMeta(c.name, meta);  // Restored removal.
     }
-    exec_catalog_[c.name] = meta;
   }
   // Re-register views in forward registration order, as Build() did.
   for (const RefreshedView& v : *refreshed) {
     (void)optimizer_->RemoveView(v.name);
     (void)optimizer_->AddView(v.name, v.def);
-    exec_catalog_[v.name] =
-        engine::Workspace::MetaFor(*workspace_.Find(v.name));
   }
 }
 
@@ -731,17 +732,20 @@ Result<matrix::Matrix> Session::ComputeViewRefresh(
     const std::string& vname, const la::ExprPtr& def,
     const views::RefreshPlan& plan, const views::DataChange& change,
     std::vector<std::string>* staged) {
+  const cost::LeafMetaFn leaf_meta = optimizer_->LeafResolver();
   if (plan.mode == views::RefreshMode::kDelta) {
-    // The appended rows are staged once per leaf, not once per view.
+    // The appended rows are staged once per leaf, not once per view. They
+    // are the one leaf the optimizer does not know: the compiler counts
+    // them from the workspace.
     if (workspace_.Find(plan.delta_name) == nullptr) {
       workspace_.Put(plan.delta_name, *change.appended.at(plan.leaf));
       staged->push_back(plan.delta_name);
     }
     Result<matrix::Matrix> delta = executor_->Run(
-        plan.delta, workspace_, /*stats=*/nullptr, &exec_catalog_);
+        plan.delta, workspace_, /*stats=*/nullptr, &leaf_meta);
     if (delta.ok()) return matrix::Add(*workspace_.Find(vname), *delta);
   }
-  return executor_->Run(def, workspace_, /*stats=*/nullptr, &exec_catalog_);
+  return executor_->Run(def, workspace_, /*stats=*/nullptr, &leaf_meta);
 }
 
 SessionStats Session::stats() const {
@@ -884,11 +888,6 @@ SessionBuilder& SessionBuilder::AddConstraints(
   return *this;
 }
 
-SessionBuilder& SessionBuilder::SetFlagDetectLimit(int64_t limit) {
-  flag_detect_limit_ = limit;
-  return *this;
-}
-
 Result<std::shared_ptr<Session>> SessionBuilder::Build() {
   if (built_) {
     return Status::InvalidArgument(
@@ -1003,17 +1002,15 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
   // state members below are lock-guarded for the session's lifetime — take
   // the writer lock so the initialization writes type-check like any other.
   common::WriterMutexLock state(&raw->views_mu_);
-  for (auto& [name, m] : matrices_) {
-    session->workspace_.Put(name, std::move(m));
-  }
-
-  // The optimizer's base catalog: stored matrices plus the shapes of any
-  // normalized matrices (their data lives in the registry the executor
+  // The optimizer's base catalog: the shapes of the stored matrices and of
+  // any normalized matrices (their data lives in the registry the executor
   // compiles against, not the workspace). View shapes are registered below
   // by AddView itself.
-  la::MetaCatalog catalog =
-      session->workspace_.BuildMetaCatalog(flag_detect_limit_);
-  la::MetaCatalog normalized_shapes;
+  la::MetaCatalog catalog;
+  for (auto& [name, m] : matrices_) {
+    catalog[name] = ShapeOf(m);
+    session->workspace_.Put(name, std::move(m));
+  }
   if (!normalized_.empty()) {
     session->morpheus_ = std::make_unique<morpheus::MorpheusEngine>();
     for (auto& [name, nm] : normalized_) {
@@ -1023,7 +1020,6 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
       meta.nnz = static_cast<double>(nm.rows()) *
                  static_cast<double>(nm.cols());
       catalog[name] = meta;
-      normalized_shapes[name] = meta;
       session->morpheus_->Register(name, std::move(nm));
     }
   }
@@ -1044,14 +1040,15 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
   // Materialize views into the workspace (so execution can scan them) and
   // register their definitions with the optimizer (so rewritings can reach
   // them). Later views may reference earlier ones.
+  const cost::LeafMetaFn leaf_meta = session->optimizer_->LeafResolver();
   for (const PendingView& v : views_) {
     auto def = la::ParseExpression(v.text);
     if (!def.ok()) {
       return Status(def.status().code(), "view '" + v.name +
                                              "': " + def.status().message());
     }
-    Result<matrix::Matrix> value =
-        session->executor_->Run(def.value(), session->workspace_);
+    Result<matrix::Matrix> value = session->executor_->Run(
+        def.value(), session->workspace_, /*stats=*/nullptr, &leaf_meta);
     if (!value.ok()) {
       return Status(value.status().code(),
                     "view '" + v.name + "': " + value.status().message());
@@ -1070,7 +1067,6 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
   for (const auto& [name, nm] : normalized_) {
     raw->morpheus_names_.insert(name);
   }
-  session->flag_detect_limit_ = flag_detect_limit_;
   if (!constraints_.empty()) {
     HADAD_RETURN_IF_ERROR(
         session->optimizer_->AddConstraints(std::move(constraints_)));
@@ -1078,23 +1074,12 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
 
   session->engine_ = std::make_unique<engine::Engine>(profile_,
                                                       &session->workspace_);
-  // Built after view materialization so view leaves resolve without a
-  // per-query workspace scan; normalized shapes serve kSmart planning.
-  raw->exec_catalog_ = session->workspace_.BuildMetaCatalog();
-  raw->exec_catalog_.merge(normalized_shapes);
 
   if (adaptive_.has_value()) {
-    std::unique_ptr<cost::SparsityEstimator> advisor_estimator;
-    if (estimator_.has_value() && *estimator_ == pacb::EstimatorKind::kMnc) {
-      advisor_estimator = std::make_unique<cost::MncEstimator>();
-    } else {
-      advisor_estimator = std::make_unique<cost::NaiveMetadataEstimator>();
-    }
     views::AdaptiveViewManager::Host host;
     // `raw` is safe to capture: the manager is a member and never outlives.
     host.workspace = &raw->workspace_;
     host.optimizer = raw->optimizer_.get();
-    host.exec_catalog = &raw->exec_catalog_;
     host.state_mu = &raw->views_mu_;
     host.trace = raw->trace_.get();
     host.evaluate = [raw](const la::ExprPtr& def, engine::WorkspaceView ws) {
@@ -1104,7 +1089,7 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
       raw->view_generation_.fetch_add(1, std::memory_order_release);
     };
     session->adaptive_ = std::make_unique<views::AdaptiveViewManager>(
-        std::move(host), *adaptive_, std::move(advisor_estimator));
+        std::move(host), *adaptive_);
   }
   return session;
 }

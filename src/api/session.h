@@ -194,10 +194,11 @@ class PreparedQuery {
 //
 // The data layer is *versioned and mutable*: Update()/Append()/Remove()
 // change base matrices after Build() and propagate through every dependent
-// layer — optimizer base-metadata facts, user views (refreshed in place,
+// layer — the optimizer's base shapes (it reads leaf statistics from the
+// new version on first use), user views (refreshed in place,
 // incrementally on appends when the definition allows), adaptive views
-// (invalidated or delta-refreshed in the background), the exec leaf
-// catalog, and the plan cache (per-leaf epoch invalidation). In-flight
+// (invalidated or delta-refreshed in the background), and the plan cache
+// (per-leaf epoch invalidation). In-flight
 // queries are snapshot-isolated: they never observe a half-applied
 // mutation, and they finish against the exact versions they pinned.
 // Mutate() applies a whole batch under one writer critical section with a
@@ -263,10 +264,9 @@ class Session : public std::enable_shared_from_this<Session> {
   Status Remove(const std::string& name) HADAD_EXCLUDES(views_mu_);
 
   // Binds base matrix `name` after Build(). A genuinely new name joins the
-  // session like a builder-time Put: the optimizer gains its base-metadata
-  // facts (shape, nnz, structural flags up to the flag-detect limit) and
-  // the exec leaf catalog its entry, so the very next Prepare() can plan
-  // over it — while cached plans for unrelated leaves stay warm (the new
+  // session like a builder-time Put: the optimizer gains its shape (and
+  // reads its statistics on first use), so the very next Prepare() can
+  // plan over it — while cached plans for unrelated leaves stay warm (the new
   // name's epoch was never stamped into them). An existing base name is
   // replaced as by Update (view refresh, rollback, adaptive propagation).
   // InvalidArgument for empty/reserved names, view names, and
@@ -403,8 +403,8 @@ class Session : public std::enable_shared_from_this<Session> {
   // Undoes a half-applied batch: erases the `staged` delta rows, restores
   // the pre-batch versions (handle and epoch) of refreshed views, then of
   // bases in reverse journal order (an Append truncates its grown value
-  // instead), then re-derives the optimizer and exec-catalog facts and
-  // view registrations from the restored state.
+  // instead), then re-registers the restored shapes and the refreshed
+  // views with the optimizer.
   void RollbackBatch(std::vector<BaseChange>* journal,
                      std::vector<RefreshedView>* refreshed,
                      const std::vector<std::string>& staged)
@@ -460,11 +460,10 @@ class Session : public std::enable_shared_from_this<Session> {
   // The workspace is multi-version (MVCC): mutations install new versions
   // under the unique views_mu_ hold; queries pin a snapshot under a shared
   // hold and then read it with no session lock at all (the Workspace's own
-  // internal mutex guards only the version-chain bookkeeping). It is not
+  // internal mutex guards only its epoch map and pin table). It is not
   // GUARDED_BY-annotated: its epoch/generation surface is read lock-free
   // (e.g. PlanFresh), and the public workspace() accessor hands out
-  // read-only references. The annotated boundary is the catalogs/views
-  // below.
+  // read-only references. The annotated boundary is the view lists below.
   engine::Workspace workspace_;
   std::unique_ptr<pacb::Optimizer> optimizer_;
   std::unique_ptr<engine::Engine> engine_;
@@ -477,11 +476,6 @@ class Session : public std::enable_shared_from_this<Session> {
   // Names bound into Morpheus declarations (join members, normalized
   // matrices): immutable — the declared relationships would silently break.
   std::set<std::string> morpheus_names_ HADAD_GUARDED_BY(views_mu_);
-  int64_t flag_detect_limit_ = 0;
-  // Leaf metadata (shapes + exact nnz, views included) handed to the plan
-  // compiler so Execute never rescans the workspace. Data mutations, view
-  // refreshes, and adaptive install/evict all write through it.
-  la::MetaCatalog exec_catalog_ HADAD_GUARDED_BY(views_mu_);
 
   mutable common::SharedMutex cache_mu_;
   mutable std::unordered_map<std::string, std::shared_ptr<const PreparedPlan>>
@@ -538,8 +532,9 @@ class Session : public std::enable_shared_from_this<Session> {
   mutable std::atomic<int64_t> query_seq_{0};
 
   // The session state lock: views_mu_ guards the mutable session state
-  // (optimizer facts and views, exec_catalog_, and the workspace's live
-  // name→version binding). Optimization and plan compilation take it
+  // (optimizer facts and views — the one owner of leaf metadata, which
+  // plan compilation and the view advisor also read — and the workspace's
+  // live name→version binding). Optimization and plan compilation take it
   // shared; data mutation and view install/evict/refresh take it unique.
   // Query EXECUTION does not hold it at all: RunPlan pins an MVCC workspace
   // snapshot under a brief shared hold and runs lock-free against the
@@ -625,9 +620,6 @@ class SessionBuilder {
   SessionBuilder& SetOptimizerOptions(pacb::OptimizerOptions options);
   // Extends the MMC constraint knowledge base (§1's extensibility contract).
   SessionBuilder& AddConstraints(std::vector<chase::Constraint> constraints);
-  // Detect structural flags (triangular/orthogonal/SPD) for square matrices
-  // up to `limit` rows when building the metadata catalog.
-  SessionBuilder& SetFlagDetectLimit(int64_t limit);
 
   Result<std::shared_ptr<Session>> Build();
 
@@ -648,7 +640,6 @@ class SessionBuilder {
   std::optional<views::AdaptiveOptions> adaptive_;
   std::optional<obs::TraceOptions> tracing_;
   engine::Profile profile_ = engine::Profile::kNaive;
-  int64_t flag_detect_limit_ = 0;
   bool built_ = false;
 };
 

@@ -214,8 +214,9 @@ int64_t Workspace::RetiredTotal() const {
 
 int64_t Workspace::RetainedBytes() const { return counts_->bytes.load(); }
 
-la::MatrixMeta Workspace::MetaFor(const matrix::Matrix& m,
-                                  int64_t flag_detect_limit) {
+namespace {
+
+la::MatrixMeta MetaFor(const matrix::Matrix& m, int64_t flag_detect_limit) {
   la::MatrixMeta meta;
   meta.rows = m.rows();
   meta.cols = m.cols();
@@ -231,6 +232,8 @@ la::MatrixMeta Workspace::MetaFor(const matrix::Matrix& m,
   }
   return meta;
 }
+
+}  // namespace
 
 la::MetaCatalog Workspace::BuildMetaCatalog(int64_t flag_detect_limit) const {
   la::MetaCatalog catalog;

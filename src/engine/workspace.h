@@ -205,13 +205,11 @@ class Workspace {
   int64_t RetainedBytes() const;
 
   // Derives the metadata catalog (shapes + exact nnz) from the stored
-  // matrices; flags are detected structurally for square matrices up to
-  // `flag_detect_limit` rows (type detection is O(n^2)).
+  // matrices, for standalone optimizers; flags are detected structurally
+  // for square matrices up to `flag_detect_limit` rows (type detection is
+  // O(n^2)). api::Session registers shapes only: its optimizer reads the
+  // rest from the data it is bound to.
   la::MetaCatalog BuildMetaCatalog(int64_t flag_detect_limit = 0) const;
-
-  // Metadata of a single matrix, with the same flag-detection policy.
-  static la::MatrixMeta MetaFor(const matrix::Matrix& m,
-                                int64_t flag_detect_limit = 0);
 
  private:
   friend class Snapshot;

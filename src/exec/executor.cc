@@ -14,19 +14,19 @@ Executor::Executor(const engine::ExecOptions& options,
 
 Result<CompiledPlan> Executor::Compile(
     const la::ExprPtr& expr, engine::WorkspaceView workspace,
-    const la::MetaCatalog* catalog,
+    const cost::LeafMetaFn* leaf_meta,
     const std::set<std::string>* fusion_barriers) const {
   CompileOptions options = compile_options_;
   options.fusion_barriers = fusion_barriers;
-  return exec::Compile(expr, workspace, catalog, options);
+  return exec::Compile(expr, workspace, leaf_meta, options);
 }
 
 Result<matrix::Matrix> Executor::Run(
     const la::ExprPtr& expr, engine::WorkspaceView workspace,
-    engine::ExecStats* stats, const la::MetaCatalog* catalog,
+    engine::ExecStats* stats, const cost::LeafMetaFn* leaf_meta,
     const std::set<std::string>* fusion_barriers) const {
   HADAD_ASSIGN_OR_RETURN(
-      CompiledPlan plan, Compile(expr, workspace, catalog, fusion_barriers));
+      CompiledPlan plan, Compile(expr, workspace, leaf_meta, fusion_barriers));
   return RunCompiled(plan, workspace, stats);
 }
 

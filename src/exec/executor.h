@@ -39,24 +39,27 @@ class Executor {
   const engine::ExecOptions& options() const { return options_; }
 
   // Compile (CSE + kernel selection + operator fusion) and execute over
-  // `workspace`. `catalog`, when non-null, supplies leaf metadata without
-  // rescanning the workspace (api::Session passes its maintained leaf
-  // catalog). `fusion_barriers`, when non-null, names canonical forms the
-  // fusion pass must keep materialized (adaptive-view candidate roots); it
-  // only needs to outlive this call. Thread-safe: concurrent Run()s share
-  // the pool; the caller must ensure `workspace` does not mutate mid-call.
+  // `workspace`. `leaf_meta`, when non-null, answers leaf rows, cols and
+  // nnz without rescanning the workspace (api::Session passes
+  // pacb::Optimizer::LeafResolver() under its state lock; see
+  // exec::Compile). `fusion_barriers`, when non-null, names canonical forms
+  // the fusion pass must keep materialized (adaptive-view candidate roots);
+  // both only need to outlive this call. Thread-safe: concurrent Run()s
+  // share the pool; the caller must ensure `workspace` does not mutate
+  // mid-call.
   Result<matrix::Matrix> Run(
       const la::ExprPtr& expr, engine::WorkspaceView workspace,
       engine::ExecStats* stats = nullptr,
-      const la::MetaCatalog* catalog = nullptr,
+      const cost::LeafMetaFn* leaf_meta = nullptr,
       const std::set<std::string>* fusion_barriers = nullptr) const;
 
   // The physical plan Run() would execute; exposed for tests, Explain, and
-  // api::Session's per-plan DAG cache. Thread-safe (pure function of its
-  // arguments plus the frozen compile options).
+  // api::Session's per-plan DAG cache. Thread-safe when `leaf_meta` is
+  // (otherwise a pure function of its arguments plus the frozen compile
+  // options).
   Result<CompiledPlan> Compile(
       const la::ExprPtr& expr, engine::WorkspaceView workspace,
-      const la::MetaCatalog* catalog = nullptr,
+      const cost::LeafMetaFn* leaf_meta = nullptr,
       const std::set<std::string>* fusion_barriers = nullptr) const;
 
   // Executes an already-compiled plan (api::PreparedQuery caches one per

@@ -54,9 +54,9 @@ double EstimatedDensity(const cost::ClassMeta& m) {
 
 class Compiler {
  public:
-  Compiler(engine::WorkspaceView workspace, const la::MetaCatalog* catalog,
+  Compiler(engine::WorkspaceView workspace, const cost::LeafMetaFn* leaf_meta,
            const CompileOptions& options)
-      : workspace_(workspace), catalog_(catalog), options_(options) {}
+      : workspace_(workspace), leaf_meta_(leaf_meta), options_(options) {}
 
   Result<CompiledPlan> Run(const ExprPtr& expr) {
     plan_.root_expr = expr;
@@ -328,15 +328,17 @@ class Compiler {
   }
 
   Result<cost::ClassMeta> LeafMeta(const std::string& name) {
-    const matrix::Matrix* m = workspace_.Find(name);
-    if (catalog_ != nullptr) {
-      auto it = catalog_->find(name);
-      if (it != catalog_->end()) {
-        // A known nnz is used as is; MakeBase counts only an unknown one.
-        return estimator_.MakeBase(it->second,
-                                   it->second.nnz >= 0 ? nullptr : m);
+    if (leaf_meta_ != nullptr) {
+      Result<cost::ClassMeta> resolved = (*leaf_meta_)(name);
+      if (resolved.ok()) {
+        la::MatrixMeta meta;  // All the naive estimator below reads.
+        meta.rows = resolved->shape.rows;
+        meta.cols = resolved->shape.cols;
+        meta.nnz = resolved->shape.nnz;
+        return estimator_.MakeBase(meta, nullptr);
       }
     }
+    const matrix::Matrix* m = workspace_.Find(name);
     if (m == nullptr) {
       return Status::NotFound("no matrix named '" + name + "' in workspace");
     }
@@ -627,7 +629,7 @@ class Compiler {
   }
 
   engine::WorkspaceView workspace_;
-  const la::MetaCatalog* catalog_;
+  const cost::LeafMetaFn* leaf_meta_;
   const CompileOptions& options_;
   cost::NaiveMetadataEstimator estimator_;
   CompiledPlan plan_;
@@ -689,9 +691,9 @@ std::string CompiledPlan::ToString() const {
 
 Result<CompiledPlan> Compile(const ExprPtr& expr,
                              engine::WorkspaceView workspace,
-                             const la::MetaCatalog* catalog,
+                             const cost::LeafMetaFn* leaf_meta,
                              const CompileOptions& options) {
-  Compiler compiler(workspace, catalog, options);
+  Compiler compiler(workspace, leaf_meta, options);
   return compiler.Run(expr);
 }
 

@@ -147,18 +147,20 @@ struct CompileOptions {
 // for t(A) %*% B, factorized pushdowns over the names in
 // CompileOptions::normalized (nm_* kernels, matched before any other
 // lowering), then the operator-fusion pass (elementwise chains and
-// aggregation pushdown — see CompileOptions::enable_fusion). Leaf metadata
-// comes from `catalog` when it has an entry (the workspace matrix is
-// scanned only for an nnz the entry leaves unknown, < 0), else from the
-// workspace matrix itself (exact shape + nnz). Unknown names and shape
-// mismatches surface as Status. Pure function of its arguments; safe to
-// call concurrently.
+// aggregation pushdown — see CompileOptions::enable_fusion). A leaf's rows,
+// cols and nnz come from `leaf_meta` as it answers them; only a name it
+// does not know (or every name, when it is null) is read from the
+// workspace, with its nnz counted. api::Session passes
+// pacb::Optimizer::LeafResolver(), so a leaf version is counted once, and
+// the workspace answers only for its staged refresh deltas. Unknown names
+// and shape mismatches surface as Status. Safe to call concurrently when
+// `leaf_meta` is.
 // `workspace` may be a live Workspace (implicitly converted) or a pinned
 // engine::Snapshot — compilation against a snapshot sees the pinned
-// versions only.
+// versions only, and must pass no resolver that reads live state.
 Result<CompiledPlan> Compile(const la::ExprPtr& expr,
                              engine::WorkspaceView workspace,
-                             const la::MetaCatalog* catalog,
+                             const cost::LeafMetaFn* leaf_meta,
                              const CompileOptions& options);
 
 }  // namespace hadad::exec

@@ -573,15 +573,16 @@ std::unique_ptr<cost::SparsityEstimator> Optimizer::MakeEstimator() const {
   return std::make_unique<cost::NaiveMetadataEstimator>();
 }
 
+Result<cost::ExprEstimate> Optimizer::Estimate(const la::Expr& expr) const {
+  return cost::EstimateExpression(expr, *MakeEstimator(), LeafResolver());
+}
+
 Status Optimizer::AddView(const std::string& name,
                           const la::ExprPtr& definition) {
   if (catalog_.contains(name)) {
     return Status::InvalidArgument("name '" + name + "' already registered");
   }
-  auto estimator = MakeEstimator();
-  HADAD_ASSIGN_OR_RETURN(
-      cost::ExprEstimate est,
-      cost::EstimateExpression(*definition, *estimator, LeafResolver()));
+  HADAD_ASSIGN_OR_RETURN(cost::ExprEstimate est, Estimate(*definition));
   HADAD_ASSIGN_OR_RETURN(
       std::vector<chase::Constraint> constraints,
       la::EncodeViewConstraints(name, *definition, catalog_));

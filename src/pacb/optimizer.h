@@ -93,12 +93,14 @@ class Optimizer {
 
   Status AddMorpheusJoin(const MorpheusJoinDecl& decl);
 
-  // Retracts and re-asserts the base-metadata facts for `name` after a data
-  // mutation: later Optimize() calls seed shape/sparsity/type flags from
-  // `meta` (all of them can change under Update/Append). InvalidArgument
-  // when `name` is a registered view — a view's metadata follows from its
-  // definition, so mutated views are re-registered via RemoveView+AddView.
-  // NotFound when the name was never registered.
+  // Replaces the catalog entry for `name` after a data mutation: later
+  // Optimize() calls take its shape and type flags from `meta` (shapes can
+  // change under Update/Append). A data-bound name's nnz and histogram come
+  // from the new version on first use (see SetData), so `meta.nnz` matters
+  // only for names without data. InvalidArgument when `name` is a
+  // registered view — a view's metadata follows from its definition, so
+  // mutated views are re-registered via RemoveView+AddView. NotFound when
+  // the name was never registered.
   Status UpdateBaseMeta(const std::string& name, const la::MatrixMeta& meta);
   // Registers the base-metadata facts for a name introduced after
   // construction (api::Session::Put binding a brand-new matrix).
@@ -112,8 +114,10 @@ class Optimizer {
   // Supplies actual matrices (by name) so leaves get their exact nnz and,
   // under MNC, exact base histograms; also used for materialized view
   // contents. Not owned; must outlive the optimizer. Statistics are read
-  // from a version's data the first time a query mentions it and memoized
-  // until the name is bound to another version (or the version grows).
+  // from a version's data the first time an optimization, an estimate or
+  // a compile through LeafResolver() mentions it, and memoized until the
+  // name is bound to another version (or the version grows). For every
+  // name `data` binds, they replace the catalog entry's nnz.
   void SetData(const cost::DataCatalog* data) { data_ = data; }
 
   // Extends HADAD's semantic knowledge: appends user constraints to MMC
@@ -128,6 +132,17 @@ class Optimizer {
   Result<RewriteResult> Optimize(const la::ExprPtr& expr) const;
   // Convenience: parse + optimize.
   Result<RewriteResult> OptimizeText(const std::string& expr_text) const;
+
+  // The leaf metadata every optimization reads: a catalog name's shape
+  // with, for a name the data catalog binds, that version's exact nnz and
+  // (under MNC) histogram, memoized per version; NotFound for names the
+  // catalog lacks. The returned function reads the live catalog and data
+  // binding, so it is valid only while neither moves: under a session's
+  // state lock (shared or unique), never on a pinned snapshot without it.
+  cost::LeafMetaFn LeafResolver() const;
+  // γ and output metadata of `expr` under this optimizer's estimator, with
+  // leaves from LeafResolver(). Same validity as LeafResolver().
+  Result<cost::ExprEstimate> Estimate(const la::Expr& expr) const;
 
  private:
   // What a leaf version's data says beyond its catalog shape: the exact
@@ -148,8 +163,6 @@ class Optimizer {
   // version. Scans the data outside leaf_mu_.
   cost::ClassMeta LeafMeta(const std::string& name,
                            const la::MatrixMeta& meta) const;
-  // LeafMeta over catalog_; NotFound for names it lacks.
-  cost::LeafMetaFn LeafResolver() const;
   // The list every chase runs: MMC, then each view's constraints in
   // registration order, then the user constraints. While there are neither
   // views nor user constraints it is the process-wide la::SharedMmc list,

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -104,6 +105,14 @@ hadad_code hadad_register_matrix(hadad_server* server, const char* name,
       cols < 1) {
     return Fail(Status::InvalidArgument(
         "hadad_register_matrix: null handle/name/data or non-positive dims"));
+  }
+  // `data` holds rows * cols doubles, so a shape whose byte count overflows
+  // describes no buffer (and would abort in the allocation below).
+  if (cols > std::numeric_limits<int64_t>::max() /
+                 static_cast<int64_t>(sizeof(double)) / rows) {
+    return Fail(Status::InvalidArgument(
+        "hadad_register_matrix: shape " + std::to_string(rows) + "x" +
+        std::to_string(cols) + " is too large (rows * cols doubles overflow)"));
   }
   hadad::matrix::DenseMatrix m(rows, cols);
   for (int64_t i = 0; i < rows; ++i) {

@@ -16,13 +16,10 @@ std::string RefreshKey(const std::string& name) { return "refresh:" + name; }
 
 }  // namespace
 
-AdaptiveViewManager::AdaptiveViewManager(
-    Host host, AdaptiveOptions options,
-    std::unique_ptr<cost::SparsityEstimator> estimator)
+AdaptiveViewManager::AdaptiveViewManager(Host host, AdaptiveOptions options)
     : host_(std::move(host)),
       options_(options),
       monitor_(/*max_tracked=*/1024, options.monitor_half_life_runs),
-      advisor_(std::move(estimator)),
       store_(host_.workspace, options.budget_bytes, options.max_views) {
   if (!options_.synchronous) {
     worker_ = std::make_unique<exec::ThreadPool>(1, /*always_spawn=*/true);
@@ -85,7 +82,6 @@ void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
         if (detached.ok()) {
           ++refresh_seq_;
           (void)host_.optimizer->RemoveView(name);
-          host_.exec_catalog->erase(name);
           views_changed = true;
           // The delta rows ride along in the workspace under a reserved
           // name until the background task installs (and erases it).
@@ -111,7 +107,6 @@ void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
       // no incremental identity applies.
       if (store_.Evict(name).ok()) {
         (void)host_.optimizer->RemoveView(name);
-        host_.exec_catalog->erase(name);
         invalidated_.fetch_add(1, std::memory_order_relaxed);
         ++invalidated_here;
         views_changed = true;
@@ -197,10 +192,6 @@ void AdaptiveViewManager::InstallRefresh(RefreshTask task,
   const bool current = host_.workspace->StampCurrent(task.deps) &&
                        !store_.ContainsCanonical(task.meta.canonical);
   if (fresh.ok() && current) {
-    la::MatrixMeta value_meta;
-    value_meta.rows = fresh->rows();
-    value_meta.cols = fresh->cols();
-    value_meta.nnz = static_cast<double>(fresh->Nnz());
     const int64_t bytes = matrix::ApproxBytes(*fresh);
     std::vector<std::string> evict;
     if (store_.PlanAdmission(bytes, &evict)) {
@@ -209,7 +200,6 @@ void AdaptiveViewManager::InstallRefresh(RefreshTask task,
         obs::ScopedSpan evict_span(host_.trace, "view_evict", "views");
         evict_span.Annotate("view", victim);
         (void)host_.optimizer->RemoveView(victim);
-        host_.exec_catalog->erase(victim);
         evicted_.fetch_add(1, std::memory_order_relaxed);
         views_changed = true;
       }
@@ -219,7 +209,6 @@ void AdaptiveViewManager::InstallRefresh(RefreshTask task,
         Status registered =
             host_.optimizer->AddView(task.meta.name, task.meta.definition);
         if (registered.ok()) {
-          (*host_.exec_catalog)[task.meta.name] = value_meta;
           refreshed_.fetch_add(1, std::memory_order_relaxed);
           views_changed = true;
           installed = true;
@@ -278,8 +267,8 @@ void AdaptiveViewManager::MaybeScheduleMaterializations() {
   std::vector<Recommendation> recs;
   {
     common::ReaderMutexLock state(host_.state_mu);
-    recs = advisor_.Recommend(monitor_.Snapshot(), host_.optimizer->catalog(),
-                              &host_.workspace->data(), advisor_options, skip);
+    recs = Recommend(monitor_.Snapshot(), *host_.optimizer, advisor_options,
+                     skip);
   }
   {
     // Publish the viable-candidate set for FusionBarriers(): exactly the
@@ -340,10 +329,6 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
     return;
   }
 
-  la::MatrixMeta value_meta;
-  value_meta.rows = value->rows();
-  value_meta.cols = value->cols();
-  value_meta.nnz = static_cast<double>(value->Nnz());
   const int64_t bytes = matrix::ApproxBytes(*value);
 
   bool changed = false;
@@ -366,7 +351,6 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
         obs::ScopedSpan evict_span(host_.trace, "view_evict", "views");
         evict_span.Annotate("view", name);
         (void)host_.optimizer->RemoveView(name);
-        host_.exec_catalog->erase(name);
         evicted_.fetch_add(1, std::memory_order_relaxed);
         changed = true;
       }
@@ -387,7 +371,6 @@ void AdaptiveViewManager::MaterializeOne(Recommendation rec) {
           (void)store_.Evict(name);
           failures_.fetch_add(1, std::memory_order_relaxed);
         } else {
-          (*host_.exec_catalog)[name] = value_meta;
           created_.fetch_add(1, std::memory_order_relaxed);
           changed = true;
           installed = true;

@@ -12,7 +12,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "cost/estimator.h"
 #include "engine/workspace.h"
 #include "exec/thread_pool.h"
 #include "la/expr.h"
@@ -72,26 +71,27 @@ struct AdaptiveViewStats {
 // so subsequent rewrites can answer from them — with budgeted eviction
 // keeping the store bounded.
 //
-// Locking contract: `host.state_mu` guards the host's workspace, optimizer,
-// and exec catalog. The manager takes it shared to evaluate definitions and
-// score candidates, and unique to install/evict views. Callers must NOT
-// hold it when invoking OnExecution. `host.on_views_changed` is called
-// (under the unique lock) whenever the view set changes; hosts use it to
-// invalidate cached plans (api::Session bumps its view generation).
+// Locking contract: `host.state_mu` guards the host's workspace and
+// optimizer. The manager takes it shared to pin snapshots and to score
+// candidates (through the optimizer, the one owner of leaf statistics),
+// and unique to install/evict views. Callers must NOT hold it when
+// invoking OnExecution. `host.on_views_changed` is called (under the unique
+// lock) whenever the view set changes; hosts use it to invalidate cached
+// plans (api::Session bumps its view generation).
 class AdaptiveViewManager {
  public:
   struct Host {
     engine::Workspace* workspace = nullptr;
+    // Bound to `workspace`'s data (Optimizer::SetData): it scores
+    // candidates and serves the statistics of installed views.
     pacb::Optimizer* optimizer = nullptr;
-    // The host's maintained leaf-metadata catalog for the exec plan
-    // compiler; installed/evicted views are mirrored into it.
-    la::MetaCatalog* exec_catalog = nullptr;
     common::SharedMutex* state_mu = nullptr;
     // Evaluates a view definition over `ws` — a pinned workspace snapshot
     // on the background paths (called with NO state lock held; writers
     // proceed concurrently) or the live workspace on the synchronous-mode
     // refresh path, whose caller's mutation holds the unique state lock.
-    // It must read nothing mutable beyond `ws`.
+    // It must read nothing mutable beyond `ws` — in particular no
+    // optimizer leaf resolver, which reads the live binding.
     std::function<Result<matrix::Matrix>(const la::ExprPtr&,
                                          engine::WorkspaceView ws)>
         evaluate;
@@ -103,9 +103,7 @@ class AdaptiveViewManager {
     obs::TraceRecorder* trace = nullptr;
   };
 
-  // `estimator` drives advisor scoring (nullptr = naive metadata).
-  AdaptiveViewManager(Host host, AdaptiveOptions options,
-                      std::unique_ptr<cost::SparsityEstimator> estimator);
+  AdaptiveViewManager(Host host, AdaptiveOptions options);
   // Drains in-flight materializations before destruction.
   ~AdaptiveViewManager();
 
@@ -124,8 +122,8 @@ class AdaptiveViewManager {
   // is detached and queued for an incremental refresh (V ← V + f(Δ)) on
   // the background worker instead of recomputation; it is invisible to
   // rewrites until the refresh installs. Any other view reading a changed
-  // or appended name is invalidated — evicted from the store/optimizer/exec
-  // catalog, with WorkloadMonitor::Forget keeping advisor stats honest.
+  // or appended name is invalidated — evicted from the store and the
+  // optimizer, with WorkloadMonitor::Forget keeping advisor stats honest.
   void OnDataMutation(const DataChange& change) HADAD_EXCLUDES(admin_mu_);
 
   // Blocks until every queued materialization has been installed (or
@@ -186,8 +184,8 @@ class AdaptiveViewManager {
   Result<matrix::Matrix> ComputeRefreshValue(const RefreshTask& task,
                                              engine::WorkspaceView ws);
   // Re-admits the refreshed value (or records the discard) and erases the
-  // temp delta entry. The unique state hold covers the workspace/optimizer/
-  // exec-catalog writes.
+  // temp delta entry. The unique state hold covers the workspace and
+  // optimizer writes.
   void InstallRefresh(RefreshTask task, Result<matrix::Matrix> fresh)
       HADAD_REQUIRES(host_.state_mu) HADAD_EXCLUDES(admin_mu_);
   void FinishPending(const std::string& canonical, bool failed)
@@ -203,7 +201,6 @@ class AdaptiveViewManager {
   const Host host_;
   const AdaptiveOptions options_;
   WorkloadMonitor monitor_;
-  ViewAdvisor advisor_;
 
   // Guards the store and the scheduling bookkeeping below. Ordering:
   // state_mu (outer) before admin_mu_ (inner); never the reverse.

@@ -27,17 +27,10 @@ double EstimateBytes(const cost::ClassMeta& meta) {
   return (cells > 0 && nnz / cells < 0.5) ? sparse_bytes : dense_bytes;
 }
 
-ViewAdvisor::ViewAdvisor(std::unique_ptr<cost::SparsityEstimator> estimator)
-    : estimator_(std::move(estimator)) {
-  if (estimator_ == nullptr) {
-    estimator_ = std::make_unique<cost::NaiveMetadataEstimator>();
-  }
-}
-
-std::vector<Recommendation> ViewAdvisor::Recommend(
-    const std::vector<SubexprStat>& observed, const la::MetaCatalog& catalog,
-    const cost::DataCatalog* data, const AdvisorOptions& options,
-    const std::function<bool(const SubexprStat&)>& skip) const {
+std::vector<Recommendation> Recommend(
+    const std::vector<SubexprStat>& observed,
+    const pacb::Optimizer& optimizer, const AdvisorOptions& options,
+    const std::function<bool(const SubexprStat&)>& skip) {
   std::vector<Recommendation> recs;
   for (const SubexprStat& stat : observed) {
     // Threshold on the decayed mass (== raw hits when decay is off): a
@@ -49,8 +42,7 @@ std::vector<Recommendation> ViewAdvisor::Recommend(
     if (!ReferencesAnyMatrix(*stat.expr)) continue;
     if (skip != nullptr && skip(stat)) continue;
 
-    auto est = cost::EstimateExpression(*stat.expr, catalog, *estimator_,
-                                        data);
+    auto est = optimizer.Estimate(*stat.expr);
     if (!est.ok()) continue;  // Shape moved under us; not a candidate.
 
     Recommendation rec;

@@ -3,13 +3,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cost/cost_model.h"
 #include "cost/estimator.h"
 #include "la/expr.h"
+#include "pacb/optimizer.h"
 #include "views/workload_monitor.h"
 
 namespace hadad::views {
@@ -30,7 +29,7 @@ struct Recommendation {
   la::ExprPtr definition;
   int64_t hits = 0;
   // γ-based recomputation estimate (intermediates + output, in estimated
-  // non-zeros) from cost::Estimator over the session catalog.
+  // non-zeros) from the optimizer's estimator and leaf metadata.
   double est_recompute_cost = 0.0;
   // Estimated materialized size, from the estimator's output ClassMeta.
   double est_bytes = 0.0;
@@ -40,28 +39,20 @@ struct Recommendation {
   double score = 0.0;
 };
 
-// Scores WorkloadMonitor statistics into a ranked recommendation set:
-// benefit is the estimated recomputation cost (measured seconds when the
-// DAG engine reported op timings, else the γ estimate) times observed
-// frequency, weighed against the estimated materialized size. Ranking is
-// deterministic for identical inputs: ties fall to canonical text.
-class ViewAdvisor {
- public:
-  // `estimator` scores candidates (nullptr falls back to the naive
-  // metadata estimator).
-  explicit ViewAdvisor(std::unique_ptr<cost::SparsityEstimator> estimator);
-
-  // `catalog`/`data` describe the session's current leaves (views
-  // included); `skip` filters candidates the caller already materialized
-  // or queued — return true to drop the candidate.
-  std::vector<Recommendation> Recommend(
-      const std::vector<SubexprStat>& observed, const la::MetaCatalog& catalog,
-      const cost::DataCatalog* data, const AdvisorOptions& options,
-      const std::function<bool(const SubexprStat&)>& skip = nullptr) const;
-
- private:
-  std::unique_ptr<cost::SparsityEstimator> estimator_;
-};
+// The view advisor: scores WorkloadMonitor statistics into a ranked
+// recommendation set. Benefit is the estimated recomputation cost
+// (measured seconds when the DAG engine reported op timings, else the γ
+// estimate) times observed frequency, weighed against the estimated
+// materialized size. Candidates are estimated with
+// `optimizer.Estimate()`, so the caller must hold what keeps its leaf
+// resolver valid (a session's state lock). `skip` filters candidates the
+// caller already materialized or queued — return true to drop the
+// candidate. Ranking is deterministic for identical inputs: ties fall to
+// canonical text.
+std::vector<Recommendation> Recommend(
+    const std::vector<SubexprStat>& observed,
+    const pacb::Optimizer& optimizer, const AdvisorOptions& options,
+    const std::function<bool(const SubexprStat&)>& skip = nullptr);
 
 // Estimated resident bytes of a matrix with metadata `meta` (CSR when the
 // estimated density is below 0.5, dense otherwise) — the admission-control

@@ -40,7 +40,7 @@ struct SubexprStat {
 };
 
 // Records the canonical subexpressions of every executed plan with hit
-// counts and measured costs — the workload signal the ViewAdvisor scores.
+// counts and measured costs — the workload signal views::Recommend scores.
 // Thread-safe: concurrent Observe()/Snapshot() calls are serialized on an
 // internal mutex (Observe is off the execution critical path).
 class WorkloadMonitor {

@@ -262,15 +262,20 @@ TEST_F(CompileTest, RecordsLeafDependencySet) {
   EXPECT_EQ(plan.leaf_names, (std::vector<std::string>{"X", "Y"}));
 }
 
-TEST_F(CompileTest, LeafMetadataComesFromCatalog) {
-  // A catalog entry with a known nnz is used as is, not recounted from the
-  // data; only an unknown (negative) nnz is counted.
-  la::MetaCatalog catalog;
-  catalog["X"] = engine::Workspace::MetaFor(*workspace_.Find("X"));
-  catalog["X"].nnz = 17.0;
-  catalog["Y"] = engine::Workspace::MetaFor(*workspace_.Find("Y"));
-  catalog["Y"].nnz = -1.0;
-  auto plan = Compile(Parse("X %*% Y"), workspace_, &catalog, {});
+TEST_F(CompileTest, LeafMetadataComesFromResolver) {
+  // The resolver's rows, cols and nnz are used as is, not recounted from
+  // the data (the shape is the data's: the compiler trusts it); a name the
+  // resolver does not know is read and counted from the workspace.
+  cost::LeafMetaFn leaf_meta =
+      [this](const std::string& name) -> Result<cost::ClassMeta> {
+    if (name != "X") return Status::NotFound("unknown matrix '" + name + "'");
+    cost::ClassMeta meta;
+    meta.shape.rows = workspace_.Find("X")->rows();
+    meta.shape.cols = workspace_.Find("X")->cols();
+    meta.shape.nnz = 17.0;
+    return meta;
+  };
+  auto plan = Compile(Parse("X %*% Y"), workspace_, &leaf_meta, {});
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   std::map<std::string, double> leaf_nnz;
   for (const PlanNode& n : plan->nodes) {
@@ -281,6 +286,10 @@ TEST_F(CompileTest, LeafMetadataComesFromCatalog) {
   EXPECT_EQ(leaf_nnz.at("X"), 17.0);
   EXPECT_EQ(leaf_nnz.at("Y"),
             static_cast<double>(workspace_.Find("Y")->Nnz()));
+  // A name neither knows is NotFound.
+  auto missing = Compile(Parse("X %*% Missing"), workspace_, &leaf_meta, {});
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(CompileTest, FusesTransposedLhs) {

@@ -2,10 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/session.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/data.h"
@@ -160,27 +162,61 @@ TEST_F(LaBenchmarkTest, OptPipelinesNeverRegress) {
   }
 }
 
+// Derives one pipeline's rewrite from its text.
+using RewriteFn =
+    std::function<Result<pacb::RewriteResult>(const std::string& text)>;
+
 // ROADMAP item 2's invariant: for every pipeline under both estimators, the
 // chosen rewriting, both costs, `improved` and the chase statistics match
 // tests/golden_rewrites.txt line for line. Optimizer speed-ups must not move
 // any of them.
-TEST_F(LaBenchmarkTest, RewritesMatchGoldenFile) {
+void ExpectGoldenRewrites(const RewriteFn& naive, const RewriteFn& mnc) {
   std::ifstream in(HADAD_GOLDEN_REWRITES);
   ASSERT_TRUE(in.good()) << "cannot open " << HADAD_GOLDEN_REWRITES;
   std::vector<std::string> golden;
   for (std::string line; std::getline(in, line);) golden.push_back(line);
   ASSERT_EQ(golden.size(), 2 * LaBenchmark().size());
   size_t i = 0;
-  for (const auto& [name, optimizer] :
-       {std::pair<const char*, const pacb::Optimizer*>{"naive", optimizer_},
-        {"mnc", mnc_optimizer_}}) {
+  for (const auto& [name, rewrite] :
+       {std::pair<const char*, const RewriteFn*>{"naive", &naive},
+        {"mnc", &mnc}}) {
     for (const Pipeline& p : LaBenchmark()) {
-      auto r = optimizer->OptimizeText(p.text);
+      auto r = (*rewrite)(p.text);
       ASSERT_TRUE(r.ok()) << p.id << ": " << r.status().ToString();
       EXPECT_EQ(GoldenLine(p, name, *r), golden[i]) << p.id << " " << name;
       ++i;
     }
   }
+}
+
+TEST_F(LaBenchmarkTest, RewritesMatchGoldenFile) {
+  ExpectGoldenRewrites(
+      [](const std::string& text) { return optimizer_->OptimizeText(text); },
+      [](const std::string& text) {
+        return mnc_optimizer_->OptimizeText(text);
+      });
+}
+
+// The same lines through api::Session, which registers only shapes with its
+// optimizer: every statistic comes from the data the optimizer is bound to.
+TEST_F(LaBenchmarkTest, SessionRewritesMatchGoldenFile) {
+  auto build = [](pacb::EstimatorKind kind) {
+    api::SessionBuilder builder;
+    for (const auto& [name, m] : workspace_->data()) builder.Put(name, *m);
+    return builder.SetEstimator(kind).Build();
+  };
+  auto naive = build(pacb::EstimatorKind::kNaive);
+  auto mnc = build(pacb::EstimatorKind::kMnc);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  ASSERT_TRUE(mnc.ok()) << mnc.status().ToString();
+  auto via = [](const api::Session& session) -> RewriteFn {
+    return [&session](const std::string& text)
+               -> Result<pacb::RewriteResult> {
+      HADAD_ASSIGN_OR_RETURN(api::PreparedQuery query, session.Prepare(text));
+      return query.rewrite();
+    };
+  };
+  ExpectGoldenRewrites(via(**naive), via(**mnc));
 }
 
 // Table 15: with V_exp materialized, HADAD's rewriting must be at least as

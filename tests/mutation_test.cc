@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "engine/evaluator.h"
 #include "engine/workspace.h"
+#include "exec/plan.h"
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "matrix/matrix.h"
@@ -531,6 +533,112 @@ TEST(SessionMutationTest, RuntimeRefreshFailureRollsBackAtomically) {
   // And the session still accepts a valid update afterwards.
   ASSERT_TRUE(session->Update("X", matrix::RandomInvertible(rng, 4)).ok());
   EXPECT_TRUE(session->Run("V %*% X").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Compiler leaf metadata after every kind of write
+// ---------------------------------------------------------------------------
+
+// Leaf metadata from a fixed catalog: what a fresh scan of the data says.
+cost::LeafMetaFn CatalogResolver(la::MetaCatalog catalog) {
+  return [catalog = std::move(catalog)](
+             const std::string& name) -> Result<cost::ClassMeta> {
+    auto it = catalog.find(name);
+    if (it == catalog.end()) {
+      return Status::NotFound("unknown matrix '" + name + "'");
+    }
+    cost::ClassMeta meta;
+    meta.shape = it->second;
+    return meta;
+  };
+}
+
+std::map<std::string, double> LoadNnz(const exec::CompiledPlan& plan) {
+  std::map<std::string, double> nnz;
+  for (const exec::PlanNode& n : plan.nodes) {
+    if (n.kernel == exec::KernelKind::kLoad) {
+      nnz[n.expr->name()] = n.meta.shape.nnz;
+    }
+  }
+  return nnz;
+}
+
+// Compiles `text` on the session's executor with the optimizer's leaf
+// resolver, and again with one over a fresh scan of the workspace: after
+// `write`, the plans and every loaded leaf's nnz must agree (both fail
+// alike for a removed leaf).
+void ExpectCompileMatchesFreshScan(const api::Session& session,
+                                   const std::string& write,
+                                   const std::string& text) {
+  const la::ExprPtr expr = Parse(text);
+  const cost::LeafMetaFn memo = session.optimizer().LeafResolver();
+  const cost::LeafMetaFn fresh =
+      CatalogResolver(session.workspace().BuildMetaCatalog());
+  auto got = session.executor()->Compile(expr, session.workspace(), &memo);
+  auto want = session.executor()->Compile(expr, session.workspace(), &fresh);
+  const std::string at = "after " + write + ", " + text;
+  ASSERT_EQ(got.ok(), want.ok()) << at << ": " << got.status().ToString()
+                                 << " vs " << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << at;
+    return;
+  }
+  EXPECT_EQ(got->ToString(), want->ToString()) << at;
+  EXPECT_EQ(LoadNnz(*got), LoadNnz(*want)) << at;
+}
+
+TEST(SessionMutationTest, CompilerLeafMetadataFollowsEveryWrite) {
+  // Before each write the optimizer's memo holds an entry for the touched
+  // leaf, and each write moves that leaf's nnz: a resolver serving an
+  // entry from before the write (or, for the rolled-back batch, from
+  // inside it) fails the comparison. After the Remove, a resolver that
+  // still knew C would compile where the fresh scan fails.
+  Rng rng(61);
+  auto session = api::SessionBuilder()
+                     .Put("A", matrix::RandomDense(rng, 40, 30))
+                     .Put("B", matrix::RandomDense(rng, 30, 20))
+                     .Put("C", matrix::RandomSparse(rng, 30, 20, 0.1))
+                     .Put("S", matrix::RandomInvertible(rng, 20))
+                     .AddView("V", "inv(S)")
+                     .Build()
+                     .value();
+  const std::string over_ab = "A %*% B";
+  const std::string over_ac = "A %*% C";
+  const std::string over_asv = "(A %*% B) %*% (S + V)";
+  for (const std::string& text : {over_ab, over_ac, over_asv}) {
+    ExpectCompileMatchesFreshScan(*session, "Build", text);
+  }
+
+  // An Update that changes both shape and nnz.
+  ASSERT_TRUE(
+      session->Update("A", matrix::RandomSparse(rng, 50, 30, 0.2)).ok());
+  ExpectCompileMatchesFreshScan(*session, "Update", over_ab);
+
+  // An in-place Append: no snapshot is pinned, so A's version grows under
+  // the same handle.
+  const matrix::Matrix* a_before = session->workspace().Find("A");
+  ASSERT_TRUE(session->Append("A", matrix::RandomDense(rng, 8, 30)).ok());
+  ASSERT_EQ(session->workspace().Find("A"), a_before);
+  ExpectCompileMatchesFreshScan(*session, "Append", over_ab);
+
+  // A Remove: the optimizer no longer knows C.
+  ASSERT_TRUE(session->Remove("C").ok());
+  ExpectCompileMatchesFreshScan(*session, "Remove", over_ac);
+
+  // A Put of a name the session no longer binds, with other data.
+  ASSERT_TRUE(session->Put("C", matrix::RandomDense(rng, 30, 20)).ok());
+  ExpectCompileMatchesFreshScan(*session, "Put", over_ac);
+
+  // A batch that fails in its refresh wave: V's refresh compiles over the
+  // singular S (filling the memo for it) and fails to invert it, so S and
+  // the reshaped A roll back.
+  std::vector<api::Mutation> batch;
+  batch.push_back(
+      api::Mutation::Update("A", matrix::RandomDense(rng, 45, 30)));
+  batch.push_back(api::Mutation::Update("S", matrix::Matrix::Zero(20, 20)));
+  ASSERT_FALSE(session->Mutate(std::move(batch)).ok());
+  ASSERT_EQ(session->workspace().Find("A")->rows(), 58);
+  ExpectCompileMatchesFreshScan(*session, "rolled-back Mutate", over_asv);
 }
 
 // ---------------------------------------------------------------------------

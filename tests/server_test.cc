@@ -551,6 +551,20 @@ TEST(CApiTest, NullAndErrorPaths) {
   hadad_request_free(nullptr);
   hadad_string_free(nullptr);
   hadad_server_close(nullptr);
+
+  // An oversize shape (rows * cols overflows) is a typed error naming the
+  // shape, checked before anything is allocated.
+  hadad_server* srv = hadad_server_open(1, 1, 4);
+  ASSERT_NE(srv, nullptr);
+  const double cell = 1.0;
+  EXPECT_EQ(hadad_register_matrix(srv, "M", &cell, int64_t{1} << 40,
+                                  int64_t{1} << 40),
+            HADAD_ERR_INVALID);
+  EXPECT_NE(std::string(hadad_last_error()).find(
+                "1099511627776x1099511627776"),
+            std::string::npos)
+      << hadad_last_error();
+  hadad_server_close(srv);
 }
 
 }  // namespace

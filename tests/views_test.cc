@@ -162,7 +162,8 @@ TEST(WorkloadMonitorTest, SnapshotIsDeterministicallyOrdered) {
 }
 
 // ---------------------------------------------------------------------------
-// ViewAdvisor
+// The view advisor (views::Recommend): candidates estimated through the
+// optimizer, which has no data here, so leaves read the catalog alone.
 // ---------------------------------------------------------------------------
 
 la::MetaCatalog AdvisorCatalog() {
@@ -195,13 +196,12 @@ std::vector<SubexprStat> AdvisorInput() {
 }
 
 TEST(ViewAdvisorTest, RankingIsDeterministic) {
-  ViewAdvisor advisor(nullptr);
   AdvisorOptions options;
   options.min_hits = 3;
-  la::MetaCatalog catalog = AdvisorCatalog();
+  const pacb::Optimizer optimizer(AdvisorCatalog());
 
-  auto first = advisor.Recommend(AdvisorInput(), catalog, nullptr, options);
-  auto second = advisor.Recommend(AdvisorInput(), catalog, nullptr, options);
+  auto first = Recommend(AdvisorInput(), optimizer, options);
+  auto second = Recommend(AdvisorInput(), optimizer, options);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].canonical, second[i].canonical);
@@ -217,20 +217,19 @@ TEST(ViewAdvisorTest, RankingIsDeterministic) {
 }
 
 TEST(ViewAdvisorTest, MinHitsAndSkipFilterCandidates) {
-  ViewAdvisor advisor(nullptr);
   AdvisorOptions options;
   options.min_hits = 3;
-  la::MetaCatalog catalog = AdvisorCatalog();
+  const pacb::Optimizer optimizer(AdvisorCatalog());
 
-  auto recs = advisor.Recommend(AdvisorInput(), catalog, nullptr, options);
+  auto recs = Recommend(AdvisorInput(), optimizer, options);
   for (const Recommendation& r : recs) {
     EXPECT_NE(r.canonical, la::ToString(Parse("R + R")));  // Only 1 hit.
     EXPECT_GE(r.hits, options.min_hits);
   }
 
   const std::string product = la::ToString(Parse("t(X) %*% X"));
-  auto skipped = advisor.Recommend(
-      AdvisorInput(), catalog, nullptr, options,
+  auto skipped = Recommend(
+      AdvisorInput(), optimizer, options,
       [&product](const SubexprStat& s) { return s.canonical == product; });
   for (const Recommendation& r : skipped) {
     EXPECT_NE(r.canonical, product);
@@ -239,10 +238,9 @@ TEST(ViewAdvisorTest, MinHitsAndSkipFilterCandidates) {
 }
 
 TEST(ViewAdvisorTest, MeasuredSecondsOverrideSizeEstimates) {
-  ViewAdvisor advisor(nullptr);
   AdvisorOptions options;
   options.min_hits = 1;
-  la::MetaCatalog catalog = AdvisorCatalog();
+  const pacb::Optimizer optimizer(AdvisorCatalog());
   // By size estimates t(X) %*% X dominates t(X); measured timings say the
   // transpose is (pathologically) more expensive — measurements win.
   std::vector<SubexprStat> stats;
@@ -250,22 +248,21 @@ TEST(ViewAdvisorTest, MeasuredSecondsOverrideSizeEstimates) {
                    4.0, 0.04, 0});
   stats.push_back({la::ToString(Parse("t(X)")), Parse("t(X)"), 4, 4.0, 40.0,
                    0});
-  auto recs = advisor.Recommend(stats, catalog, nullptr, options);
+  auto recs = Recommend(stats, optimizer, options);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].canonical, la::ToString(Parse("t(X)")));
 }
 
 TEST(ViewAdvisorTest, ThresholdsOnDecayedWeightNotRawHits) {
-  ViewAdvisor advisor(nullptr);
   AdvisorOptions options;
   options.min_hits = 3;
-  la::MetaCatalog catalog = AdvisorCatalog();
+  const pacb::Optimizer optimizer(AdvisorCatalog());
   // Five raw hits but a decayed weight below min_hits: a long-idle
   // workload no longer qualifies.
   std::vector<SubexprStat> stats;
   stats.push_back({la::ToString(Parse("t(X) %*% X")), Parse("t(X) %*% X"), 5,
                    1.5, 0.0, 0});
-  EXPECT_TRUE(advisor.Recommend(stats, catalog, nullptr, options).empty());
+  EXPECT_TRUE(Recommend(stats, optimizer, options).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -607,7 +604,6 @@ struct RaceHarness {
     AdaptiveViewManager::Host host;
     host.workspace = &ws;
     host.optimizer = &*optimizer;
-    host.exec_catalog = &exec_catalog;
     host.state_mu = &state_mu;
     host.evaluate = [this](const la::ExprPtr& def, engine::WorkspaceView wsv)
         -> Result<matrix::Matrix> {
@@ -625,14 +621,13 @@ struct RaceHarness {
     AdaptiveOptions options;
     options.min_hits = 2;
     options.synchronous = synchronous;
-    manager.emplace(host, options, nullptr);
+    manager.emplace(host, options);
   }
 
   matrix::Matrix x0;
   matrix::Matrix conflict;
   engine::Workspace ws;
   std::optional<pacb::Optimizer> optimizer;
-  la::MetaCatalog exec_catalog;
   common::SharedMutex state_mu;
   std::atomic<bool> inject{false};
   std::optional<AdaptiveViewManager> manager;
