@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,11 +169,12 @@ using RewriteFn =
 
 // ROADMAP item 2's invariant: for every pipeline under both estimators, the
 // chosen rewriting, both costs, `improved` and the chase statistics match
-// tests/golden_rewrites.txt line for line. Optimizer speed-ups must not move
+// the golden file `path` line for line. Optimizer speed-ups must not move
 // any of them.
-void ExpectGoldenRewrites(const RewriteFn& naive, const RewriteFn& mnc) {
-  std::ifstream in(HADAD_GOLDEN_REWRITES);
-  ASSERT_TRUE(in.good()) << "cannot open " << HADAD_GOLDEN_REWRITES;
+void ExpectGoldenRewrites(const char* path, const RewriteFn& naive,
+                          const RewriteFn& mnc) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot open " << path;
   std::vector<std::string> golden;
   for (std::string line; std::getline(in, line);) golden.push_back(line);
   ASSERT_EQ(golden.size(), 2 * LaBenchmark().size());
@@ -191,6 +193,7 @@ void ExpectGoldenRewrites(const RewriteFn& naive, const RewriteFn& mnc) {
 
 TEST_F(LaBenchmarkTest, RewritesMatchGoldenFile) {
   ExpectGoldenRewrites(
+      HADAD_GOLDEN_REWRITES,
       [](const std::string& text) { return optimizer_->OptimizeText(text); },
       [](const std::string& text) {
         return mnc_optimizer_->OptimizeText(text);
@@ -216,37 +219,57 @@ TEST_F(LaBenchmarkTest, SessionRewritesMatchGoldenFile) {
       return query.rewrite();
     };
   };
-  ExpectGoldenRewrites(via(**naive), via(**mnc));
+  ExpectGoldenRewrites(HADAD_GOLDEN_REWRITES, via(**naive), via(**mnc));
+}
+
+// Table 15's setting: the TestConfig workspace with every V_exp view
+// materialized into it.
+engine::Workspace VexpWorkspace() {
+  Rng rng(77);
+  engine::Workspace workspace = MakeLaBenchWorkspace(rng, TestConfig());
+  engine::ViewCatalog views(&workspace);
+  for (const ViewSpec& v : VexpViews()) {
+    Status st = views.MaterializeText(v.name, v.definition);
+    HADAD_CHECK_MSG(st.ok(), v.name.c_str());
+  }
+  return workspace;
+}
+
+// An optimizer over the base matrices of `workspace` (a VexpWorkspace) with
+// every V_exp view registered by its definition.
+std::unique_ptr<pacb::Optimizer> VexpOptimizer(
+    const engine::Workspace& workspace, pacb::EstimatorKind estimator) {
+  la::MetaCatalog base_catalog = workspace.BuildMetaCatalog();
+  for (const ViewSpec& v : VexpViews()) base_catalog.erase(v.name);
+  pacb::OptimizerOptions options;
+  options.estimator = estimator;
+  auto optimizer = std::make_unique<pacb::Optimizer>(base_catalog, options);
+  optimizer->SetData(&workspace.data());
+  for (const ViewSpec& v : VexpViews()) {
+    Status st = optimizer->AddViewText(v.name, v.definition);
+    HADAD_CHECK_MSG(st.ok(), v.name.c_str());
+  }
+  return optimizer;
 }
 
 // Table 15: with V_exp materialized, HADAD's rewriting must be at least as
 // cheap as the paper's views-based rewriting, and evaluate to the same
 // value through the materialized views.
 TEST(VexpViewsTest, Table15RewritesMatchedOrBeaten) {
-  Rng rng(77);
-  engine::Workspace workspace = MakeLaBenchWorkspace(rng, TestConfig());
-  engine::ViewCatalog views(&workspace);
-  for (const ViewSpec& v : VexpViews()) {
-    ASSERT_TRUE(views.MaterializeText(v.name, v.definition).ok()) << v.name;
-  }
-  la::MetaCatalog base_catalog = workspace.BuildMetaCatalog();
-  for (const ViewSpec& v : VexpViews()) base_catalog.erase(v.name);
-  pacb::Optimizer optimizer(base_catalog);
-  optimizer.SetData(&workspace.data());
-  for (const ViewSpec& v : VexpViews()) {
-    ASSERT_TRUE(optimizer.AddViewText(v.name, v.definition).ok()) << v.name;
-  }
+  const engine::Workspace workspace = VexpWorkspace();
+  const auto optimizer =
+      VexpOptimizer(workspace, pacb::EstimatorKind::kNaive);
   cost::NaiveMetadataEstimator estimator;
   int views_used = 0;
   for (const ViewRewrite& vr : Table15Rewrites()) {
     const Pipeline* p = FindPipeline(vr.pipeline_id);
     ASSERT_NE(p, nullptr) << vr.pipeline_id;
-    auto r = optimizer.OptimizeText(p->text);
+    auto r = optimizer->OptimizeText(p->text);
     ASSERT_TRUE(r.ok()) << p->id << ": " << r.status().ToString();
     auto expected = la::ParseExpression(vr.rewrite);
     ASSERT_TRUE(expected.ok()) << p->id;
     auto expected_cost = cost::EstimateExpression(
-        **expected, optimizer.catalog(), estimator, &workspace.data());
+        **expected, optimizer->catalog(), estimator, &workspace.data());
     ASSERT_TRUE(expected_cost.ok()) << p->id << ": " << vr.rewrite;
     EXPECT_LE(r->best_cost, expected_cost->cost * 1.0001 + 1.0)
         << p->id << ": best " << la::ToString(r->best) << " vs paper "
@@ -263,6 +286,19 @@ TEST(VexpViewsTest, Table15RewritesMatchedOrBeaten) {
   }
   // Most Table 15 pipelines should actually reach a view.
   EXPECT_GE(views_used, static_cast<int>(Table15Rewrites().size() / 2));
+}
+
+// The rewrites served with V_exp registered, pinned like the plain ones to
+// tests/golden_rewrites_views.txt: view constraints make the largest
+// chases, and this is the setting a session with views serves from.
+TEST(VexpViewsTest, ViewRewritesMatchGoldenFile) {
+  const engine::Workspace workspace = VexpWorkspace();
+  const auto naive = VexpOptimizer(workspace, pacb::EstimatorKind::kNaive);
+  const auto mnc = VexpOptimizer(workspace, pacb::EstimatorKind::kMnc);
+  ExpectGoldenRewrites(
+      HADAD_GOLDEN_REWRITES_VIEWS,
+      [&naive](const std::string& text) { return naive->OptimizeText(text); },
+      [&mnc](const std::string& text) { return mnc->OptimizeText(text); });
 }
 
 }  // namespace
