@@ -5,14 +5,21 @@
 // RW_find / (Q_exec + RW_find) on the already-optimal P_Opt set.
 // Paper: most RW_find under 25ms (naive) / slightly higher with MNC;
 // overhead <1% for expensive P_Opt pipelines, up to ~10% for cheap ones.
+//
+// With --json=PATH (bench_json.h) it also records, per estimator, RW_find's
+// median, p90 and max over P¬Opt (seconds; no speedup). `scripts/ci.sh
+// bench` runs only the summary: --benchmark_filter='^$'.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/hadad.h"
 
 using namespace hadad;  // NOLINT
@@ -73,7 +80,7 @@ void RegisterAll() {
   }
 }
 
-void PrintSummary() {
+void PrintSummary(bench::JsonWriter* json) {
   Env* env = GetEnv();
   engine::Engine naive_engine(engine::Profile::kNaive, &env->workspace);
   std::printf("\n== §9.1.3 summary: RW_find distribution over P¬Opt ==\n");
@@ -94,6 +101,14 @@ void PrintSummary() {
                 "max=%.2fms\n",
                 mnc ? "MNC" : "naive", times_ms.size(), median, p90,
                 times_ms.back());
+    const std::string suffix = mnc ? "/mnc" : "/naive";
+    for (const auto& [stat, ms] :
+         {std::pair<const char*, double>{"rwfind_median", median},
+          {"rwfind_p90", p90},
+          {"rwfind_max", times_ms.back()}}) {
+      json->Add(stat + suffix, ms / 1e3, /*speedup=*/-1.0, /*threads=*/1,
+                /*verified_tolerance=*/-1.0);
+    }
   }
   std::printf("  Paper: 64%% under 25ms (naive); MNC slightly slower; "
               "longest ~200-300ms.\n");
@@ -118,10 +133,11 @@ void PrintSummary() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::JsonWriter json("bench_sec913_overhead", argc, argv);
   RegisterAll();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  PrintSummary();
-  return 0;
+  PrintSummary(&json);
+  return json.Write() ? 0 : 1;
 }

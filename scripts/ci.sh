@@ -11,7 +11,8 @@
 #                            isolation stress suite runs at 1000 iterations
 #   ./scripts/ci.sh asan     AddressSanitizer+UBSan build, full ctest run,
 #                            then the MVCC stress suite again at 500
-#                            iterations
+#                            iterations and the chase's incremental-rebuild
+#                            differential test at 2000
 #   ./scripts/ci.sh bench    Release-mode bench smoke: builds and runs the
 #                            benchmark drivers, then diffs the merged
 #                            results against the committed baseline with
@@ -19,7 +20,9 @@
 #                            beyond 15% fail); also smoke-runs the Fig. 9
 #                            and Fig. 12 factorized benches, and the
 #                            adaptive-views bench (exits non-zero on a
-#                            1e-9 mismatch or a warmed speedup < 1.5x)
+#                            1e-9 mismatch or a warmed speedup < 1.5x);
+#                            records the §9.1.3 RW_find distribution
+#                            (ungated rows)
 #   ./scripts/ci.sh trace    Observability validation: builds and runs
 #                            examples/trace_demo with tracing on, then
 #                            validates the emitted Chrome trace-event JSON
@@ -103,6 +106,11 @@ case "$mode" in
     # get real soak time.
     HADAD_STRESS_ITERS=500 ./tests/mvcc_test \
       --gtest_filter='MvccStressTest.*:MvccLeakTest.*'
+    # The incremental rebuild's bucket and fact-table upkeep against a
+    # rebuild from scratch, on 2000 random instances: an out-of-range read
+    # there shows up here, not in the optimizer's results.
+    HADAD_STRESS_ITERS=2000 ./tests/chase_test \
+      --gtest_filter='RebuildDifferentialTest.*'
     ;;
   bench)
     cmake -B build-bench -S . \
@@ -112,7 +120,7 @@ case "$mode" in
     cmake --build build-bench --parallel "$(nproc)" --target \
       bench_session_cache bench_update_refresh bench_server_concurrency \
       bench_simd_kernels bench_adaptive_views bench_fig9_morpheus \
-      bench_fig12_morpheus_overhead
+      bench_fig12_morpheus_overhead bench_sec913_overhead
     # Factorized smoke: both figures run on a Session over a normalized M
     # (nm_* DAG kernels); fig9 aborts when the rewritten and as-stated
     # results disagree beyond 1e-6.
@@ -128,6 +136,10 @@ case "$mode" in
       --json=build-bench/bench_simd_kernels.json
     ./build-bench/bench/bench_adaptive_views \
       --json=build-bench/bench_adaptive_views.json
+    # §9.1.3: RW_find median, p90 and max over P¬Opt per estimator. Only the
+    # summary runs; the google-benchmark part is filtered out.
+    ./build-bench/bench/bench_sec913_overhead --benchmark_filter='^$' \
+      --json=build-bench/bench_sec913_overhead.json
     # Merge the per-driver documents into the machine-readable summary that
     # perf tooling consumes (the stdout tables above are for humans).
     python3 - <<'PYEOF'
@@ -135,7 +147,7 @@ import json
 
 drivers = ["bench_session_cache", "bench_update_refresh",
            "bench_server_concurrency", "bench_simd_kernels",
-           "bench_adaptive_views"]
+           "bench_adaptive_views", "bench_sec913_overhead"]
 merged = {"schema_version": 1, "generated_by": "scripts/ci.sh bench",
           "benchmarks": []}
 for name in drivers:

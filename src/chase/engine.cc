@@ -74,23 +74,24 @@ NodeId ChaseEngine::InternTerm(CompiledTerm& term) {
   return term.node;
 }
 
-int64_t ChaseEngine::ApplyTgd(PendingTgd& pending) {
+int64_t ChaseEngine::ApplyTgd(const PendingTgd& pending) {
   CompiledConstraint& c =
       compiled_[static_cast<size_t>(pending.constraint_index)];
+  const NodeId* nodes = node_pool_.data() + pending.node_offset;
+  binding_.assign(nodes, nodes + c.num_slots);
+  const FactId* facts = fact_pool_.data() + pending.fact_offset;
+  premise_.assign(facts, facts + c.premise.size());
   // Restricted chase: skip if some extension of the match already satisfies
   // the conclusion (checked at application time — an earlier application in
   // this round may have satisfied it).
   ResolveConstants();
-  if (HasHomomorphism(c.conclusion, *instance_, pending.binding)) return 0;
-  if (gate_ &&
-      !gate_(pending.constraint_index, pending.binding,
-             pending.premise_facts)) {
+  if (HasHomomorphism(c.conclusion, *instance_, binding_)) return 0;
+  if (gate_ && !gate_(pending.constraint_index, binding_, premise_)) {
     ++stats_.pruned_applications;
     return 0;
   }
   // Existential variables get one fresh labelled null shared across all
   // conclusion atoms of this application.
-  Binding& binding = pending.binding;
   std::vector<FactId> added_facts;
   int64_t added = 0;
   for (CompiledAtom& atom : c.conclusion) {
@@ -101,13 +102,13 @@ int64_t ChaseEngine::ApplyTgd(PendingTgd& pending) {
         args.push_back(InternTerm(t));
         continue;
       }
-      NodeId& node = binding[static_cast<size_t>(t.slot)];
+      NodeId& node = binding_[static_cast<size_t>(t.slot)];
       if (node == kNoNode) node = instance_->FreshNull();
       args.push_back(node);
     }
     Derivation derivation;
     derivation.constraint_index = pending.constraint_index;
-    derivation.premise_facts = pending.premise_facts;
+    derivation.premise_facts = premise_;
     bool was_added = false;
     FactId fid = instance_->AddFact(atom.predicate, std::move(args),
                                     std::move(derivation),
@@ -130,18 +131,18 @@ Result<ChaseStats> ChaseEngine::Run() {
   instance_->Rebuild();
   // Semi-naive state: in rounds after the first, a premise only needs
   // re-matching if at least one of its atoms binds a fact added since the
-  // previous collection (watermark). EGD merges can create matches between
-  // old facts (their nodes become equal) and also remap fact ids, so any
-  // round that merged forces a full re-match next round.
+  // previous collection (watermark; fact ids are stable and increasing).
+  // EGD merges can create matches between old facts (their nodes become
+  // equal), so any round that merged forces a full re-match next round.
   int64_t watermark = 0;
   bool full_match = true;
   for (int round = 0; round < options_.max_rounds; ++round) {
     stats_.rounds = round + 1;
     bool progress = false;
-    const int64_t round_start_facts = instance_->num_facts();
+    const int64_t round_start_facts = instance_->fact_id_end();
     const int64_t round_start_merges = stats_.merges;
-    // Mid-round rebuilds (EGD merges) remap fact ids, invalidating the
-    // watermark; fall back to full matching for the rest of the round.
+    // A merge mid-round can create matches between old facts; fall back to
+    // full matching for the rest of the round.
     bool merged_this_round = false;
 
     // Enumerates matches of `c`'s premise, full or semi-naive. Bindings
@@ -166,17 +167,23 @@ Result<ChaseStats> ChaseEngine::Run() {
     };
 
     // --- TGD phase: collect matches against the clean instance, then apply.
-    std::vector<PendingTgd> pending;
+    pending_.clear();
+    node_pool_.clear();
+    fact_pool_.clear();
     for (size_t ci = 0; ci < compiled_.size(); ++ci) {
       if (constraints_[ci].kind != Constraint::Kind::kTgd) continue;
       collect(compiled_[ci],
               [&](const Binding& b, const std::vector<FactId>& facts) {
-                pending.push_back(
-                    PendingTgd{static_cast<int32_t>(ci), b, facts});
+                pending_.push_back(PendingTgd{static_cast<int32_t>(ci),
+                                              node_pool_.size(),
+                                              fact_pool_.size()});
+                node_pool_.insert(node_pool_.end(), b.begin(), b.end());
+                fact_pool_.insert(fact_pool_.end(), facts.begin(),
+                                  facts.end());
                 return true;
               });
     }
-    for (PendingTgd& p : pending) {
+    for (const PendingTgd& p : pending_) {
       if (instance_->num_facts() >= options_.max_facts ||
           instance_->num_nodes() >= options_.max_nodes) {
         stats_.budget_exhausted = true;
@@ -190,17 +197,20 @@ Result<ChaseStats> ChaseEngine::Run() {
     for (size_t ci = 0; ci < compiled_.size(); ++ci) {
       if (constraints_[ci].kind != Constraint::Kind::kEgd) continue;
       CompiledConstraint& c = compiled_[ci];
-      std::vector<Binding> matches;
+      // Counted, not derived from the pool: a premise that binds no
+      // variable still matches once per homomorphism.
+      int64_t matches = 0;
+      node_pool_.clear();
       collect(c, [&](const Binding& b, const std::vector<FactId>&) {
-        matches.push_back(b);
+        node_pool_.insert(node_pool_.end(), b.begin(), b.end());
+        ++matches;
         return true;
       });
-      for (const Binding& b : matches) {
+      for (int64_t m = 0; m < matches; ++m) {
+        const NodeId* b = node_pool_.data() + m * c.num_slots;
         for (auto& [lhs, rhs] : c.equalities) {
-          NodeId a = lhs.is_variable() ? b[static_cast<size_t>(lhs.slot)]
-                                       : InternTerm(lhs);
-          NodeId z = rhs.is_variable() ? b[static_cast<size_t>(rhs.slot)]
-                                       : InternTerm(rhs);
+          NodeId a = lhs.is_variable() ? b[lhs.slot] : InternTerm(lhs);
+          NodeId z = rhs.is_variable() ? b[rhs.slot] : InternTerm(rhs);
           if (instance_->Find(a) != instance_->Find(z)) {
             Status st = instance_->Merge(a, z);
             if (!st.ok()) {

@@ -100,15 +100,18 @@ class ChaseEngine {
   Result<ChaseStats> Run();
 
  private:
+  // A collected TGD match: its binding (num_slots nodes) starts at
+  // node_offset in node_pool_, its premise fact ids (one per premise atom)
+  // at fact_offset in fact_pool_.
   struct PendingTgd {
     int32_t constraint_index;
-    Binding binding;
-    std::vector<FactId> premise_facts;
+    size_t node_offset;
+    size_t fact_offset;
   };
 
   // Applies one TGD match; returns the number of facts added. Fills the
   // match's existential slots with fresh nulls.
-  int64_t ApplyTgd(PendingTgd& pending);
+  int64_t ApplyTgd(const PendingTgd& pending);
 
   // Resolves constant terms the instance has interned since the last call.
   void ResolveConstants();
@@ -126,6 +129,15 @@ class ChaseEngine {
   TgdGate gate_;
   FactsAddedObserver facts_added_;
   ChaseStats stats_;
+  // Match storage, reused across rounds: one round's TGD matches, then one
+  // EGD's bindings at a time. Nothing is allocated per match.
+  std::vector<PendingTgd> pending_;
+  std::vector<NodeId> node_pool_;
+  std::vector<FactId> fact_pool_;
+  // The match ApplyTgd is applying: its binding, extended with fresh nulls,
+  // and its premise facts.
+  Binding binding_;
+  std::vector<FactId> premise_;
 };
 
 }  // namespace hadad::chase

@@ -74,7 +74,10 @@ using MatchCallback =
 // candidates are the smallest argument-index bucket over its bound
 // positions, else its whole relation. A constant not yet interned matches
 // nothing; repeated variables enforce equality. The instance must be clean
-// (Rebuild() called after merges) for matches to be exhaustive.
+// (Rebuild() called after merges) for matches to be exhaustive: facts are
+// indexed under their args as of the last rebuild. Candidate lists hold the
+// live fact ids in ascending order, so the enumeration order depends only
+// on the facts and the order they were added in.
 //
 // Contract: the search walks the instance's index buckets in place, so
 // nothing may mutate the instance until it returns — neither `cb` nor

@@ -27,8 +27,10 @@ inline constexpr NodeId kNoNode = -1;
 // disjunction over its derivations of the conjunction of its premises'
 // provenance.
 struct Derivation {
-  int32_t constraint_index = -1;      // Index into the engine's constraints.
-  std::vector<FactId> premise_facts;  // Canonical fact ids at creation time.
+  int32_t constraint_index = -1;  // Index into the engine's constraints.
+  // The matched facts' ids at creation time. Ids are stable: one that has
+  // since fused into another fact resolves through Instance::Survivor.
+  std::vector<FactId> premise_facts;
 };
 
 struct Fact {
@@ -36,12 +38,24 @@ struct Fact {
   std::vector<NodeId> args;     // Canonical as of the last Rebuild().
   bool initial = false;
   std::vector<Derivation> derivations;
+  // The fact this one fused into at a Rebuild(), or -1 while it is live. A
+  // fused fact stays behind as a tombstone under its id: its derivations
+  // moved to the survivor, and no index lists it.
+  FactId fused_into = -1;
+
+  bool live() const { return fused_into < 0; }
 };
 
 // The evolving symbolic/canonical database the chase runs on (§7.3 calls it
 // the evolving universal-plan instance). Maintains a union-find over nodes;
-// EGD steps merge nodes, and Rebuild() re-canonicalizes facts, fusing
-// duplicates (their derivation lists are concatenated).
+// EGD steps merge nodes, and Rebuild() re-canonicalizes the facts that
+// mention a merged node, fusing duplicates (their derivation lists are
+// concatenated).
+//
+// Fact ids are stable: they are handed out in increasing order and never
+// reused or renumbered. Every index (FactsOf, FactsWith, the fact table)
+// holds exactly the live facts, FactsOf and FactsWith in ascending id
+// order, so the matcher visits facts in the order they were added.
 class Instance {
  public:
   Instance() = default;
@@ -96,25 +110,37 @@ class Instance {
 
   bool HasFact(int32_t predicate, const std::vector<NodeId>& args) const;
 
+  // Any id below fact_id_end(), live or fused.
   const Fact& fact(FactId id) const { return facts_[static_cast<size_t>(id)]; }
-  int64_t num_facts() const { return static_cast<int64_t>(facts_.size()); }
+  // The live fact `id` fused into, possibly through several rebuilds; `id`
+  // itself while it is live.
+  FactId Survivor(FactId id) const;
+  // Live facts: the count the fact budget limits.
+  int64_t num_facts() const { return live_facts_; }
+  // One past the largest fact id handed out, tombstones included: the bound
+  // for loops over ids, and the chase's semi-naive watermark.
+  int64_t fact_id_end() const { return static_cast<int64_t>(facts_.size()); }
 
-  // Fact ids with the given predicate (canonical, post-rebuild view).
+  // The live fact ids with the given predicate, ascending.
   const std::vector<FactId>& FactsOf(int32_t predicate) const;
 
-  // Fact ids with `predicate` whose argument at `position` is (canonically)
-  // `node` — the join index the homomorphism search uses to avoid scanning
-  // whole relations. Valid only on a clean (rebuilt) instance, except that
-  // facts added since the last rebuild are indexed incrementally.
+  // The live fact ids with `predicate` whose argument at `position` is
+  // `node` (canonicalized), ascending — the join index the homomorphism
+  // search uses to avoid scanning whole relations. A fact is listed under
+  // its args as of the last Rebuild(), or as of AddFact for a fact added
+  // since; on a clean instance that is its canonical args.
   const std::vector<FactId>& FactsWith(int32_t predicate, int position,
                                        NodeId node) const;
 
-  // Re-canonicalizes all facts after merges; fuses facts that became equal
-  // (derivations concatenated; `initial` is OR-ed). Remaps every stored
-  // FactId in derivations to the surviving fact. No-op when clean.
+  // Re-canonicalizes the facts that mention a node merged away since the
+  // last rebuild, and only those, so the cost follows the merges rather
+  // than the instance size. Facts that became equal fuse into the one with
+  // the lower id (derivations concatenated in id order; `initial` is
+  // OR-ed); the others become tombstones. Every index ends as a rebuild
+  // from scratch would leave it. No-op when clean.
   void Rebuild();
 
-  bool dirty() const { return dirty_; }
+  bool dirty() const { return !absorbed_.empty(); }
 
   std::string DebugString() const;
 
@@ -126,13 +152,19 @@ class Instance {
     FactId id = -1;
   };
 
-  // The slot holding predicate(args) among `facts`, or the empty slot where
-  // it belongs. A hash match is confirmed against the stored fact.
-  size_t ProbeFact(const std::vector<Fact>& facts, uint64_t hash,
-                   int32_t predicate, const std::vector<NodeId>& args) const;
-  // Empties the fact table, sized for `facts` entries at load <= 1/2.
-  void ResetFactTable(size_t facts);
+  // The slot holding predicate(args), or the empty slot where it belongs. A
+  // hash match is confirmed against the stored fact.
+  size_t ProbeFact(uint64_t hash, int32_t predicate,
+                   const std::vector<NodeId>& args) const;
+  // Doubles the fact table and re-inserts every stored slot.
+  void GrowFactTable();
+  // Empties slot `i` by backward-shift deletion, so that no probe sequence
+  // passes through an empty slot.
+  void EraseSlot(size_t i);
+  // Lists a new fact in the argument index and its nodes' use lists.
   void IndexFact(FactId id);
+  // Adds `fact` to the use list of `node` unless `node` is a constant.
+  void AddUse(NodeId node, FactId fact);
 
   // Union-find state. rank via size; constants always win as root.
   mutable std::vector<NodeId> parent_;
@@ -144,16 +176,31 @@ class Instance {
   std::vector<std::string> predicate_names_;
   std::unordered_map<std::string, int32_t> predicate_ids_;
 
+  // Indexed by fact id, tombstones included.
   std::vector<Fact> facts_;
-  // Deduplicates facts by a 64-bit hash of (predicate, args): open
+  int64_t live_facts_ = 0;
+  // Deduplicates the live facts by a 64-bit hash of (predicate, args): open
   // addressing with linear probing over a power-of-two table.
   std::vector<FactSlot> fact_table_;
   std::vector<std::vector<FactId>> facts_by_predicate_;
   // (predicate, position, node) -> fact ids.
   std::unordered_map<uint64_t, std::vector<FactId>> arg_index_;
   std::vector<FactId> empty_;
+  // Use lists: per node, the facts whose args name it (tombstones may
+  // linger). Kept for labelled nulls only: a constant is never merged
+  // away. Each list is linked through one shared arena from its head, so
+  // adding a use allocates nothing per node and teardown frees two arrays.
+  // A merged-away node's list is emptied by its rebuild; its entries stay
+  // in the arena, which holds at most one entry per use ever added.
+  struct Use {
+    FactId fact;
+    int32_t next;  // Arena index of the list's next entry, or -1.
+  };
+  std::vector<int32_t> use_head_;  // By node; -1 for an empty list.
+  std::vector<Use> uses_;
+  // Roots merged away since the last Rebuild().
+  std::vector<NodeId> absorbed_;
 
-  bool dirty_ = false;
   std::function<void(NodeId, NodeId)> merge_observer_;
 };
 

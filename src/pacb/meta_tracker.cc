@@ -67,7 +67,9 @@ void MetaTracker::SetMeta(chase::NodeId canonical, cost::ClassMeta meta) {
   if (wit == waiters_.end()) return;
   std::vector<chase::FactId> pending = std::move(wit->second);
   waiters_.erase(wit);
-  for (chase::FactId id : pending) TryPropagate(id);
+  // A waiting fact may have fused into another since it parked; the
+  // survivor has the same canonical args.
+  for (chase::FactId id : pending) TryPropagate(instance_->Survivor(id));
 }
 
 void MetaTracker::EmitSizeFact(chase::NodeId canonical,
@@ -171,8 +173,8 @@ void MetaTracker::PropagateAll() {
   int rounds = 0;
   while (changed && rounds++ < 64) {
     changed = false;
-    for (chase::FactId id = 0; id < instance_->num_facts(); ++id) {
-      if (TryPropagate(id)) changed = true;
+    for (chase::FactId id = 0; id < instance_->fact_id_end(); ++id) {
+      if (instance_->fact(id).live() && TryPropagate(id)) changed = true;
     }
   }
 }

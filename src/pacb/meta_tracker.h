@@ -62,7 +62,8 @@ class MetaTracker {
   const cost::SparsityEstimator* estimator_;
   int32_t sconst_predicate_ = -1;  // Looked up until interned.
   std::unordered_map<chase::NodeId, cost::ClassMeta> meta_;
-  // Facts to revisit when a class gains metadata.
+  // Facts to revisit when a class gains metadata. Fact ids are stable; one
+  // that fused into another meanwhile is revisited as its survivor.
   std::unordered_map<chase::NodeId, std::vector<chase::FactId>> waiters_;
 };
 

@@ -278,8 +278,9 @@ void RewriteSession::ComputeContribs() {
     double out_size;
   };
   std::vector<OpOption> ops;
-  for (FactId fid = 0; fid < instance_.num_facts(); ++fid) {
+  for (FactId fid = 0; fid < instance_.fact_id_end(); ++fid) {
     const chase::Fact& f = instance_.fact(fid);
+    if (!f.live()) continue;
     const OpSignature* sig = signatures_.Get(f.predicate);
     if (sig == nullptr) continue;
     std::vector<NodeId> ins;
@@ -430,8 +431,9 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
       try_candidate(root_state->second.best, 0.0);
     }
   }
-  for (FactId fid = 0; fid < instance_.num_facts(); ++fid) {
+  for (FactId fid = 0; fid < instance_.fact_id_end(); ++fid) {
     const chase::Fact& f = instance_.fact(fid);
+    if (!f.live()) continue;
     const OpSignature* sig = signatures_.Get(f.predicate);
     if (sig == nullptr) continue;
     for (size_t slot = 0; slot < sig->outputs.size(); ++slot) {

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <map>
+#include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +16,7 @@
 #include "chase/ast.h"
 #include "chase/homomorphism.h"
 #include "chase/instance.h"
+#include "common/rng.h"
 
 namespace hadad::chase {
 namespace {
@@ -409,6 +416,273 @@ TEST(ChaseEngineTest, AssociativityOnChainTerminates) {
         return false;
       });
   EXPECT_TRUE(found);
+}
+
+// --- Incremental rebuild, differentially ------------------------------------
+//
+// Random instances interleave AddFact, merges and Rebuild(); after every
+// rebuild the instance must equal a rebuild from scratch: every live fact
+// re-canonicalized, the lowest id surviving among facts that became equal.
+// Knobs (both read from the environment, as mvcc_test reads them):
+//   HADAD_STRESS_SEED   fixed RNG seed (default: random, printed on start)
+//   HADAD_STRESS_ITERS  random instances (default 300; the ASan CI arm
+//                       runs 2000)
+
+// Every fact ever added, by id, as a rebuild from scratch sees it.
+struct ReferenceInstance {
+  struct Entry {
+    int32_t predicate;
+    std::vector<NodeId> args;  // As of the last Rebuild, or as added.
+    bool initial;
+    std::vector<int32_t> derivations;  // Constraint indices, used as tags.
+    FactId fused_into = -1;
+  };
+
+  // What a full rebuild met while fusing facts.
+  struct Collisions {
+    int64_t lower_touched = 0;    // The survivor changed, the other did not.
+    int64_t lower_untouched = 0;  // The other changed, the survivor did not.
+  };
+
+  // AddFact's contract: args canonicalized, deduplicated against the live
+  // facts' args as stored.
+  FactId Add(const Instance& inst, int32_t predicate, std::vector<NodeId> args,
+             bool initial, int32_t tag, bool* added) {
+    for (NodeId& a : args) a = inst.Find(a);
+    for (size_t id = 0; id < facts.size(); ++id) {
+      Entry& e = facts[id];
+      if (e.fused_into < 0 && e.predicate == predicate && e.args == args) {
+        e.initial = e.initial || initial;
+        e.derivations.push_back(tag);
+        *added = false;
+        return static_cast<FactId>(id);
+      }
+    }
+    facts.push_back(Entry{predicate, std::move(args), initial, {tag}});
+    *added = true;
+    return static_cast<FactId>(facts.size() - 1);
+  }
+
+  void Rebuild(const Instance& inst, Collisions* collisions) {
+    std::map<std::pair<int32_t, std::vector<NodeId>>, FactId> survivors;
+    std::map<FactId, bool> survivor_touched;
+    for (size_t id = 0; id < facts.size(); ++id) {
+      Entry& e = facts[id];
+      if (e.fused_into >= 0) continue;
+      std::vector<NodeId> canonical = e.args;
+      for (NodeId& a : canonical) a = inst.Find(a);
+      const bool touched = canonical != e.args;
+      e.args = std::move(canonical);
+      auto [it, inserted] = survivors.emplace(
+          std::make_pair(e.predicate, e.args), static_cast<FactId>(id));
+      if (inserted) {
+        survivor_touched[it->second] = touched;
+        continue;
+      }
+      Entry& s = facts[static_cast<size_t>(it->second)];
+      s.initial = s.initial || e.initial;
+      s.derivations.insert(s.derivations.end(), e.derivations.begin(),
+                           e.derivations.end());
+      e.derivations.clear();
+      e.fused_into = it->second;
+      if (survivor_touched[it->second] && !touched) {
+        ++collisions->lower_touched;
+      }
+      if (!survivor_touched[it->second] && touched) {
+        ++collisions->lower_untouched;
+      }
+    }
+  }
+
+  FactId Survivor(FactId id) const {
+    while (facts[static_cast<size_t>(id)].fused_into >= 0) {
+      id = facts[static_cast<size_t>(id)].fused_into;
+    }
+    return id;
+  }
+
+  std::vector<Entry> facts;
+};
+
+template <typename T>
+std::string Join(const std::vector<T>& v) {
+  std::ostringstream out;
+  out << '[';
+  for (size_t i = 0; i < v.size(); ++i) out << (i > 0 ? " " : "") << v[i];
+  return out.str() + ']';
+}
+
+// The first difference between `inst` and `ref`, or "" when they agree on
+// the live facts, tombstones, derivations, every index bucket, HasFact and
+// the live count.
+std::string Diff(const Instance& inst, const ReferenceInstance& ref,
+                 const std::vector<int32_t>& predicates,
+                 const std::vector<int>& arity) {
+  std::ostringstream out;
+  if (inst.fact_id_end() != static_cast<int64_t>(ref.facts.size())) {
+    out << "fact_id_end " << inst.fact_id_end() << " vs " << ref.facts.size();
+    return out.str();
+  }
+  int64_t live = 0;
+  for (FactId id = 0; id < inst.fact_id_end(); ++id) {
+    const Fact& f = inst.fact(id);
+    const ReferenceInstance::Entry& e = ref.facts[static_cast<size_t>(id)];
+    std::vector<int32_t> tags;
+    for (const Derivation& d : f.derivations) {
+      tags.push_back(d.constraint_index);
+    }
+    if (f.live() != (e.fused_into < 0) ||
+        inst.Survivor(id) != ref.Survivor(id)) {
+      out << "fact " << id << ": survivor " << inst.Survivor(id) << " vs "
+          << ref.Survivor(id);
+    } else if (!f.live()) {
+      if (!tags.empty()) out << "tombstone " << id << " keeps derivations";
+    } else if (f.predicate != e.predicate || f.args != e.args ||
+               f.initial != e.initial || tags != e.derivations) {
+      out << "fact " << id << ": " << f.predicate << Join(f.args)
+          << " initial=" << f.initial << " derivations=" << Join(tags)
+          << " vs " << e.predicate << Join(e.args) << " initial="
+          << e.initial << " derivations=" << Join(e.derivations);
+    } else if (!inst.HasFact(f.predicate, f.args)) {
+      out << "HasFact misses live fact " << id;
+    }
+    if (!out.str().empty()) return out.str();
+    if (f.live()) ++live;
+  }
+  if (inst.num_facts() != live) {
+    out << "num_facts " << inst.num_facts() << " vs " << live;
+    return out.str();
+  }
+  for (size_t pi = 0; pi < predicates.size(); ++pi) {
+    std::vector<FactId> of;
+    for (size_t id = 0; id < ref.facts.size(); ++id) {
+      const ReferenceInstance::Entry& e = ref.facts[id];
+      if (e.fused_into < 0 && e.predicate == predicates[pi]) {
+        of.push_back(static_cast<FactId>(id));
+      }
+    }
+    if (inst.FactsOf(predicates[pi]) != of) {
+      out << "FactsOf(" << predicates[pi] << ") "
+          << Join(inst.FactsOf(predicates[pi])) << " vs " << Join(of);
+      return out.str();
+    }
+    for (int pos = 0; pos < arity[pi]; ++pos) {
+      for (NodeId n = 0; n < inst.num_nodes(); ++n) {
+        std::vector<FactId> with;
+        for (FactId id : of) {
+          if (ref.facts[static_cast<size_t>(id)].args[static_cast<size_t>(
+                  pos)] == inst.Find(n)) {
+            with.push_back(id);
+          }
+        }
+        if (inst.FactsWith(predicates[pi], pos, n) != with) {
+          out << "FactsWith(" << predicates[pi] << ", " << pos << ", " << n
+              << ") " << Join(inst.FactsWith(predicates[pi], pos, n))
+              << " vs " << Join(with);
+          return out.str();
+        }
+      }
+    }
+  }
+  return "";
+}
+
+TEST(RebuildDifferentialTest, MatchesRebuildFromScratch) {
+  uint64_t seed;
+  if (const char* s = std::getenv("HADAD_STRESS_SEED")) {
+    seed = std::strtoull(s, nullptr, 10);
+  } else {
+    std::random_device rd;
+    seed = (uint64_t{rd()} << 32) ^ rd();
+  }
+  int iters = 300;
+  if (const char* s = std::getenv("HADAD_STRESS_ITERS")) {
+    iters = std::max(1, std::atoi(s));
+  }
+  std::cerr << "[ rebuild differential: seed=" << seed << " iters=" << iters
+            << " (override via HADAD_STRESS_SEED / HADAD_STRESS_ITERS) ]\n";
+  Rng rng(seed);
+  ReferenceInstance::Collisions collisions;
+  int64_t null_into_constant = 0;
+  int64_t merge_chains = 0;
+  int64_t adds_while_dirty = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    Instance inst;
+    ReferenceInstance ref;
+    std::vector<int32_t> predicates;
+    std::vector<int> arity;
+    const int num_predicates = 2 + static_cast<int>(rng.NextBelow(3));
+    for (int p = 0; p < num_predicates; ++p) {
+      predicates.push_back(inst.InternPredicate("p" + std::to_string(p)));
+      arity.push_back(1 + static_cast<int>(rng.NextBelow(3)));
+    }
+    std::vector<NodeId> nodes;
+    for (int c = 0; c < 2; ++c) {
+      nodes.push_back(inst.InternConstant("c" + std::to_string(c)));
+    }
+    const int num_nulls = 4 + static_cast<int>(rng.NextBelow(6));
+    for (int n = 0; n < num_nulls; ++n) nodes.push_back(inst.FreshNull());
+    // Roots that absorbed another node since the last rebuild: absorbing
+    // one of them continues a chain.
+    std::vector<NodeId> survivors;
+    inst.SetMergeObserver([&](NodeId absorbed, NodeId survivor) {
+      if (std::find(survivors.begin(), survivors.end(), absorbed) !=
+          survivors.end()) {
+        ++merge_chains;
+      }
+      if (inst.IsConstant(survivor)) ++null_into_constant;
+      survivors.push_back(survivor);
+    });
+    const int steps = 40 + static_cast<int>(rng.NextBelow(60));
+    for (int step = 0; step < steps; ++step) {
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 55) {
+        const size_t pi = rng.NextBelow(predicates.size());
+        std::vector<NodeId> args;
+        for (int i = 0; i < arity[pi]; ++i) {
+          args.push_back(nodes[rng.NextBelow(nodes.size())]);
+        }
+        const bool initial = rng.NextBelow(2) == 0;
+        if (inst.dirty()) ++adds_while_dirty;
+        bool added = false;
+        bool ref_added = false;
+        const FactId id = inst.AddFact(predicates[pi], args,
+                                       Derivation{step, {}}, initial, &added);
+        const FactId ref_id =
+            ref.Add(inst, predicates[pi], args, initial, step, &ref_added);
+        ASSERT_EQ(id, ref_id) << "seed=" << seed << " iter=" << iter
+                              << " step=" << step;
+        ASSERT_EQ(added, ref_added) << "seed=" << seed << " iter=" << iter
+                                    << " step=" << step;
+      } else if (op < 80) {
+        const NodeId a = nodes[rng.NextBelow(nodes.size())];
+        const NodeId b = nodes[rng.NextBelow(nodes.size())];
+        if (inst.IsConstant(a) && inst.IsConstant(b)) continue;
+        ASSERT_TRUE(inst.Merge(a, b).ok());
+      } else if (op < 95) {
+        inst.Rebuild();
+        ref.Rebuild(inst, &collisions);
+        survivors.clear();
+        ASSERT_EQ(Diff(inst, ref, predicates, arity), "")
+            << "seed=" << seed << " iter=" << iter << " step=" << step;
+      } else {
+        nodes.push_back(inst.FreshNull());
+      }
+    }
+  }
+  // Enough instances must have met every case the rebuild distinguishes.
+  if (iters >= 100) {
+    EXPECT_GT(collisions.lower_touched, 0);
+    EXPECT_GT(collisions.lower_untouched, 0);
+    EXPECT_GT(null_into_constant, 0);
+    EXPECT_GT(merge_chains, 0);
+    EXPECT_GT(adds_while_dirty, 0);
+  }
+  std::cerr << "[ collisions: lower touched=" << collisions.lower_touched
+            << " lower untouched=" << collisions.lower_untouched
+            << "; merges into a constant=" << null_into_constant
+            << ", chained=" << merge_chains
+            << "; adds while dirty=" << adds_while_dirty << " ]\n";
 }
 
 }  // namespace

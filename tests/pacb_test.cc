@@ -14,7 +14,10 @@
 #include "core/workloads.h"
 #include "engine/workspace.h"
 #include "la/parser.h"
+#include "la/vrem.h"
 #include "matrix/generate.h"
+#include "pacb/meta_tracker.h"
+#include "pacb/op_signature.h"
 
 namespace hadad::pacb {
 namespace {
@@ -425,6 +428,42 @@ TEST(OptimizerTest, ConcurrentOptimizeMatchesSequential) {
           << "thread " << t << ", " << pipelines[k].id;
     }
   }
+}
+
+// A fact whose input class has no metadata yet waits for it by fact id. A
+// rebuild that fuses other facts in between must not make that id name
+// another fact: once the input is seeded, the waiting transpose still
+// derives its output's shape.
+TEST(MetaTrackerTest, WaitingFactSurvivesRebuild) {
+  chase::Instance inst;
+  SignatureTable signatures(&inst);
+  cost::NaiveMetadataEstimator estimator;
+  MetaTracker tracker(&inst, &signatures, &estimator);
+  inst.SetMergeObserver([&tracker](chase::NodeId absorbed,
+                                   chase::NodeId survivor) {
+    tracker.OnMerge(absorbed, survivor);
+  });
+  const int32_t zero = inst.InternPredicate(la::vrem::kZero);
+  const int32_t tr = inst.InternPredicate(la::vrem::kTr);
+  const chase::NodeId a = inst.FreshNull();
+  const chase::NodeId b = inst.FreshNull();
+  const chase::NodeId x = inst.FreshNull();
+  const chase::NodeId y = inst.FreshNull();
+  std::vector<chase::FactId> ids;
+  ids.push_back(inst.AddFact(zero, {a}, chase::Derivation{}, true, nullptr));
+  ids.push_back(inst.AddFact(zero, {b}, chase::Derivation{}, true, nullptr));
+  ids.push_back(inst.AddFact(tr, {x, y}, chase::Derivation{}, true, nullptr));
+  tracker.OnFactsAdded(ids);  // tr(x, y) waits on x.
+  ASSERT_EQ(tracker.Get(y), nullptr);
+  ASSERT_TRUE(inst.Merge(a, b).ok());
+  inst.Rebuild();  // zero(a) and zero(b) fuse.
+  cost::ClassMeta meta;
+  meta.shape = la::MatrixMeta{.rows = 3, .cols = 5, .nnz = 15};
+  tracker.Seed(x, meta);
+  const cost::ClassMeta* out = tracker.Get(y);
+  ASSERT_NE(out, nullptr) << "tr(x, y) lost its wait across the rebuild";
+  EXPECT_EQ(out->shape.rows, 5);
+  EXPECT_EQ(out->shape.cols, 3);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TEST(RangedMatchingTest, PivotDecompositionCoversExactlyNewMatches) {
     }
   };
   add_edges(30);
-  const FactId watermark = static_cast<FactId>(inst.num_facts());
+  const FactId watermark = static_cast<FactId>(inst.fact_id_end());
   add_edges(20);
 
   const std::vector<Atom> atoms = {MakeAtom("edge", {Var("X"), Var("Y")}),
