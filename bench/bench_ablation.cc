@@ -1,4 +1,5 @@
-// Ablation study (DESIGN.md §6): what each design choice buys.
+// Ablation study: what each design choice buys (docs/ARCHITECTURE.md lists
+// the deviations from the paper).
 //   (a) Prune_prov on/off — chase size and RW_find time (§7.3's motivation:
 //       commutativity/associativity blow the space up exponentially);
 //   (b) naive vs MNC estimator — rewriting quality on sparse data (§9.1.1

@@ -1,6 +1,6 @@
 // Tables 4 and 5: the datasets behind the LA benchmark, regenerated
 // synthetically at laptop scale (aspect ratios and sparsity fractions
-// preserved; see DESIGN.md's substitution table).
+// preserved; see docs/ARCHITECTURE.md, "Deviations from the paper").
 
 #include <cstdio>
 

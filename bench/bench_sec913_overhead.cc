@@ -7,8 +7,11 @@
 // overhead <1% for expensive P_Opt pipelines, up to ~10% for cheap ones.
 //
 // With --json=PATH (bench_json.h) it also records, per estimator, RW_find's
-// median, p90 and max over P¬Opt (seconds; no speedup). `scripts/ci.sh
-// bench` runs only the summary: --benchmark_filter='^$'.
+// median, p90 and max over P¬Opt (seconds; no speedup), and the median and
+// max over P_Opt of RW_find's share RW_find / (Q_exec + RW_find) under MNC
+// (rwfind_share_median/mnc, rwfind_share_max/mnc: the `seconds` field holds
+// the unitless share). `scripts/ci.sh bench` runs only the summary:
+// --benchmark_filter='^$'.
 
 #include <benchmark/benchmark.h>
 
@@ -117,6 +120,7 @@ void PrintSummary(bench::JsonWriter* json) {
               "==\n");
   std::printf("%-7s %12s %12s %9s\n", "id", "Qexec[ms]", "RWfind[ms]",
               "ovhd[%]");
+  std::vector<double> shares;
   for (const core::Pipeline& p : core::LaBenchmark()) {
     if (p.cls != core::PipelineClass::kOpt) continue;
     auto row = core::ComparePipeline(p.id, p.text, *env->mnc_optimizer,
@@ -125,6 +129,18 @@ void PrintSummary(bench::JsonWriter* json) {
     std::printf("%-7s %12.3f %12.3f %9.2f\n", row->id.c_str(),
                 row->q_exec_seconds * 1e3, row->rw_find_seconds * 1e3,
                 row->overhead_pct);
+    shares.push_back(row->overhead_pct / 100.0);
+  }
+  std::sort(shares.begin(), shares.end());
+  const double median_share = shares[shares.size() / 2];
+  std::printf("  n=%zu median=%.2f%% max=%.2f%%\n", shares.size(),
+              median_share * 100.0, shares.back() * 100.0);
+  for (const auto& [stat, share] :
+       {std::pair<const char*, double>{"rwfind_share_median/mnc",
+                                       median_share},
+        {"rwfind_share_max/mnc", shares.back()}}) {
+    json->Add(stat, share, /*speedup=*/-1.0, /*threads=*/1,
+              /*verified_tolerance=*/-1.0);
   }
   std::printf("  Paper: <1%% for inverse/determinant-heavy pipelines, up to "
               "~10%% for cheap multiplication chains.\n");

@@ -162,6 +162,7 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
     plan->rewrite = std::move(rewrite).value();
     const chase::ChaseStats& chased = plan->rewrite.chase_stats;
     if (chased.budget_exhausted) chase_budget_exhausted_->Inc();
+    if (chased.stalled) chase_stalled_->Inc();
     if (derive.active()) {
       derive.Annotate("canonical", canonical);
       derive.Annotate("improved",
@@ -175,6 +176,7 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
                       chased.pruned_applications);
       derive.Annotate("chase_budget_exhausted",
                       static_cast<int64_t>(chased.budget_exhausted));
+      derive.Annotate("chase_stalled", static_cast<int64_t>(chased.stalled));
     }
     plan->generation = view_generation_.load(std::memory_order_acquire);
     std::set<std::string> leaves;
@@ -949,6 +951,9 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
         m.AddCounter("hadad_chase_budget_exhausted_total",
         "Plan derivations whose chase stopped at its fact or node budget "
         "(the best rewriting found so far is used). Unit: derivations.");
+    raw->chase_stalled_ = m.AddCounter("hadad_chase_stalled_total",
+        "Plan derivations whose chase the optimizer ended because rounds "
+        "stopped lowering the goal's best cost. Unit: derivations.");
     raw->runs_ = m.AddCounter("hadad_session_runs_total",
         "Session::Run invocations. Unit: calls.");
     raw->compiled_plans_ = m.AddCounter("hadad_session_compiled_plans_total",

@@ -506,6 +506,7 @@ class Session : public std::enable_shared_from_this<Session> {
   obs::Counter* cache_misses_ = nullptr;
   obs::Counter* coalesced_builds_ = nullptr;
   obs::Counter* chase_budget_exhausted_ = nullptr;
+  obs::Counter* chase_stalled_ = nullptr;
   obs::Counter* runs_ = nullptr;
   obs::Counter* compiled_plans_ = nullptr;
   obs::Counter* as_stated_fallbacks_ = nullptr;

@@ -230,7 +230,12 @@ Result<ChaseStats> ChaseEngine::Run() {
     // Semi-naive bookkeeping for the next round.
     full_match = stats_.merges != round_start_merges;
     watermark = round_start_facts;
+    const bool stop = round_end_ && round_end_(stats_);
     if (!progress || stats_.budget_exhausted) break;
+    if (stop && round + 1 < options_.max_rounds) {
+      stats_.stalled = true;
+      break;
+    }
   }
   return stats_;
 }

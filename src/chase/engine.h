@@ -14,11 +14,13 @@
 namespace hadad::chase {
 
 struct ChaseOptions {
-  // Breadth-first saturation rounds. Benchmark pipelines need at most ~6
-  // rounds to reach their rewritings (view chains included); on pipelines
-  // whose intermediates all share one size, cost pruning cannot bite
-  // (everything costs the same), so the round bound is what keeps the
-  // commutativity/associativity blowup in check.
+  // Breadth-first saturation rounds. Benchmark pipelines find their final
+  // rewritings by round 4, and the optimizer's round-end hook usually ends
+  // the chase before this cap (see pacb/optimizer.cc's kStallRounds); the
+  // cap still bounds callers that install no hook, and pipelines whose
+  // intermediates all share one size, where cost pruning cannot bite
+  // (everything costs the same) and the commutativity/associativity
+  // blowup would otherwise run on.
   int max_rounds = 8;
   // Hard budgets that keep non-terminating constraint sets in check (§8's
   // termination requirement is delegated to these when violated).
@@ -39,6 +41,9 @@ struct ChaseStats {
   int64_t merges = 0;
   int64_t pruned_applications = 0;  // Skipped by the Prune_prov gate.
   bool budget_exhausted = false;
+  // The round-end hook ended the chase (before fixpoint, the fact or node
+  // budget, and max_rounds would have).
+  bool stalled = false;
 };
 
 // A constraint compiled against the engine's instance (see CompiledTerm).
@@ -66,6 +71,14 @@ using TgdGate =
 // metadata layers can propagate dimensions and sparsity incrementally.
 using FactsAddedObserver = std::function<void(const std::vector<FactId>&)>;
 
+// Called once at the end of every round, after its last Rebuild() (the
+// instance is clean), with the statistics so far (`rounds` counts the round
+// just completed). Returning true ends the chase after this round and sets
+// ChaseStats::stalled, unless fixpoint, the budget or max_rounds ends it
+// there anyway. PACB++ uses it to stop when rounds stop lowering the goal's
+// best cost.
+using RoundEndHook = std::function<bool(const ChaseStats&)>;
+
 // The restricted chase (§4.2): applies TGDs breadth-first per round (a TGD
 // fires only when its conclusion is not already satisfied by any extension
 // of the match), then EGDs (merging equivalence classes), then
@@ -89,14 +102,15 @@ class ChaseEngine {
   void set_facts_added_observer(FactsAddedObserver obs) {
     facts_added_ = std::move(obs);
   }
+  void set_round_end(RoundEndHook hook) { round_end_ = std::move(hook); }
 
   const std::vector<Constraint>& constraints() const { return constraints_; }
   const CompiledConstraint& compiled(int32_t index) const {
     return compiled_[static_cast<size_t>(index)];
   }
 
-  // Runs to fixpoint (or budget). Fails only on unsatisfiability (an EGD
-  // equating distinct constants).
+  // Runs to fixpoint (or budget, max_rounds, or the round-end hook). Fails
+  // only on unsatisfiability (an EGD equating distinct constants).
   Result<ChaseStats> Run();
 
  private:
@@ -128,6 +142,7 @@ class ChaseEngine {
   ChaseOptions options_;
   TgdGate gate_;
   FactsAddedObserver facts_added_;
+  RoundEndHook round_end_;
   ChaseStats stats_;
   // Match storage, reused across rounds: one round's TGD matches, then one
   // EGD's bindings at a time. Nothing is allocated per match.

@@ -12,7 +12,8 @@ namespace hadad::core {
 
 // Matrix-name bindings of the LA benchmark (Table 6), scaled to laptop
 // size while preserving aspect ratios and sparsity fractions (see
-// DESIGN.md's substitution table). Paper sizes in comments.
+// docs/ARCHITECTURE.md, "Deviations from the paper"). Paper sizes in
+// comments.
 struct LaBenchConfig {
   int64_t n_a = 20000;  // A, B rows            (paper: 1M,   AL1/NL1/Syn3).
   int64_t n_m = 1000;   // M rows / N cols      (paper: 50K,  AS/NS/Syn1).

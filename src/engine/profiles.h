@@ -9,7 +9,7 @@
 namespace hadad::engine {
 
 // Execution-engine profiles standing in for the systems of §9's evaluation
-// (see DESIGN.md's substitution table):
+// (see docs/ARCHITECTURE.md, "Deviations from the paper"):
 //  - kNaive: R/NumPy-like — runs the pipeline exactly as stated.
 //  - kSmart: SystemML-like — applies its own *internal* static rewrites
 //    first (matrix-chain reordering, a subset of algebraic simplifications)

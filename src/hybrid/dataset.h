@@ -12,7 +12,7 @@
 namespace hadad::hybrid {
 
 // The two hybrid micro-benchmarks of §9.2.2, regenerated synthetically at
-// laptop scale (DESIGN.md's substitution table):
+// laptop scale (docs/ARCHITECTURE.md, "Deviations from the paper"):
 //  * kTwitter — User/Tweet tables joined into the dense feature matrix M,
 //    plus a tweet-hashtag-filterlevel fact table (the JSON extraction)
 //    filtered on keyword+country that casts into the ultra-sparse matrix N.

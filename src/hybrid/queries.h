@@ -14,10 +14,10 @@
 namespace hadad::hybrid {
 
 // The ten micro-hybrid Q_LA pipelines (Table 7, adapted to self-consistent
-// scaled shapes; see DESIGN.md). Names: M the join matrix, NF the filtered
-// sparse matrix, T/K/U the normalized pieces, and synthetic aux matrices
-// X (q x nS), X2 (nS x nH), X4/C5 (q x nS), C2 (nH x nH), Y (dM x nH),
-// u (nS x 1), v/u5/u6 (nH x 1).
+// scaled shapes; see docs/ARCHITECTURE.md, "Deviations from the paper").
+// Names: M the join matrix, NF the filtered sparse matrix, T/K/U the
+// normalized pieces, and synthetic aux matrices X (q x nS), X2 (nS x nH),
+// X4/C5 (q x nS), C2 (nH x nH), Y (dM x nH), u (nS x 1), v/u5/u6 (nH x 1).
 struct HybridQuery {
   std::string id;
   std::string qla;

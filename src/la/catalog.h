@@ -34,7 +34,7 @@ std::vector<chase::Constraint> MmcDecompositions();
 // (Table 11). Deviation from the paper's table: the `colVar(M)->M` /
 // `rowVar(M)->M` row-/column-vector rules are omitted because they do not
 // hold under sample-variance semantics (var of a single cell is 0, not the
-// cell); see DESIGN.md.
+// cell); see docs/ARCHITECTURE.md, "Deviations from the paper".
 std::vector<chase::Constraint> MmcStatAgg();
 
 // Morpheus's factorized-learning rewrite rules over the normalized matrix

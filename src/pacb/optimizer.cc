@@ -31,6 +31,19 @@ using la::OpKind;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-9;
 
+// RW_find ends the chase after this many rounds in a row that do not lower
+// the goal class's best extraction cost; round 1 only sets the baseline.
+// PACB++ chases to termination, so this trades plan quality on untried
+// inputs for latency (docs/ARCHITECTURE.md, "Deviations from the paper");
+// soundness holds regardless (Theorem 8.1). On the 57 benchmark pipelines,
+// both estimators, with and without the 12 V_exp views, 3 is the smallest
+// patience that keeps every best cost: P2.21 improves after one flat round,
+// and P1.27 with the views after two. Keeping P1.20's text with the views
+// (trace(V2); 3 finds the equal-cost trace(V7)) would need 6, which saves
+// 1.06x. Total RW_find saving simulated at patience 2 / 3 / 4 (seed 42, no
+// views): naive 12.1x / 4.0x / 2.7x, MNC 7.4x / 2.2x / 1.4x.
+constexpr int kStallRounds = 3;
+
 // One way to obtain a class: scan a named input (base matrix or view), use
 // a scalar literal, or apply the operator of fact `fact` (output
 // `output_slot` of its signature).
@@ -75,6 +88,19 @@ class RewriteSession {
   bool Gate(const chase::CompiledConstraint& c, const Binding& binding,
             const std::vector<FactId>& premise);
   void ComputeContribs();
+  // Calls fn(derivation, cost) for each way extraction may produce the goal
+  // class, from the last ComputeContribs(): its scan/scalar option
+  // (view-only rewriting, RW_0 of §6.3) at 0, and each operator fact output
+  // that is the goal class at its inputs' contribs (the goal's own size is
+  // free). PACB++ only surfaces minimum-cost-bounded rewritings, so under
+  // pruning a fact costing more than T is skipped; the naive algorithm
+  // (prune = false) enumerates all of them (§7.3).
+  template <typename Fn>
+  void ForEachGoalOption(Fn&& fn);
+  // The round-end hook: computes contribs, then returns true once
+  // kStallRounds rounds in a row have not lowered the goal's best
+  // extraction cost.
+  bool OnRoundEnd(const chase::ChaseStats& stats);
   Result<ExprPtr> Decode(NodeId cls, int depth);
 
   const la::MetaCatalog& catalog_;
@@ -96,6 +122,10 @@ class RewriteSession {
   double prune_bound_ = kInf;
   NodeId root_ = chase::kNoNode;
   std::unordered_map<NodeId, ClassState> classes_;
+  // Stall rule state: the goal's best extraction cost so far, and how many
+  // rounds since it last fell.
+  double goal_best_ = kInf;
+  int flat_rounds_ = 0;
 };
 
 Status RewriteSession::SeedInstance(const la::EncodedExpr& enc) {
@@ -323,6 +353,55 @@ void RewriteSession::ComputeContribs() {
   }
 }
 
+template <typename Fn>
+void RewriteSession::ForEachGoalOption(Fn&& fn) {
+  const NodeId root = instance_.Find(root_);
+  auto root_state = classes_.find(root);
+  if (root_state != classes_.end() && root_state->second.has_option &&
+      root_state->second.best.kind != Derivation::Kind::kOp) {
+    fn(root_state->second.best, 0.0);
+  }
+  for (FactId fid = 0; fid < instance_.fact_id_end(); ++fid) {
+    const chase::Fact& f = instance_.fact(fid);
+    if (!f.live()) continue;
+    const OpSignature* sig = signatures_.Get(f.predicate);
+    if (sig == nullptr) continue;
+    for (size_t slot = 0; slot < sig->outputs.size(); ++slot) {
+      NodeId out = instance_.Find(
+          f.args[static_cast<size_t>(sig->outputs[slot].position)]);
+      if (out != root) continue;
+      double cost = 0.0;
+      for (int pos : sig->input_positions) {
+        auto it = classes_.find(
+            instance_.Find(f.args[static_cast<size_t>(pos)]));
+        if (it == classes_.end() || !it->second.has_option) {
+          cost = kInf;
+          break;
+        }
+        cost += it->second.contrib;
+      }
+      if (std::isinf(cost) || (options_.prune && cost > threshold_ + kEps)) {
+        continue;
+      }
+      fn(Derivation{Derivation::Kind::kOp, "", 0, fid, static_cast<int>(slot)},
+         cost);
+    }
+  }
+}
+
+bool RewriteSession::OnRoundEnd(const chase::ChaseStats& stats) {
+  ComputeContribs();
+  double best = kInf;
+  ForEachGoalOption(
+      [&best](const Derivation&, double cost) { best = std::min(best, cost); });
+  if (stats.rounds == 1 || best < goal_best_ - kEps) {
+    goal_best_ = best;
+    flat_rounds_ = 0;
+    return false;
+  }
+  return ++flat_rounds_ >= kStallRounds;
+}
+
 Result<ExprPtr> RewriteSession::Decode(NodeId cls, int depth) {
   if (depth > 256) {
     return Status::Internal("decode recursion limit hit (cyclic extraction)");
@@ -394,12 +473,14 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
       return Gate(engine.compiled(ci), b, premise);
     });
   }
+  // Each round ends by computing contribs, so the last round's serve the
+  // decode below.
+  engine.set_round_end(
+      [this](const chase::ChaseStats& stats) { return OnRoundEnd(stats); });
   HADAD_ASSIGN_OR_RETURN(result.chase_stats, engine.Run());
+  if (result.chase_stats.rounds == 0) ComputeContribs();
 
-  ComputeContribs();
-
-  // Enumerate goal-class alternatives: the scan/scalar option plus every
-  // operator fact producing the goal class, each with min-cost subplans.
+  // Enumerate goal-class alternatives, each with min-cost subplans.
   const NodeId root = instance_.Find(root_);
   struct Candidate {
     ExprPtr expr;
@@ -424,43 +505,7 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
     if (est.ok()) reported = est->cost;
     candidates.push_back({*decoded, reported});
   };
-  auto root_state = classes_.find(root);
-  if (root_state != classes_.end() && root_state->second.has_option) {
-    // Scan/scalar option (view-only rewriting, RW_0 of §6.3).
-    if (root_state->second.best.kind != Derivation::Kind::kOp) {
-      try_candidate(root_state->second.best, 0.0);
-    }
-  }
-  for (FactId fid = 0; fid < instance_.fact_id_end(); ++fid) {
-    const chase::Fact& f = instance_.fact(fid);
-    if (!f.live()) continue;
-    const OpSignature* sig = signatures_.Get(f.predicate);
-    if (sig == nullptr) continue;
-    for (size_t slot = 0; slot < sig->outputs.size(); ++slot) {
-      NodeId out = instance_.Find(
-          f.args[static_cast<size_t>(sig->outputs[slot].position)]);
-      if (out != root) continue;
-      // Root cost: children contribs only (the root's own size is free).
-      double cost = 0.0;
-      bool ok = true;
-      for (int pos : sig->input_positions) {
-        auto it = classes_.find(
-            instance_.Find(f.args[static_cast<size_t>(pos)]));
-        if (it == classes_.end() || !it->second.has_option) {
-          ok = false;
-          break;
-        }
-        cost += it->second.contrib;
-      }
-      // PACB++ only surfaces minimum-cost-bounded rewritings; the naive
-      // algorithm (prune = false) enumerates all of them (§7.3).
-      if (!ok || (options_.prune && cost > threshold_ + kEps)) continue;
-      try_candidate(
-          Derivation{Derivation::Kind::kOp, "", 0, fid,
-                     static_cast<int>(slot)},
-          cost);
-    }
-  }
+  ForEachGoalOption(try_candidate);
 
   // Dedupe (by rendered text), sort by (cost, tree size, text).
   std::sort(candidates.begin(), candidates.end(),

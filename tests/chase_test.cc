@@ -338,24 +338,30 @@ TEST(ChaseEngineTest, GateSkipsApplications) {
   EXPECT_EQ(inst.FactsOf(inst.LookupPredicate("q")).size(), 0u);
 }
 
-// Fact budget stops a diverging chase (successor-style constraint).
-TEST(ChaseEngineTest, BudgetStopsDivergingChase) {
+// A successor-style chase: one new fact per round until a bound stops it.
+struct DivergingChase {
+  DivergingChase() {
+    int32_t p = inst.InternPredicate("succ");
+    inst.AddFact(p, {inst.FreshNull(), inst.FreshNull()}, Derivation{}, true,
+                 nullptr);
+  }
   Instance inst;
-  int32_t p = inst.InternPredicate("succ");
-  NodeId a = inst.FreshNull(), b = inst.FreshNull();
-  inst.AddFact(p, {a, b}, Derivation{}, true, nullptr);
-  Constraint diverge = MakeTgd(
-      "diverge", {MakeAtom("succ", {Var("X"), Var("Y")})},
-      {MakeAtom("succ", {Var("Y"), Var("Z")})});
+  const std::vector<Constraint> constraints = {
+      MakeTgd("diverge", {MakeAtom("succ", {Var("X"), Var("Y")})},
+              {MakeAtom("succ", {Var("Y"), Var("Z")})})};
+};
+
+// Fact budget stops a diverging chase.
+TEST(ChaseEngineTest, BudgetStopsDivergingChase) {
+  DivergingChase d;
   ChaseOptions options;
   options.max_facts = 50;
   options.max_rounds = 1000;
-  const std::vector<Constraint> constraints = {diverge};
-  ChaseEngine engine(&inst, constraints, options);
+  ChaseEngine engine(&d.inst, d.constraints, options);
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(stats->budget_exhausted);
-  EXPECT_LE(inst.num_facts(), 51);
+  EXPECT_LE(d.inst.num_facts(), 51);
 }
 
 // Facts-added observer sees every new fact.
@@ -374,6 +380,125 @@ TEST(ChaseEngineTest, ObserverSeesAdditions) {
   auto stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(seen, 1);
+}
+
+// The round-end hook runs once per completed round, after the round's last
+// Rebuild (a clean instance), with `rounds` already counting that round. A
+// hook that never stops leaves the chase as it is without one.
+TEST(ChaseEngineTest, RoundEndHookSeesEveryRoundOnCleanInstance) {
+  // Example 7.2's chain under associativity and I_multiM, a chase that
+  // merges: the hook must still see a clean instance.
+  const std::vector<Constraint> constraints = {
+      MakeTgd("mul-associative",
+              {MakeAtom("multiM", {Var("A"), Var("B"), Var("R1")}),
+               MakeAtom("multiM", {Var("R1"), Var("C"), Var("R2")})},
+              {MakeAtom("multiM", {Var("B"), Var("C"), Var("R3")}),
+               MakeAtom("multiM", {Var("A"), Var("R3"), Var("R2")})}),
+      MakeEgd("I_multiM",
+              {MakeAtom("multiM", {Var("M"), Var("N"), Var("R1")}),
+               MakeAtom("multiM", {Var("M"), Var("N"), Var("R2")})},
+              {{Var("R1"), Var("R2")}})};
+  auto chase = [&constraints](bool with_hook, std::vector<int>* rounds_seen) {
+    Instance inst;
+    int32_t mul = inst.InternPredicate("multiM");
+    NodeId m = inst.FreshNull(), n = inst.FreshNull(), r1 = inst.FreshNull();
+    inst.AddFact(mul, {m, n, r1}, Derivation{}, true, nullptr);
+    inst.AddFact(mul, {r1, m, inst.FreshNull()}, Derivation{}, true, nullptr);
+    inst.AddFact(mul, {inst.FreshNull(), r1, m}, Derivation{}, true, nullptr);
+    ChaseEngine engine(&inst, constraints);
+    if (with_hook) {
+      engine.set_round_end([&inst, rounds_seen](const ChaseStats& stats) {
+        EXPECT_FALSE(inst.dirty()) << "round " << stats.rounds;
+        rounds_seen->push_back(stats.rounds);
+        return false;
+      });
+    }
+    auto stats = engine.Run();
+    EXPECT_TRUE(stats.ok());
+    return stats.ok() ? *stats : ChaseStats{};
+  };
+  std::vector<int> rounds_seen;
+  const ChaseStats hooked = chase(true, &rounds_seen);
+  const ChaseStats plain = chase(false, nullptr);
+  EXPECT_GT(hooked.merges, 0);
+  ASSERT_EQ(rounds_seen.size(), static_cast<size_t>(hooked.rounds));
+  for (size_t i = 0; i < rounds_seen.size(); ++i) {
+    EXPECT_EQ(rounds_seen[i], static_cast<int>(i) + 1);
+  }
+  EXPECT_EQ(hooked.rounds, plain.rounds);
+  EXPECT_EQ(hooked.tgd_applications, plain.tgd_applications);
+  EXPECT_EQ(hooked.facts_added, plain.facts_added);
+  EXPECT_EQ(hooked.merges, plain.merges);
+  EXPECT_FALSE(hooked.stalled);
+  EXPECT_FALSE(plain.stalled);
+}
+
+// A true return ends the chase after that round and reports `stalled`.
+TEST(ChaseEngineTest, RoundEndHookEndsChase) {
+  DivergingChase d;
+  ChaseOptions options;
+  options.max_facts = 50;
+  options.max_rounds = 1000;
+  ChaseEngine engine(&d.inst, d.constraints, options);
+  engine.set_round_end(
+      [](const ChaseStats& stats) { return stats.rounds == 3; });
+  auto stats = engine.Run();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->rounds, 3);
+  EXPECT_TRUE(stats->stalled);
+  EXPECT_FALSE(stats->budget_exhausted);
+  EXPECT_EQ(d.inst.num_facts(), 4);
+}
+
+// When fixpoint, the fact budget or max_rounds ends the chase in the round
+// the hook asks to stop, `stalled` stays false: it reports only a stop the
+// hook caused. The hook still runs on that last round.
+TEST(ChaseEngineTest, StalledOnlyWhenTheHookEndsTheChase) {
+  // Runs `engine` with a hook that asks to stop when `stop` holds; checks
+  // that the hook ran once per round and returns the statistics.
+  auto run = [](ChaseEngine& engine, bool (*stop)(const ChaseStats&)) {
+    int calls = 0;
+    engine.set_round_end([&calls, stop](const ChaseStats& stats) {
+      ++calls;
+      return stop(stats);
+    });
+    auto stats = engine.Run();
+    EXPECT_TRUE(stats.ok());
+    if (!stats.ok()) return ChaseStats{};
+    EXPECT_EQ(calls, stats->rounds);
+    EXPECT_FALSE(stats->stalled);
+    return *stats;
+  };
+  {  // Fixpoint: `grow` adds q in round 1; round 2 adds nothing.
+    Instance inst;
+    inst.AddFact(inst.InternPredicate("p"), {inst.FreshNull()}, Derivation{},
+                 true, nullptr);
+    const std::vector<Constraint> constraints = {MakeTgd(
+        "grow", {MakeAtom("p", {Var("X")})}, {MakeAtom("q", {Var("X")})})};
+    ChaseEngine engine(&inst, constraints);
+    EXPECT_EQ(run(engine, [](const ChaseStats& s) { return s.rounds == 2; })
+                  .rounds,
+              2);
+  }
+  {  // The fact budget.
+    DivergingChase d;
+    ChaseOptions options;
+    options.max_facts = 50;
+    options.max_rounds = 1000;
+    ChaseEngine engine(&d.inst, d.constraints, options);
+    EXPECT_TRUE(
+        run(engine, [](const ChaseStats& s) { return s.budget_exhausted; })
+            .budget_exhausted);
+  }
+  {  // max_rounds.
+    DivergingChase d;
+    ChaseOptions options;
+    options.max_rounds = 3;
+    ChaseEngine engine(&d.inst, d.constraints, options);
+    EXPECT_EQ(run(engine, [](const ChaseStats& s) { return s.rounds == 3; })
+                  .rounds,
+              3);
+  }
 }
 
 // Associativity-style constraint on a 3-chain yields both parenthesizations

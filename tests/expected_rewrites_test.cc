@@ -76,14 +76,14 @@ std::string GoldenLine(const Pipeline& p, const char* estimator,
                 "%s %s best_cost=%.17g original_cost=%.17g improved=%d "
                 "rounds=%d tgd_applications=%lld facts_added=%lld "
                 "merges=%lld pruned_applications=%lld budget_exhausted=%d "
-                "best=",
+                "stalled=%d best=",
                 p.id.c_str(), estimator, r.best_cost, r.original_cost,
                 r.improved ? 1 : 0, s.rounds,
                 static_cast<long long>(s.tgd_applications),
                 static_cast<long long>(s.facts_added),
                 static_cast<long long>(s.merges),
                 static_cast<long long>(s.pruned_applications),
-                s.budget_exhausted ? 1 : 0);
+                s.budget_exhausted ? 1 : 0, s.stalled ? 1 : 0);
   return buf + la::ToString(r.best);
 }
 

@@ -540,7 +540,8 @@ TEST(SessionMetricsTest, TextCarriesSessionCounters) {
 }
 
 // The plan_derivation span carries the chase's statistics, and a chase that
-// stops at its fact budget counts in hadad_chase_budget_exhausted_total.
+// stops at its fact budget counts in hadad_chase_budget_exhausted_total (and
+// not as stalled).
 TEST(SessionTracingTest, PlanDerivationCarriesChaseStatistics) {
   Rng rng(7);
   pacb::OptimizerOptions options;
@@ -571,7 +572,33 @@ TEST(SessionTracingTest, PlanDerivationCarriesChaseStatistics) {
     EXPECT_TRUE(attrs.contains(key)) << key;
   }
   EXPECT_EQ(attrs["chase_budget_exhausted"], "1");
+  EXPECT_EQ(attrs["chase_stalled"], "0");
   EXPECT_NE(attrs["chase_tgd_applications"], "0");
+  EXPECT_NE(session->MetricsText().find("hadad_chase_stalled_total 0"),
+            std::string::npos);
+}
+
+// A chase the optimizer ends because rounds stopped lowering the goal's
+// best cost shows as chase_stalled on the span and in
+// hadad_chase_stalled_total. trace(M %*% N) finds trace(N %*% M) in its
+// first round and then stalls.
+TEST(SessionTracingTest, PlanDerivationReportsStalledChase) {
+  std::shared_ptr<api::Session> session = MakeTracedSession(1);
+  EXPECT_NE(session->MetricsText().find("hadad_chase_stalled_total 0"),
+            std::string::npos);
+  ASSERT_TRUE(session->Run("trace(M %*% N)").ok());
+  EXPECT_NE(session->MetricsText().find("hadad_chase_stalled_total 1"),
+            std::string::npos);
+  EXPECT_NE(session->MetricsText().find("hadad_chase_budget_exhausted_total 0"),
+            std::string::npos);
+
+  std::map<std::string, std::string> attrs;
+  for (const Span& s : session->trace()->Snapshot()) {
+    if (s.name != "plan_derivation") continue;
+    attrs.insert(s.attrs.begin(), s.attrs.end());
+  }
+  EXPECT_EQ(attrs["chase_stalled"], "1");
+  EXPECT_EQ(attrs["chase_budget_exhausted"], "0");
 }
 
 TEST(ExplainAnalyzeTest, RendersExecutedDagWithTimings) {
