@@ -3,57 +3,50 @@
 // role of M" discussion): with an ultra-sparse M, t(M%*%N) barely gains
 // (the big intermediate never densifies), while a Netflix-sparsity M still
 // gains ~1.8x; (MN)M becomes much faster outright.
+//
+//   $ ./build/bench/bench_appendix_sparse [--json=PATH]
 
 #include <cstdio>
 
+#include "compare.h"
 #include "core/hadad.h"
 
 using namespace hadad;  // NOLINT
 
 namespace {
 
-int RunBindings(const char* label, const core::LaBenchConfig& config,
-                uint64_t seed) {
+void RunBindings(bench::FigureReport& report, const char* label,
+                 const char* tag, const core::LaBenchConfig& config,
+                 uint64_t seed) {
   Rng rng(seed);
-  engine::Workspace ws = core::MakeLaBenchWorkspace(rng, config);
-  pacb::Optimizer optimizer(ws.BuildMetaCatalog());  // Naive estimator.
-  optimizer.SetData(&ws.data());
-  engine::Engine naive(engine::Profile::kNaive, &ws);
-  core::PrintComparisonHeader(label);
+  auto session = bench::LaSession(core::MakeLaBenchWorkspace(rng, config),
+                                  pacb::EstimatorKind::kNaive);
+  report.Table(label, tag);
   for (const char* id : {"P1.1", "P1.13", "P1.15", "P1.12", "P2.10"}) {
-    const core::Pipeline* p = core::FindPipeline(id);
-    auto row = core::ComparePipeline(p->id, p->text, optimizer, naive,
-                                     /*repeats=*/2);
-    if (!row.ok()) {
-      std::printf("%s failed: %s\n", id, row.status().ToString().c_str());
-      return 1;
-    }
-    core::PrintComparisonRow(*row);
+    report.Compare(*session, id, /*repeats=*/2);
   }
-  return 0;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::FigureReport report("bench_appendix_sparse", argc, argv);
   std::printf("Appendix C/D/E reproduction: naive cost model + sparse "
               "bindings for M\n");
   core::LaBenchConfig dense;
-  if (RunBindings("Syn1 in the role of M (dense)", dense, 50) != 0) return 1;
+  RunBindings(report, "Syn1 in the role of M (dense)", "dense", dense, 50);
 
   core::LaBenchConfig amazon = dense;
   amazon.m_sparsity = 0.000075;  // AS: ultra sparse.
-  if (RunBindings("AS in the role of M (ultra sparse, 0.0075%)", amazon,
-                  51) != 0) {
-    return 1;
-  }
+  RunBindings(report, "AS in the role of M (ultra sparse, 0.0075%)",
+              "as_m", amazon, 51);
 
   core::LaBenchConfig netflix = dense;
   netflix.m_sparsity = 0.014;  // NS: mildly sparse.
-  if (RunBindings("NS in the role of M (1.4%)", netflix, 52) != 0) return 1;
+  RunBindings(report, "NS in the role of M (1.4%)", "ns_m", netflix, 52);
 
   std::printf("\nPaper shape: with AS-as-M the P1.1 rewrite is cost-neutral "
               "(no dense intermediate to avoid); with NS-as-M ~1.8x; dense "
               "bindings as in Figure 5.\n");
-  return 0;
+  return report.Finish();
 }

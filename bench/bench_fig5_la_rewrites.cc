@@ -3,14 +3,18 @@
 // 1.3x-4x for P1.1 across systems, large wins for P1.3 ((CD)^-1 computes one
 // inverse instead of two), sparse-aware wins for P1.4 with a sparse A, and
 // the classic chain-order win for P1.15.
+//
+//   $ ./build/bench/bench_fig5_la_rewrites [--json=PATH]
 
 #include <cstdio>
 
+#include "compare.h"
 #include "core/hadad.h"
 
 using namespace hadad;  // NOLINT
 
-int main() {
+int main(int argc, char** argv) {
+  bench::FigureReport report("bench_fig5_la_rewrites", argc, argv);
   std::printf("Figure 5 reproduction: LA rewriting without views "
               "(MNC estimator)\n");
   std::printf("Paper shape: every pipeline improves; P1.15's win grows with "
@@ -19,64 +23,36 @@ int main() {
   // Dense bindings.
   {
     Rng rng(42);
-    core::LaBenchConfig config;
-    engine::Workspace ws = core::MakeLaBenchWorkspace(rng, config);
-    pacb::OptimizerOptions options;
-    options.estimator = pacb::EstimatorKind::kMnc;
-    pacb::Optimizer optimizer(ws.BuildMetaCatalog(), options);
-    optimizer.SetData(&ws.data());
-    engine::Engine naive(engine::Profile::kNaive, &ws);
-    core::PrintComparisonHeader("dense bindings, kNaive engine (R-like)");
+    auto session = bench::LaSession(core::MakeLaBenchWorkspace(rng),
+                                    pacb::EstimatorKind::kMnc);
+    report.Table("dense bindings, kNaive profile (R-like)", "dense");
     for (const char* id : {"P1.1", "P1.3", "P1.15"}) {
-      const core::Pipeline* p = core::FindPipeline(id);
-      auto row = core::ComparePipeline(p->id, p->text, optimizer, naive);
-      if (!row.ok()) {
-        std::printf("%s failed: %s\n", id, row.status().ToString().c_str());
-        return 1;
-      }
-      core::PrintComparisonRow(*row);
+      report.Compare(*session, id);
     }
   }
 
   // Sparse A for P1.4 (the paper's AL1 binding).
   {
-    Rng rng(43);
     core::LaBenchConfig config;
     config.a_sparsity = 0.000075;  // Amazon-like ultra sparse.
-    engine::Workspace ws = core::MakeLaBenchWorkspace(rng, config);
-    pacb::OptimizerOptions options;
-    options.estimator = pacb::EstimatorKind::kMnc;
-    pacb::Optimizer optimizer(ws.BuildMetaCatalog(), options);
-    optimizer.SetData(&ws.data());
-    engine::Engine naive(engine::Profile::kNaive, &ws);
-    core::PrintComparisonHeader("P1.4 with ultra-sparse A (AL1 role)");
-    const core::Pipeline* p = core::FindPipeline("P1.4");
-    auto row = core::ComparePipeline(p->id, p->text, optimizer, naive);
-    if (!row.ok()) {
-      std::printf("P1.4 failed: %s\n", row.status().ToString().c_str());
-      return 1;
-    }
-    core::PrintComparisonRow(*row);
+    Rng rng(43);
+    auto session = bench::LaSession(core::MakeLaBenchWorkspace(rng, config),
+                                    pacb::EstimatorKind::kMnc);
+    report.Table("P1.4 with ultra-sparse A (AL1 role)", "sparse_a");
+    report.Compare(*session, "P1.4");
   }
 
-  // The SystemML-like engine already reorders chains internally: HADAD's
+  // The SystemML-like profile already reorders chains internally: HADAD's
   // rewriting is redundant there for P1.15 (the P¬Opt_SM effect, §9.1.3).
   {
     Rng rng(44);
-    engine::Workspace ws = core::MakeLaBenchWorkspace(rng, {});
-    pacb::OptimizerOptions options;
-    options.estimator = pacb::EstimatorKind::kMnc;
-    pacb::Optimizer optimizer(ws.BuildMetaCatalog(), options);
-    optimizer.SetData(&ws.data());
-    engine::Engine smart(engine::Profile::kSmart, &ws);
-    core::PrintComparisonHeader(
-        "kSmart engine (SystemML-like): P1.15 redundant, P1.1 still wins");
-    for (const char* id : {"P1.15", "P1.1"}) {
-      const core::Pipeline* p = core::FindPipeline(id);
-      auto row = core::ComparePipeline(p->id, p->text, optimizer, smart);
-      if (!row.ok()) return 1;
-      core::PrintComparisonRow(*row);
-    }
+    auto session = bench::LaSession(core::MakeLaBenchWorkspace(rng),
+                                    pacb::EstimatorKind::kMnc,
+                                    engine::Profile::kSmart);
+    report.Table(
+        "kSmart profile (SystemML-like): P1.15 redundant, P1.1 still wins",
+        "smart");
+    for (const char* id : {"P1.15", "P1.1"}) report.Compare(*session, id);
   }
-  return 0;
+  return report.Finish();
 }

@@ -3,46 +3,36 @@
 // sum(MN) collapses to a vector expression (paper: ~50x on P1.13, up to 42x
 // on P1.14/P2.12); P1.25 is dominated by picking the right multiplication
 // order inside M N N^T.
+//
+//   $ ./build/bench/bench_fig6_agg_rewrites [--json=PATH]
 
 #include <cstdio>
 
+#include "compare.h"
 #include "core/hadad.h"
 
 using namespace hadad;  // NOLINT
 
-int main() {
+int main(int argc, char** argv) {
+  bench::FigureReport report("bench_fig6_agg_rewrites", argc, argv);
   std::printf("Figure 6 reproduction: aggregate/statistical rewrites "
               "(MNC estimator)\n");
   std::printf("Paper shape: P1.13 ~50x; P1.14/P2.12 up to 42x; P1.25 "
               "improves via chain order.\n");
   Rng rng(42);
-  core::LaBenchConfig config;
-  engine::Workspace ws = core::MakeLaBenchWorkspace(rng, config);
-  pacb::OptimizerOptions options;
-  options.estimator = pacb::EstimatorKind::kMnc;
-  pacb::Optimizer optimizer(ws.BuildMetaCatalog(), options);
-  optimizer.SetData(&ws.data());
-  engine::Engine naive(engine::Profile::kNaive, &ws);
-  core::PrintComparisonHeader("dense bindings, kNaive engine");
+  const engine::Workspace data = core::MakeLaBenchWorkspace(rng);
+
+  auto naive = bench::LaSession(data, pacb::EstimatorKind::kMnc);
+  report.Table("dense bindings, kNaive profile", "naive");
   for (const char* id : {"P1.13", "P1.25", "P1.14", "P2.12"}) {
-    const core::Pipeline* p = core::FindPipeline(id);
-    auto row = core::ComparePipeline(p->id, p->text, optimizer, naive);
-    if (!row.ok()) {
-      std::printf("%s failed: %s\n", id, row.status().ToString().c_str());
-      return 1;
-    }
-    core::PrintComparisonRow(*row);
+    report.Compare(*naive, id);
   }
 
-  // The kSmart engine knows sum(t(M)) = sum(M) style rules but not the
+  // The kSmart profile knows sum(t(M)) = sum(M) style rules but not the
   // cross-rule chain (Example 6.3): HADAD still wins on P1.14.
-  engine::Engine smart(engine::Profile::kSmart, &ws);
-  core::PrintComparisonHeader("kSmart engine (SystemML-like)");
-  for (const char* id : {"P1.13", "P1.14"}) {
-    const core::Pipeline* p = core::FindPipeline(id);
-    auto row = core::ComparePipeline(p->id, p->text, optimizer, smart);
-    if (!row.ok()) return 1;
-    core::PrintComparisonRow(*row);
-  }
-  return 0;
+  auto smart = bench::LaSession(data, pacb::EstimatorKind::kMnc,
+                                engine::Profile::kSmart);
+  report.Table("kSmart profile (SystemML-like)", "smart");
+  for (const char* id : {"P1.13", "P1.14"}) report.Compare(*smart, id);
+  return report.Finish();
 }

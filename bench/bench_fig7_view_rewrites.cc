@@ -3,50 +3,28 @@
 // to 2.8x via V3 = NM; P2.21 70-150x via V1 = D^-1 (all intermediates
 // become vectors); P2.25 ~65x via V4 = u1 v2^T + distribution; P2.27 4-41x
 // via V9 and V5.
+//
+//   $ ./build/bench/bench_fig7_view_rewrites [--json=PATH]
 
 #include <cstdio>
 
+#include "compare.h"
 #include "core/hadad.h"
 
 using namespace hadad;  // NOLINT
 
-int main() {
+int main(int argc, char** argv) {
+  bench::FigureReport report("bench_fig7_view_rewrites", argc, argv);
   std::printf("Figure 7 reproduction: views-based LA rewriting (V_exp, "
               "naive estimator)\n");
   Rng rng(42);
-  core::LaBenchConfig config;
-  engine::Workspace ws = core::MakeLaBenchWorkspace(rng, config);
-  engine::ViewCatalog views(&ws);
-  for (const core::ViewSpec& v : core::VexpViews()) {
-    Status st = views.MaterializeText(v.name, v.definition);
-    if (!st.ok()) {
-      std::printf("materializing %s failed: %s\n", v.name.c_str(),
-                  st.ToString().c_str());
-      return 1;
-    }
-  }
-  la::MetaCatalog base = ws.BuildMetaCatalog();
-  for (const core::ViewSpec& v : core::VexpViews()) base.erase(v.name);
-  pacb::Optimizer optimizer(base);
-  optimizer.SetData(&ws.data());
-  for (const core::ViewSpec& v : core::VexpViews()) {
-    Status st = optimizer.AddViewText(v.name, v.definition);
-    if (!st.ok()) {
-      std::printf("AddView %s failed: %s\n", v.name.c_str(),
-                  st.ToString().c_str());
-      return 1;
-    }
-  }
-  engine::Engine naive(engine::Profile::kNaive, &ws);
-  core::PrintComparisonHeader("V_exp views materialized, kNaive engine");
+  auto session =
+      bench::LaSession(core::MakeLaBenchWorkspace(rng),
+                       pacb::EstimatorKind::kNaive, engine::Profile::kNaive,
+                       core::VexpViews());
+  report.Table("V_exp views materialized, kNaive profile", "vexp");
   for (const char* id : {"P2.14", "P2.21", "P2.25", "P2.27"}) {
-    const core::Pipeline* p = core::FindPipeline(id);
-    auto row = core::ComparePipeline(p->id, p->text, optimizer, naive);
-    if (!row.ok()) {
-      std::printf("%s failed: %s\n", id, row.status().ToString().c_str());
-      return 1;
-    }
-    core::PrintComparisonRow(*row);
+    report.Compare(*session, id);
   }
-  return 0;
+  return report.Finish();
 }

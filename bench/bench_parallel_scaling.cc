@@ -1,13 +1,14 @@
-// Sequential vs parallel execution: wall clock of the tree-walking
-// engine::Execute baseline against the exec:: DAG engine at 1/2/4/8
-// threads, over fig5/fig9-style workloads. Emits the speedup table and
-// verifies every parallel result against the sequential one (1e-9 relative
-// tolerance; the kernels are in fact bit-identical).
+// Sequential vs parallel execution: wall clock of a sequential baseline —
+// the exec:: DAG engine at 1 thread with CSE and fusion off — against the
+// DAG engine with its defaults at 1/2/4/8 threads, over fig5/fig9-style
+// workloads. Emits the speedup table and verifies every parallel result
+// against the sequential one (1e-9 relative tolerance; the kernels are in
+// fact bit-identical).
 //
-// Speedup at 1 thread isolates the single-core wins (CSE, leaf-copy
-// elision, blocked kernels); higher thread counts add DAG- and
-// intra-operator parallelism on machines with the cores to back it
-// (stats.parallel work/span column bounds what the plan can reach).
+// Speedup at 1 thread isolates the single-core wins of CSE and fusion;
+// higher thread counts add DAG- and intra-operator parallelism on machines
+// with the cores to back it (stats.parallel work/span column bounds what
+// the plan can reach).
 //
 //   $ ./build/bench/bench_parallel_scaling
 
@@ -17,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/timer.h"
 #include "core/hadad.h"
 #include "exec/executor.h"
 
@@ -31,14 +31,15 @@ struct Workload {
   const char* note;
 };
 
-double TimeSequential(const la::ExprPtr& expr,
+double TimeSequential(const exec::Executor& sequential,
+                      const la::ExprPtr& expr,
                       const engine::Workspace& workspace, int repeats) {
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
-    Timer timer;
-    auto out = engine::Execute(*expr, workspace);
+    engine::ExecStats stats;
+    auto out = sequential.Run(expr, workspace, &stats);
     HADAD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
-    best = std::min(best, timer.ElapsedSeconds());
+    best = std::min(best, stats.seconds);
   }
   return best;
 }
@@ -46,8 +47,8 @@ double TimeSequential(const la::ExprPtr& expr,
 }  // namespace
 
 int main() {
-  std::printf("== Parallel scaling: engine::Execute (sequential tree walk) "
-              "vs exec:: DAG engine ==\n");
+  std::printf("== Parallel scaling: sequential DAG (1 thread, no CSE or "
+              "fusion) vs exec:: DAG engine ==\n");
   std::printf("hardware_concurrency: %u\n\n",
               std::thread::hardware_concurrency());
 
@@ -88,6 +89,8 @@ int main() {
   for (int t : thread_counts) std::printf("   t=%d[ms] speedup |", t);
   std::printf(" work/span\n");
 
+  const exec::Executor sequential(engine::ExecOptions{
+      .threads = 1, .enable_cse = false, .enable_fusion = false});
   bool all_match = true;
   std::vector<double> total_par(thread_counts.size(), 0.0);
   double total_seq = 0.0;
@@ -96,9 +99,10 @@ int main() {
     HADAD_CHECK_MSG(parsed.ok(), parsed.status().ToString().c_str());
     const la::ExprPtr& expr = *parsed;
 
-    auto reference = engine::Execute(*expr, workspace);
+    auto reference = sequential.Run(expr, workspace);
     HADAD_CHECK_MSG(reference.ok(), reference.status().ToString().c_str());
-    const double seq_s = TimeSequential(expr, workspace, kRepeats);
+    const double seq_s =
+        TimeSequential(sequential, expr, workspace, kRepeats);
     total_seq += seq_s;
     std::printf("%-7s %10.2f |", w.id, seq_s * 1e3);
 

@@ -2,7 +2,8 @@
 // measure RW_find (the optimizer's wall time) for representative pipelines
 // under both sparsity estimators, then prints the paper-style summary:
 // RW_find distribution across P¬Opt and the overhead percentage
-// RW_find / (Q_exec + RW_find) on the already-optimal P_Opt set.
+// RW_find / (Q_exec + RW_find) on the already-optimal P_Opt set, with
+// Q_exec timed by the MNC session's ExecuteOriginal (compare.h).
 // Paper: most RW_find under 25ms (naive) / slightly higher with MNC;
 // overhead <1% for expensive P_Opt pipelines, up to ~10% for cheap ones.
 //
@@ -10,8 +11,10 @@
 // median, p90 and max over P¬Opt (seconds; no speedup), and the median and
 // max over P_Opt of RW_find's share RW_find / (Q_exec + RW_find) under MNC
 // (rwfind_share_median/mnc, rwfind_share_max/mnc: the `seconds` field holds
-// the unitless share). `scripts/ci.sh bench` runs only the summary:
-// --benchmark_filter='^$'.
+// the unitless share), plus compare.h's row per P_Opt pipeline
+// (p_opt/<id>). `scripts/ci.sh bench` runs only the summary:
+// --benchmark_filter='^$'. Exits 1 when a P_Opt comparison fails or
+// disagrees.
 
 #include <benchmark/benchmark.h>
 
@@ -22,45 +25,41 @@
 #include <utility>
 #include <vector>
 
-#include "bench_json.h"
+#include "compare.h"
 #include "core/hadad.h"
 
 using namespace hadad;  // NOLINT
 
 namespace {
 
+// One session per estimator over the LA benchmark bindings.
 struct Env {
-  engine::Workspace workspace;
-  std::unique_ptr<pacb::Optimizer> naive_optimizer;
-  std::unique_ptr<pacb::Optimizer> mnc_optimizer;
+  std::shared_ptr<api::Session> naive;
+  std::shared_ptr<api::Session> mnc;
 };
 
 Env* GetEnv() {
   static Env* env = [] {
     auto* e = new Env();
     Rng rng(42);
-    core::LaBenchConfig config;
-    e->workspace = core::MakeLaBenchWorkspace(rng, config);
-    la::MetaCatalog catalog = e->workspace.BuildMetaCatalog();
-    pacb::OptimizerOptions naive_options;
-    e->naive_optimizer =
-        std::make_unique<pacb::Optimizer>(catalog, naive_options);
-    e->naive_optimizer->SetData(&e->workspace.data());
-    pacb::OptimizerOptions mnc_options;
-    mnc_options.estimator = pacb::EstimatorKind::kMnc;
-    e->mnc_optimizer = std::make_unique<pacb::Optimizer>(catalog, mnc_options);
-    e->mnc_optimizer->SetData(&e->workspace.data());
+    const engine::Workspace data = core::MakeLaBenchWorkspace(rng);
+    e->naive = bench::LaSession(data, pacb::EstimatorKind::kNaive);
+    e->mnc = bench::LaSession(data, pacb::EstimatorKind::kMnc);
     return e;
   }();
   return env;
 }
 
+// RW_find alone: the session's optimizer, bypassing its plan cache.
+const pacb::Optimizer& OptimizerFor(bool mnc) {
+  Env* env = GetEnv();
+  return (mnc ? env->mnc : env->naive)->optimizer();
+}
+
 void BM_RwFind(benchmark::State& state, const std::string& pipeline_id,
                bool mnc) {
-  Env* env = GetEnv();
   const core::Pipeline* p = core::FindPipeline(pipeline_id);
-  const pacb::Optimizer& optimizer =
-      mnc ? *env->mnc_optimizer : *env->naive_optimizer;
+  const pacb::Optimizer& optimizer = OptimizerFor(mnc);
   la::ExprPtr expr = la::ParseExpression(p->text).value();
   for (auto _ : state) {
     auto r = optimizer.Optimize(expr);
@@ -83,13 +82,11 @@ void RegisterAll() {
   }
 }
 
-void PrintSummary(bench::JsonWriter* json) {
-  Env* env = GetEnv();
-  engine::Engine naive_engine(engine::Profile::kNaive, &env->workspace);
+void PrintSummary(bench::FigureReport* report) {
+  bench::JsonWriter* json = &report->json();
   std::printf("\n== §9.1.3 summary: RW_find distribution over P¬Opt ==\n");
   for (bool mnc : {false, true}) {
-    const pacb::Optimizer& optimizer =
-        mnc ? *env->mnc_optimizer : *env->naive_optimizer;
+    const pacb::Optimizer& optimizer = OptimizerFor(mnc);
     std::vector<double> times_ms;
     for (const core::Pipeline& p : core::LaBenchmark()) {
       if (p.cls != core::PipelineClass::kNotOpt) continue;
@@ -116,19 +113,14 @@ void PrintSummary(bench::JsonWriter* json) {
   std::printf("  Paper: 64%% under 25ms (naive); MNC slightly slower; "
               "longest ~200-300ms.\n");
 
-  std::printf("\n== §9.1.3 summary: overhead %% on P_Opt (already optimal) "
-              "==\n");
-  std::printf("%-7s %12s %12s %9s\n", "id", "Qexec[ms]", "RWfind[ms]",
-              "ovhd[%]");
+  report->Table("§9.1.3 summary: overhead % on P_Opt (already optimal), "
+                "MNC session",
+                "p_opt");
   std::vector<double> shares;
   for (const core::Pipeline& p : core::LaBenchmark()) {
     if (p.cls != core::PipelineClass::kOpt) continue;
-    auto row = core::ComparePipeline(p.id, p.text, *env->mnc_optimizer,
-                                     naive_engine, /*repeats=*/2);
-    if (!row.ok()) continue;
-    std::printf("%-7s %12.3f %12.3f %9.2f\n", row->id.c_str(),
-                row->q_exec_seconds * 1e3, row->rw_find_seconds * 1e3,
-                row->overhead_pct);
+    auto row = report->Compare(*GetEnv()->mnc, p, /*repeats=*/2);
+    if (!row.has_value()) continue;
     shares.push_back(row->overhead_pct / 100.0);
   }
   std::sort(shares.begin(), shares.end());
@@ -149,11 +141,11 @@ void PrintSummary(bench::JsonWriter* json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::JsonWriter json("bench_sec913_overhead", argc, argv);
+  bench::FigureReport report("bench_sec913_overhead", argc, argv);
   RegisterAll();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  PrintSummary(&json);
-  return json.Write() ? 0 : 1;
+  PrintSummary(&report);
+  return report.Finish();
 }

@@ -21,8 +21,11 @@
 #                            and Fig. 12 factorized benches, and the
 #                            adaptive-views bench (exits non-zero on a
 #                            1e-9 mismatch or a warmed speedup < 1.5x);
-#                            records the §9.1.3 RW_find distribution
-#                            (ungated rows)
+#                            records the §9.1.3 RW_find distribution and
+#                            the Fig. 5-8, appendix and ablation session
+#                            comparisons (ungated rows; each of those
+#                            benches exits non-zero when a comparison
+#                            fails or disagrees)
 #   ./scripts/ci.sh trace    Observability validation: builds and runs
 #                            examples/trace_demo with tracing on, then
 #                            validates the emitted Chrome trace-event JSON
@@ -120,7 +123,10 @@ case "$mode" in
     cmake --build build-bench --parallel "$(nproc)" --target \
       bench_session_cache bench_update_refresh bench_server_concurrency \
       bench_simd_kernels bench_adaptive_views bench_fig9_morpheus \
-      bench_fig12_morpheus_overhead bench_sec913_overhead
+      bench_fig12_morpheus_overhead bench_sec913_overhead \
+      bench_fig5_la_rewrites bench_fig6_agg_rewrites \
+      bench_fig7_view_rewrites bench_fig8_speedup_distribution \
+      bench_appendix_sparse bench_ablation
     # Factorized smoke: both figures run on a Session over a normalized M
     # (nm_* DAG kernels); fig9 aborts when the rewritten and as-stated
     # results disagree beyond 1e-6.
@@ -140,6 +146,13 @@ case "$mode" in
     # summary runs; the google-benchmark part is filtered out.
     ./build-bench/bench/bench_sec913_overhead --benchmark_filter='^$' \
       --json=build-bench/bench_sec913_overhead.json
+    # The paper figures: each pipeline as stated (Q_exec) against HADAD's
+    # rewriting (RW_exec) on one api::Session.
+    for figure in bench_fig5_la_rewrites bench_fig6_agg_rewrites \
+        bench_fig7_view_rewrites bench_fig8_speedup_distribution \
+        bench_appendix_sparse bench_ablation; do
+      "./build-bench/bench/$figure" --json="build-bench/$figure.json"
+    done
     # Merge the per-driver documents into the machine-readable summary that
     # perf tooling consumes (the stdout tables above are for humans).
     python3 - <<'PYEOF'
@@ -147,7 +160,10 @@ import json
 
 drivers = ["bench_session_cache", "bench_update_refresh",
            "bench_server_concurrency", "bench_simd_kernels",
-           "bench_adaptive_views", "bench_sec913_overhead"]
+           "bench_adaptive_views", "bench_sec913_overhead",
+           "bench_fig5_la_rewrites", "bench_fig6_agg_rewrites",
+           "bench_fig7_view_rewrites", "bench_fig8_speedup_distribution",
+           "bench_appendix_sparse", "bench_ablation"]
 merged = {"schema_version": 1, "generated_by": "scripts/ci.sh bench",
           "benchmarks": []}
 for name in drivers:

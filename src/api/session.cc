@@ -209,10 +209,13 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
 Result<exec::CompiledPlan> Session::CompileQuery(
     const la::ExprPtr& expr,
     const std::set<std::string>* fusion_barriers) const {
-  // Respect the engine profile (kSmart applies its internal rewrites
-  // before execution), then hand the plan to the DAG engine.
-  HADAD_ASSIGN_OR_RETURN(la::ExprPtr planned,
-                         engine_->Plan(expr, &optimizer_->catalog()));
+  // Respect the profile (kSmart applies its internal rewrites before
+  // execution), then hand the plan to the DAG engine.
+  la::ExprPtr planned = expr;
+  if (profile_ == engine::Profile::kSmart) {
+    HADAD_ASSIGN_OR_RETURN(
+        planned, engine::ApplySmartRewrites(expr, optimizer_->catalog()));
+  }
   const cost::LeafMetaFn leaf_meta = optimizer_->LeafResolver();
   HADAD_ASSIGN_OR_RETURN(
       exec::CompiledPlan compiled,
@@ -1077,8 +1080,7 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
         session->optimizer_->AddConstraints(std::move(constraints_)));
   }
 
-  session->engine_ = std::make_unique<engine::Engine>(profile_,
-                                                      &session->workspace_);
+  session->profile_ = profile_;
 
   if (adaptive_.has_value()) {
     views::AdaptiveViewManager::Host host;

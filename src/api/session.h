@@ -204,7 +204,7 @@ class PreparedQuery {
 // Mutate() applies a whole batch under one writer critical section with a
 // single view-refresh wave and one adaptive propagation.
 //
-// The expert layers stay reachable — workspace()/optimizer()/engine() —
+// The expert layers stay reachable — workspace()/optimizer()/executor() —
 // as read-only views; all mutation goes through the Session so every layer
 // stays consistent.
 class Session : public std::enable_shared_from_this<Session> {
@@ -295,9 +295,9 @@ class Session : public std::enable_shared_from_this<Session> {
   const engine::Workspace& workspace() const { return workspace_; }
   // Read-only view of the PACB optimizer (facts, views, chase budgets).
   const pacb::Optimizer& optimizer() const { return *optimizer_; }
-  // Read-only view of the engine profile (its planner applies kSmart's
-  // internal rewrites before DAG compilation).
-  const engine::Engine& engine() const { return *engine_; }
+  // The execution profile every plan is planned with before DAG
+  // compilation (kSmart applies engine::ApplySmartRewrites).
+  engine::Profile profile() const { return profile_; }
   // The registry of normalized matrices: non-null iff any were registered.
   // The executor compiles their uses to nm_* kernels. Stable and immutable
   // for the session's lifetime.
@@ -466,7 +466,7 @@ class Session : public std::enable_shared_from_this<Session> {
   // read-only references. The annotated boundary is the view lists below.
   engine::Workspace workspace_;
   std::unique_ptr<pacb::Optimizer> optimizer_;
-  std::unique_ptr<engine::Engine> engine_;
+  engine::Profile profile_ = engine::Profile::kNaive;
   std::unique_ptr<morpheus::MorpheusEngine> morpheus_;
   std::unique_ptr<exec::Executor> executor_;
   // User views in registration order (later definitions may reference

@@ -56,8 +56,8 @@ struct ConjunctiveQuery {
 
 // A TGD  ∀x̄ premise(x̄) → ∃z̄ conclusion(x̄, z̄), or an EGD
 // ∀x̄ premise(x̄) → w = w' (§4.1). Conclusion variables not appearing in the
-// premise are existential. `name` identifies the constraint in provenance
-// and debug output (e.g. "mul-associativity").
+// premise are existential. `name` identifies the constraint in error and
+// debug output (e.g. "mul-associativity").
 struct Constraint {
   enum class Kind { kTgd, kEgd };
 

@@ -106,13 +106,9 @@ int64_t ChaseEngine::ApplyTgd(const PendingTgd& pending) {
       if (node == kNoNode) node = instance_->FreshNull();
       args.push_back(node);
     }
-    Derivation derivation;
-    derivation.constraint_index = pending.constraint_index;
-    derivation.premise_facts = premise_;
     bool was_added = false;
-    FactId fid = instance_->AddFact(atom.predicate, std::move(args),
-                                    std::move(derivation),
-                                    /*initial=*/false, &was_added);
+    FactId fid =
+        instance_->AddFact(atom.predicate, std::move(args), &was_added);
     if (was_added) {
       ++added;
       added_facts.push_back(fid);

@@ -162,7 +162,7 @@ void Instance::EraseSlot(size_t i) {
 }
 
 FactId Instance::AddFact(int32_t predicate, std::vector<NodeId> args,
-                         Derivation derivation, bool initial, bool* added) {
+                         bool* added) {
   for (NodeId& a : args) a = Find(a);
   if (2 * (static_cast<size_t>(live_facts_) + 1) > fact_table_.size()) {
     GrowFactTable();
@@ -170,12 +170,6 @@ FactId Instance::AddFact(int32_t predicate, std::vector<NodeId> args,
   const uint64_t hash = HashFact(predicate, args);
   FactSlot& slot = fact_table_[ProbeFact(hash, predicate, args)];
   if (slot.id >= 0) {
-    Fact& existing = facts_[static_cast<size_t>(slot.id)];
-    if (derivation.constraint_index >= 0 ||
-        !derivation.premise_facts.empty()) {
-      existing.derivations.push_back(std::move(derivation));
-    }
-    existing.initial = existing.initial || initial;
     if (added != nullptr) *added = false;
     return slot.id;
   }
@@ -183,10 +177,6 @@ FactId Instance::AddFact(int32_t predicate, std::vector<NodeId> args,
   Fact fact;
   fact.predicate = predicate;
   fact.args = std::move(args);
-  fact.initial = initial;
-  if (derivation.constraint_index >= 0 || !derivation.premise_facts.empty()) {
-    fact.derivations.push_back(std::move(derivation));
-  }
   facts_.push_back(std::move(fact));
   ++live_facts_;
   slot = FactSlot{hash, id};
@@ -356,8 +346,7 @@ void Instance::Rebuild() {
              displaced.end(), reinsert.begin());
 
   // Re-insert in ascending id order, so the lowest id of a group that became
-  // equal survives and the others' derivations follow in id order: the
-  // table then holds what a rebuild from scratch would.
+  // equal survives: the table then holds what a rebuild from scratch would.
   for (FactId id : reinsert) {
     Fact& f = facts_[static_cast<size_t>(id)];
     const uint64_t hash = HashFact(f.predicate, f.args);
@@ -366,12 +355,6 @@ void Instance::Rebuild() {
       slot = FactSlot{hash, id};
       continue;
     }
-    Fact& survivor = facts_[static_cast<size_t>(slot.id)];
-    survivor.initial = survivor.initial || f.initial;
-    for (Derivation& d : f.derivations) {
-      survivor.derivations.push_back(std::move(d));
-    }
-    std::vector<Derivation>().swap(f.derivations);
     f.fused_into = slot.id;
     --live_facts_;
   }

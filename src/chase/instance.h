@@ -20,27 +20,14 @@ using FactId = int32_t;
 
 inline constexpr NodeId kNoNode = -1;
 
-// How a fact entered the instance: as part of the initial (encoded query)
-// body, or by a chase step of `constraint` matched on `premise_facts`.
-// PACB's provenance formulas (§4.2) are read off these records: the initial
-// facts are the provenance terms, and a derived fact's provenance is the
-// disjunction over its derivations of the conjunction of its premises'
-// provenance.
-struct Derivation {
-  int32_t constraint_index = -1;  // Index into the engine's constraints.
-  // The matched facts' ids at creation time. Ids are stable: one that has
-  // since fused into another fact resolves through Instance::Survivor.
-  std::vector<FactId> premise_facts;
-};
-
+// A fact keeps no provenance: the decoder extracts rewritings by cost
+// (pacb::RewriteSession), not from PACB's provenance formulas (§4.2).
 struct Fact {
   int32_t predicate;
   std::vector<NodeId> args;     // Canonical as of the last Rebuild().
-  bool initial = false;
-  std::vector<Derivation> derivations;
   // The fact this one fused into at a Rebuild(), or -1 while it is live. A
-  // fused fact stays behind as a tombstone under its id: its derivations
-  // moved to the survivor, and no index lists it.
+  // fused fact stays behind as a tombstone under its id, and no index lists
+  // it.
   FactId fused_into = -1;
 
   bool live() const { return fused_into < 0; }
@@ -49,8 +36,7 @@ struct Fact {
 // The evolving symbolic/canonical database the chase runs on (§7.3 calls it
 // the evolving universal-plan instance). Maintains a union-find over nodes;
 // EGD steps merge nodes, and Rebuild() re-canonicalizes the facts that
-// mention a merged node, fusing duplicates (their derivation lists are
-// concatenated).
+// mention a merged node, fusing duplicates.
 //
 // Fact ids are stable: they are handed out in increasing order and never
 // reused or renumbered. Every index (FactsOf, FactsWith, the fact table)
@@ -102,11 +88,9 @@ class Instance {
 
   // --- Facts -----------------------------------------------------------
 
-  // Adds (or finds) the fact predicate(args). If it already exists, the
-  // derivation is appended to the existing fact (provenance disjunction) and
-  // `added` is set false. Args are canonicalized on entry.
-  FactId AddFact(int32_t predicate, std::vector<NodeId> args,
-                 Derivation derivation, bool initial, bool* added);
+  // Adds (or finds) the fact predicate(args); `added` is set false when it
+  // already exists. Args are canonicalized on entry.
+  FactId AddFact(int32_t predicate, std::vector<NodeId> args, bool* added);
 
   bool HasFact(int32_t predicate, const std::vector<NodeId>& args) const;
 
@@ -135,9 +119,8 @@ class Instance {
   // Re-canonicalizes the facts that mention a node merged away since the
   // last rebuild, and only those, so the cost follows the merges rather
   // than the instance size. Facts that became equal fuse into the one with
-  // the lower id (derivations concatenated in id order; `initial` is
-  // OR-ed); the others become tombstones. Every index ends as a rebuild
-  // from scratch would leave it. No-op when clean.
+  // the lower id; the others become tombstones. Every index ends as a
+  // rebuild from scratch would leave it. No-op when clean.
   void Rebuild();
 
   bool dirty() const { return !absorbed_.empty(); }

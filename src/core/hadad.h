@@ -17,18 +17,17 @@
 // in an engine::Workspace, build a pacb::Optimizer over
 // workspace.BuildMetaCatalog(), and execute with exec::Executor (whose
 // compiler resolves a morpheus::MorpheusEngine registry of normalized
-// matrices) or the reference engine::Execute.
+// matrices) — the one engine every Session query runs on.
 
 #include "api/session.h"
 #include "core/data.h"
-#include "core/report.h"
 #include "core/workloads.h"
 #include "cost/cost_model.h"
 #include "cost/estimator.h"
 #include "engine/evaluator.h"
 #include "engine/profiles.h"
-#include "engine/view_catalog.h"
 #include "engine/workspace.h"
+#include "exec/executor.h"
 #include "hybrid/dataset.h"
 #include "hybrid/queries.h"
 #include "la/catalog.h"

@@ -1,57 +1,12 @@
 #include "engine/evaluator.h"
 
-#include "common/timer.h"
 #include "matrix/decompositions.h"
 
 namespace hadad::engine {
 
-namespace {
-
 using la::Expr;
 using la::OpKind;
 using matrix::Matrix;
-
-class Evaluator {
- public:
-  Evaluator(WorkspaceView workspace, ExecStats* stats)
-      : workspace_(workspace), stats_(stats) {}
-
-  Result<Matrix> Eval(const Expr& e, bool is_root) {
-    switch (e.kind()) {
-      case OpKind::kMatrixRef: {
-        HADAD_ASSIGN_OR_RETURN(const Matrix* m, workspace_.Get(e.name()));
-        return *m;
-      }
-      case OpKind::kScalarConst:
-        return Matrix::Scalar(e.scalar_value());
-      default:
-        break;
-    }
-    std::vector<Matrix> kids;
-    kids.reserve(e.children().size());
-    for (const la::ExprPtr& c : e.children()) {
-      HADAD_ASSIGN_OR_RETURN(Matrix m, Eval(*c, /*is_root=*/false));
-      kids.push_back(std::move(m));
-    }
-    std::vector<const Matrix*> kid_ptrs;
-    kid_ptrs.reserve(kids.size());
-    for (const Matrix& m : kids) kid_ptrs.push_back(&m);
-    HADAD_ASSIGN_OR_RETURN(Matrix out, ApplyOp(e, kid_ptrs));
-    if (stats_ != nullptr) {
-      ++stats_->operators;
-      if (!is_root) {
-        stats_->intermediate_nnz += static_cast<double>(out.Nnz());
-      }
-    }
-    return out;
-  }
-
- private:
-  WorkspaceView workspace_;
-  ExecStats* stats_;
-};
-
-}  // namespace
 
 Result<Matrix> ApplyOp(const Expr& e,
                        const std::vector<const Matrix*>& in) {
@@ -166,15 +121,6 @@ Result<Matrix> ApplyOp(const Expr& e,
       break;
   }
   return Status::Internal("unhandled operator in evaluator");
-}
-
-Result<Matrix> Execute(const Expr& expr, WorkspaceView workspace,
-                       ExecStats* stats) {
-  Timer timer;
-  Evaluator evaluator(workspace, stats);
-  Result<Matrix> out = evaluator.Eval(expr, /*is_root=*/true);
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return out;
 }
 
 }  // namespace hadad::engine

@@ -7,14 +7,13 @@
 
 #include "common/status.h"
 #include "cost/cost_model.h"
-#include "engine/workspace.h"
 #include "la/expr.h"
 #include "matrix/matrix.h"
 
 namespace hadad::engine {
 
 // Aggregated wall-clock per operator kind, accumulated by the exec:: DAG
-// runtime (the tree-walking evaluator leaves `op_timings` empty).
+// runtime.
 struct OpTiming {
   std::string op;        // la::OpName of the operator kind.
   int64_t count = 0;     // Physical nodes executed with this kind.
@@ -41,7 +40,7 @@ struct ExecStats {
   // Number of operator applications executed.
   int64_t operators = 0;
 
-  // --- DAG-engine breakdown (zero / empty under the tree evaluator) -------
+  // --- DAG-engine breakdown ------------------------------------------------
   // Expression-tree nodes folded into already-compiled DAG nodes by
   // common-subexpression elimination.
   int64_t cse_hits = 0;
@@ -56,8 +55,8 @@ struct ExecStats {
   // Degree of parallelism the run was scheduled with.
   int threads = 1;
   // SIMD kernel tier the dispatched matrix kernels ran on ("scalar",
-  // "avx2", "avx512"); empty under the tree evaluator. All tiers are
-  // bit-identical — this records speed, not semantics.
+  // "avx2", "avx512"). All tiers are bit-identical — this records speed,
+  // not semantics.
   std::string kernel_tier;
   // Total kernel wall-clock summed over nodes ("work") and the longest
   // dependency chain of kernel times ("span"). work / span bounds the
@@ -68,19 +67,9 @@ struct ExecStats {
   // Per-operator-kind timing, sorted by descending total seconds.
   std::vector<OpTiming> op_timings;
   // Per-physical-node timing, index-aligned with CompiledPlan::nodes.
-  // Filled by the DAG scheduler when stats are requested; empty under the
-  // tree evaluator.
+  // Filled by the DAG scheduler when stats are requested.
   std::vector<NodeTiming> node_timings;
 };
-
-// Evaluates `expr` over `workspace` bottom-up, in the exact syntactic order
-// given — the paper's "as stated" semantics (§7.1): no reordering, no
-// simplification. Engine profiles build on top of this. Accepts a live
-// Workspace (implicitly converted; caller holds its state stable) or a
-// pinned Snapshot (lock-free MVCC read path).
-Result<matrix::Matrix> Execute(const la::Expr& expr,
-                               WorkspaceView workspace,
-                               ExecStats* stats = nullptr);
 
 // Options for the parallel DAG engine (src/exec/): how many threads to
 // schedule on and whether to hash-cons repeated subexpressions.
@@ -100,20 +89,9 @@ struct ExecOptions {
   bool enable_fusion = true;
 };
 
-// Compiles `expr` into a physical operator DAG (CSE + representation-aware
-// kernel selection) and executes it on a transient thread pool. Semantics
-// match Execute() above; results are bit-for-bit identical at any thread
-// count. Implemented in src/exec/executor.cc. Callers with a long-lived
-// session should prefer exec::Executor (or api::SessionBuilder::Threads),
-// which reuses one pool across runs.
-Result<matrix::Matrix> Execute(const la::Expr& expr,
-                               WorkspaceView workspace,
-                               const ExecOptions& options,
-                               ExecStats* stats = nullptr);
-
-// Applies a single operator to already-evaluated inputs — the per-node
-// kernel shared by the tree-walking evaluator and the exec:: DAG runtime.
-// `e` supplies the operator kind only; inputs.size() must equal its arity.
+// Applies a single operator to already-evaluated inputs — the generic
+// per-node kernel of the exec:: DAG runtime. `e` supplies the operator kind
+// only; inputs.size() must equal its arity.
 Result<matrix::Matrix> ApplyOp(const la::Expr& e,
                                const std::vector<const matrix::Matrix*>& inputs);
 

@@ -162,17 +162,4 @@ Result<ExprPtr> ApplySmartRewrites(const ExprPtr& expr,
   return current;
 }
 
-Result<la::ExprPtr> Engine::Plan(const la::ExprPtr& expr,
-                                 const la::MetaCatalog* catalog) const {
-  if (profile_ == Profile::kNaive) return expr;
-  if (catalog != nullptr) return ApplySmartRewrites(expr, *catalog);
-  return ApplySmartRewrites(expr, workspace_->BuildMetaCatalog());
-}
-
-Result<matrix::Matrix> Engine::Run(const la::ExprPtr& expr,
-                                   ExecStats* stats) const {
-  HADAD_ASSIGN_OR_RETURN(la::ExprPtr plan, Plan(expr));
-  return Execute(*plan, *workspace_, stats);
-}
-
 }  // namespace hadad::engine

@@ -39,19 +39,3 @@ Result<matrix::Matrix> Executor::RunCompiled(
 }
 
 }  // namespace hadad::exec
-
-namespace hadad::engine {
-
-// Declared in engine/evaluator.h; lives here so engine/ carries no link-time
-// dependency cycle — the exec subsystem implements the overload.
-Result<matrix::Matrix> Execute(const la::Expr& expr,
-                               WorkspaceView workspace,
-                               const ExecOptions& options, ExecStats* stats) {
-  // The Expr tree is immutable and outlives this call; alias it without
-  // taking ownership so callers keep passing `const la::Expr&`.
-  la::ExprPtr alias(&expr, [](const la::Expr*) {});
-  exec::Executor executor(options);
-  return executor.Run(alias, workspace, stats);
-}
-
-}  // namespace hadad::engine

@@ -1,7 +1,6 @@
 #include "la/catalog.h"
 
 #include <initializer_list>
-#include <mutex>
 
 #include "la/encoder.h"
 #include "la/vrem.h"
@@ -725,30 +724,20 @@ std::vector<Constraint> MorpheusRules() {
   return out;
 }
 
-std::vector<Constraint> BuildMmc(const CatalogOptions& options) {
-  std::vector<Constraint> out = MmcCoreKeys();
-  auto append = [&out](std::vector<Constraint> more) {
-    for (Constraint& c : more) out.push_back(std::move(c));
-  };
-  append(MmcFunctionalKeys());
-  append(MmcLaProperties());
-  if (options.decompositions) append(MmcDecompositions());
-  if (options.stat_agg) append(MmcStatAgg());
-  if (options.morpheus) append(MorpheusRules());
+std::vector<Constraint> BuildMmc() {
+  std::vector<Constraint> out;
+  for (std::vector<Constraint> family :
+       {MmcCoreKeys(), MmcFunctionalKeys(), MmcLaProperties(),
+        MmcDecompositions(), MmcStatAgg(), MorpheusRules()}) {
+    for (Constraint& c : family) out.push_back(std::move(c));
+  }
   return out;
 }
 
-const std::vector<Constraint>& SharedMmc(const CatalogOptions& options) {
-  // One list per combination of the three options.
-  static std::once_flag built[8];
-  static const std::vector<Constraint>* lists[8];
-  const size_t k = (options.stat_agg ? 1u : 0u) |
-                   (options.decompositions ? 2u : 0u) |
-                   (options.morpheus ? 4u : 0u);
-  std::call_once(built[k], [&options, k] {
-    lists[k] = new std::vector<Constraint>(BuildMmc(options));
-  });
-  return *lists[k];
+const std::vector<Constraint>& SharedMmc() {
+  static const std::vector<Constraint>* const mmc =
+      new std::vector<Constraint>(BuildMmc());
+  return *mmc;
 }
 
 Result<std::vector<Constraint>> EncodeViewConstraints(

@@ -43,19 +43,13 @@ std::vector<chase::Constraint> MmcStatAgg();
 // constraints").
 std::vector<chase::Constraint> MorpheusRules();
 
-struct CatalogOptions {
-  bool stat_agg = true;
-  bool decompositions = true;
-  bool morpheus = true;
-};
+// The full MMC = MMC_m ∪ functional keys ∪ MMC_LAprop ∪ decompositions
+// ∪ MMC_StatAgg ∪ Morpheus, in that order.
+std::vector<chase::Constraint> BuildMmc();
 
-// The full MMC = MMC_m ∪ functional keys ∪ MMC_LAprop [∪ decompositions]
-// [∪ MMC_StatAgg] [∪ Morpheus].
-std::vector<chase::Constraint> BuildMmc(const CatalogOptions& options = {});
-
-// BuildMmc(options), built once per process on first use and shared
-// read-only from then on.
-const std::vector<chase::Constraint>& SharedMmc(const CatalogOptions& options);
+// BuildMmc(), built once per process on first use and shared read-only from
+// then on.
+const std::vector<chase::Constraint>& SharedMmc();
 
 // enc_LA(V) (§6.2.4): the constraint pair for a materialized view `name`
 // defined by `definition`. V_IO maps the definition's body pattern to a

@@ -79,8 +79,7 @@ void MetaTracker::EmitSizeFact(chase::NodeId canonical,
       instance_->InternConstant(std::to_string(meta.shape.rows));
   chase::NodeId cols =
       instance_->InternConstant(std::to_string(meta.shape.cols));
-  instance_->AddFact(size_pred, {canonical, rows, cols}, chase::Derivation{},
-                     /*initial=*/false, nullptr);
+  instance_->AddFact(size_pred, {canonical, rows, cols}, nullptr);
 }
 
 void MetaTracker::EmitTypeFacts(chase::NodeId canonical,
@@ -88,7 +87,7 @@ void MetaTracker::EmitTypeFacts(chase::NodeId canonical,
   int32_t type_pred = instance_->InternPredicate(vrem::kType);
   auto emit = [&](const char* tag) {
     instance_->AddFact(type_pred, {canonical, instance_->InternConstant(tag)},
-                       chase::Derivation{}, /*initial=*/false, nullptr);
+                       nullptr);
   };
   if (meta.shape.symmetric_pd) emit(vrem::kTypeSpd);
   if (meta.shape.lower_triangular) emit(vrem::kTypeLower);

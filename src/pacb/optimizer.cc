@@ -44,6 +44,9 @@ constexpr double kEps = 1e-9;
 // views): naive 12.1x / 4.0x / 2.7x, MNC 7.4x / 2.2x / 1.4x.
 constexpr int kStallRounds = 3;
 
+// Cap on the alternative rewritings RewriteResult::rewrites lists.
+constexpr size_t kMaxRewrites = 32;
+
 // One way to obtain a class: scan a named input (base matrix or view), use
 // a scalar literal, or apply the operator of fact `fact` (output
 // `output_slot` of its signature).
@@ -143,8 +146,7 @@ Status RewriteSession::SeedInstance(const la::EncodedExpr& enc) {
     args.reserve(atom.args.size());
     for (const chase::Term& t : atom.args) args.push_back(node_of(t));
     instance_.AddFact(instance_.InternPredicate(atom.predicate),
-                      std::move(args), chase::Derivation{}, /*initial=*/true,
-                      nullptr);
+                      std::move(args), nullptr);
   };
   for (const chase::Atom& atom : enc.query.body) add_atom(atom);
   root_ = var_nodes.at(enc.root_var);
@@ -174,13 +176,12 @@ Status RewriteSession::SeedInstance(const la::EncodedExpr& enc) {
       }
       NodeId node = instance_.FreshNull();
       instance_.AddFact(name_pred, {node, instance_.InternConstant(n)},
-                        chase::Derivation{}, /*initial=*/true, nullptr);
+                        nullptr);
       HADAD_ASSIGN_OR_RETURN(cost::ClassMeta meta, leaf_meta_(n));
       tracker_.Seed(node, std::move(meta));
       nodes.push_back(node);
     }
-    instance_.AddFact(mj_pred, std::move(nodes), chase::Derivation{},
-                      /*initial=*/true, nullptr);
+    instance_.AddFact(mj_pred, std::move(nodes), nullptr);
   }
   tracker_.PropagateAll();
   return Status::OK();
@@ -519,7 +520,7 @@ Result<RewriteResult> RewriteSession::Run(const ExprPtr& expr) {
   std::unordered_set<std::string> seen;
   for (const Candidate& c : candidates) {
     if (!seen.insert(ToString(c.expr)).second) continue;
-    if (static_cast<int>(result.rewrites.size()) < options_.max_rewrites) {
+    if (result.rewrites.size() < kMaxRewrites) {
       result.rewrites.push_back(c.expr);
     }
     if (result.best == nullptr) {
@@ -541,12 +542,11 @@ Optimizer::Optimizer(la::MetaCatalog catalog, OptimizerOptions options)
     : catalog_(std::move(catalog)), options_(options) {}
 
 const std::vector<chase::Constraint>& Optimizer::Constraints() const {
-  return constraints_.empty() ? la::SharedMmc(options_.catalog)
-                              : constraints_;
+  return constraints_.empty() ? la::SharedMmc() : constraints_;
 }
 
 void Optimizer::RebuildConstraints() {
-  const std::vector<chase::Constraint>& mmc = la::SharedMmc(options_.catalog);
+  const std::vector<chase::Constraint>& mmc = la::SharedMmc();
   if (views_.empty() && extra_constraints_.empty()) {
     constraints_.clear();
     return;

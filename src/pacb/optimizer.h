@@ -24,10 +24,7 @@ struct OptimizerOptions {
   // Prune_prov (§7.3): reject chase steps whose premise fragment or
   // conclusion outputs exceed the best-known rewriting cost.
   bool prune = true;
-  la::CatalogOptions catalog;
   chase::ChaseOptions chase;
-  // Cap on enumerated alternative rewritings returned in RewriteResult.
-  int max_rewrites = 32;
 };
 
 // A materialized view: `name` is its scan name (how rewritings refer to it),
@@ -56,7 +53,7 @@ struct RewriteResult {
   double original_cost = 0.0; // γ(input).
   bool improved = false;
   // Distinct equivalent rewritings discovered (root-level alternatives with
-  // min-cost subplans), sorted by cost; includes `best`.
+  // min-cost subplans), sorted by cost, at most 32; includes `best`.
   std::vector<la::ExprPtr> rewrites;
   chase::ChaseStats chase_stats;
   double optimize_seconds = 0.0;  // RW_find in the paper's terminology.

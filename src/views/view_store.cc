@@ -1,15 +1,16 @@
 #include "views/view_store.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace hadad::views {
 
 ViewStore::ViewStore(engine::Workspace* workspace, int64_t budget_bytes,
                      size_t max_views)
-    : budget_bytes_(budget_bytes),
-      max_views_(max_views),
-      catalog_(workspace) {}
+    : workspace_(workspace),
+      budget_bytes_(budget_bytes),
+      max_views_(max_views) {}
 
 bool ViewStore::ContainsCanonical(const std::string& canonical) const {
   for (const auto& [name, v] : views_) {
@@ -63,8 +64,12 @@ Status ViewStore::Admit(StoredView meta, matrix::Matrix value) {
         "admitting view '" + meta.name + "' (" + std::to_string(meta.bytes) +
         " bytes) would exceed the store budget");
   }
-  HADAD_RETURN_IF_ERROR(
-      catalog_.Install(meta.name, meta.definition, std::move(value)));
+  if (workspace_->Has(meta.name)) {
+    return Status::InvalidArgument("workspace already has '" + meta.name +
+                                   "'");
+  }
+  workspace_->Put(meta.name, std::move(value));
+  bytes_in_use_ += meta.bytes;
   std::string name = meta.name;
   views_.emplace(std::move(name), std::move(meta));
   return Status::OK();
@@ -80,10 +85,13 @@ ViewStore::Detach(const std::string& name) {
   if (it == views_.end()) {
     return Status::NotFound("no adaptive view named '" + name + "'");
   }
-  HADAD_ASSIGN_OR_RETURN(std::shared_ptr<const matrix::Matrix> value,
-                         catalog_.Detach(name));
+  std::optional<engine::Version> taken = workspace_->Take(name);
+  if (!taken.has_value()) {
+    return Status::Internal("view '" + name + "' missing from workspace");
+  }
+  bytes_in_use_ -= it->second.bytes;
   std::pair<StoredView, std::shared_ptr<const matrix::Matrix>> out(
-      std::move(it->second), std::move(value));
+      std::move(it->second), std::move(taken->value));
   views_.erase(it);
   return out;
 }

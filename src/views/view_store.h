@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/view_catalog.h"
 #include "engine/workspace.h"
 #include "la/expr.h"
 #include "matrix/matrix.h"
@@ -27,12 +26,12 @@ struct StoredView {
   int64_t last_use = 0;   // Monotone sequence number of the last hit.
 };
 
-// A byte-budgeted store of adaptively materialized views wrapping
-// engine::ViewCatalog (which does the workspace bookkeeping). Admission
-// never exceeds the budget: PlanAdmission picks evictions — lowest
-// benefit-weighted-LRU retention first — and fails when even a full sweep
-// cannot make room. Not thread-safe; the AdaptiveViewManager serializes
-// access under its host's state lock.
+// A byte-budgeted store of adaptively materialized views: each admitted
+// value is bound in the workspace under its view name, and evicting it
+// takes it out again. Admission never exceeds the budget: PlanAdmission
+// picks evictions — lowest benefit-weighted-LRU retention first — and fails
+// when even a full sweep cannot make room. Not thread-safe; the
+// AdaptiveViewManager serializes access under its host's state lock.
 class ViewStore {
  public:
   // `max_views` additionally caps the entry count (each view adds rewrite-
@@ -41,7 +40,7 @@ class ViewStore {
             size_t max_views = 16);
 
   int64_t budget_bytes() const { return budget_bytes_; }
-  int64_t bytes_in_use() const { return catalog_.total_bytes(); }
+  int64_t bytes_in_use() const { return bytes_in_use_; }
   size_t size() const { return views_.size(); }
 
   bool ContainsCanonical(const std::string& canonical) const;
@@ -56,13 +55,14 @@ class ViewStore {
   // recently used, then name.
   bool PlanAdmission(int64_t bytes, std::vector<std::string>* evict) const;
 
-  // Installs an already-materialized value under `meta.name` (value bytes
-  // are measured here, overriding meta.bytes). Fails if the name is taken
-  // or admission would exceed the budget — call PlanAdmission + Evict
-  // first.
+  // Binds an already-materialized value under `meta.name` in the workspace
+  // (value bytes are measured here, overriding meta.bytes). Fails if the
+  // workspace already binds the name or admission would exceed the budget —
+  // call PlanAdmission + Evict first.
   Status Admit(StoredView meta, matrix::Matrix value);
 
-  // Drops `name` from the store, the catalog, and the workspace.
+  // Drops `name` from the store and the workspace. NotFound when the store
+  // holds no such view (base matrices are never dropped here).
   Status Evict(const std::string& name);
 
   // Evict, but returns the bookkeeping entry and the materialized value's
@@ -77,10 +77,11 @@ class ViewStore {
  private:
   double Retention(const StoredView& v) const;
 
+  engine::Workspace* workspace_;
   int64_t budget_bytes_;
   size_t max_views_;
-  engine::ViewCatalog catalog_;
   std::map<std::string, StoredView> views_;
+  int64_t bytes_in_use_ = 0;  // Summed StoredView::bytes.
 };
 
 }  // namespace hadad::views

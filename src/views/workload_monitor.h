@@ -31,8 +31,8 @@ struct SubexprStat {
   double weight = 0.0;
   // Summed wall-clock attributed to recomputing this subtree, derived from
   // ExecStats::op_timings (per-operator-kind average seconds mapped over
-  // the subtree's operators). Zero under the tree-walking evaluator, which
-  // leaves op_timings empty; the advisor then falls back to γ estimates.
+  // the subtree's operators). Zero when a run carries no op_timings; the
+  // advisor then falls back to γ estimates.
   // Decays alongside `weight` so seconds-per-weighted-hit stays meaningful.
   double measured_seconds = 0.0;
   // Run index (monitor-local) of the last observation; drives lazy decay.

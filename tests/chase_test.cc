@@ -99,17 +99,16 @@ TEST(InstanceTest, MergeObserverReportsRoots) {
   EXPECT_EQ(inst.Find(absorbed), survivor);
 }
 
-TEST(InstanceTest, DuplicateFactsFuseDerivations) {
+TEST(InstanceTest, DuplicateFactsDeduplicate) {
   Instance inst;
   int32_t p = inst.InternPredicate("p");
   NodeId a = inst.FreshNull();
   bool added = false;
-  FactId f1 = inst.AddFact(p, {a}, Derivation{0, {}}, false, &added);
+  FactId f1 = inst.AddFact(p, {a}, &added);
   EXPECT_TRUE(added);
-  FactId f2 = inst.AddFact(p, {a}, Derivation{1, {}}, false, &added);
+  FactId f2 = inst.AddFact(p, {a}, &added);
   EXPECT_FALSE(added);
   EXPECT_EQ(f1, f2);
-  EXPECT_EQ(inst.fact(f1).derivations.size(), 2u);
 }
 
 TEST(InstanceTest, RebuildFusesFactsAfterMerge) {
@@ -117,8 +116,8 @@ TEST(InstanceTest, RebuildFusesFactsAfterMerge) {
   int32_t p = inst.InternPredicate("p");
   NodeId a = inst.FreshNull();
   NodeId b = inst.FreshNull();
-  inst.AddFact(p, {a}, Derivation{}, true, nullptr);
-  inst.AddFact(p, {b}, Derivation{}, true, nullptr);
+  inst.AddFact(p, {a}, nullptr);
+  inst.AddFact(p, {b}, nullptr);
   EXPECT_EQ(inst.num_facts(), 2);
   ASSERT_TRUE(inst.Merge(a, b).ok());
   inst.Rebuild();
@@ -131,9 +130,9 @@ TEST(HomomorphismTest, ConstantsRestrictMatches) {
   int32_t name = inst.InternPredicate("name");
   NodeId m = inst.FreshNull();
   NodeId n = inst.FreshNull();
-  inst.AddFact(name, {m, inst.InternConstant("M.csv")}, Derivation{}, true,
+  inst.AddFact(name, {m, inst.InternConstant("M.csv")},
                nullptr);
-  inst.AddFact(name, {n, inst.InternConstant("N.csv")}, Derivation{}, true,
+  inst.AddFact(name, {n, inst.InternConstant("N.csv")},
                nullptr);
   int count = 0;
   Pattern p({MakeAtom("name", {Var("X"), Cst("M.csv")})}, &inst);
@@ -151,8 +150,8 @@ TEST(HomomorphismTest, RepeatedVariablesEnforceEquality) {
   int32_t e = inst.InternPredicate("edge");
   NodeId a = inst.FreshNull();
   NodeId b = inst.FreshNull();
-  inst.AddFact(e, {a, b}, Derivation{}, true, nullptr);
-  inst.AddFact(e, {a, a}, Derivation{}, true, nullptr);
+  inst.AddFact(e, {a, b}, nullptr);
+  inst.AddFact(e, {a, a}, nullptr);
   int count = 0;
   Pattern p({MakeAtom("edge", {Var("X"), Var("X")})}, &inst);
   FindHomomorphisms(p.compiled, inst, p.Seed(),
@@ -169,9 +168,9 @@ TEST(HomomorphismTest, MultiAtomJoin) {
   int32_t s = inst.InternPredicate("S");
   NodeId x = inst.FreshNull(), z = inst.FreshNull(), y = inst.FreshNull();
   NodeId w = inst.FreshNull();
-  inst.AddFact(r, {x, z}, Derivation{}, true, nullptr);
-  inst.AddFact(s, {z, y}, Derivation{}, true, nullptr);
-  inst.AddFact(s, {w, y}, Derivation{}, true, nullptr);  // Doesn't join R.
+  inst.AddFact(r, {x, z}, nullptr);
+  inst.AddFact(s, {z, y}, nullptr);
+  inst.AddFact(s, {w, y}, nullptr);  // Doesn't join R.
   int count = 0;
   Pattern p({MakeAtom("R", {Var("A"), Var("B")}),
              MakeAtom("S", {Var("B"), Var("C")})},
@@ -192,8 +191,8 @@ TEST(ChaseEngineTest, ViewIoConstraintFires) {
   int32_t r = inst.InternPredicate("R");
   int32_t s = inst.InternPredicate("S");
   NodeId x = inst.FreshNull(), z = inst.FreshNull(), y = inst.FreshNull();
-  inst.AddFact(r, {x, z}, Derivation{}, true, nullptr);
-  inst.AddFact(s, {z, y}, Derivation{}, true, nullptr);
+  inst.AddFact(r, {x, z}, nullptr);
+  inst.AddFact(s, {z, y}, nullptr);
 
   Constraint v_io = MakeTgd(
       "V_IO",
@@ -209,10 +208,6 @@ TEST(ChaseEngineTest, ViewIoConstraintFires) {
   const Fact& f = inst.fact(inst.FactsOf(v)[0]);
   EXPECT_EQ(inst.Find(f.args[0]), inst.Find(x));
   EXPECT_EQ(inst.Find(f.args[1]), inst.Find(y));
-  // Provenance: derived by constraint 0 from the two initial facts.
-  ASSERT_EQ(f.derivations.size(), 1u);
-  EXPECT_EQ(f.derivations[0].constraint_index, 0);
-  EXPECT_EQ(f.derivations[0].premise_facts.size(), 2u);
 }
 
 // V_OI introduces existentially quantified nulls: V(x,y) -> ∃z R(x,z),S(z,y).
@@ -220,7 +215,7 @@ TEST(ChaseEngineTest, ExistentialsCreateLabelledNulls) {
   Instance inst;
   int32_t v = inst.InternPredicate("V");
   NodeId a = inst.FreshNull(), b = inst.FreshNull();
-  inst.AddFact(v, {a, b}, Derivation{}, true, nullptr);
+  inst.AddFact(v, {a, b}, nullptr);
   Constraint v_oi = MakeTgd(
       "V_OI", {MakeAtom("V", {Var("x"), Var("y")})},
       {MakeAtom("R", {Var("x"), Var("z")}), MakeAtom("S", {Var("z"), Var("y")})});
@@ -243,7 +238,7 @@ TEST(ChaseEngineTest, RestrictedChaseTerminatesOnCommutativity) {
   Instance inst;
   int32_t add = inst.InternPredicate("addM");
   NodeId m = inst.FreshNull(), n = inst.FreshNull(), r0 = inst.FreshNull();
-  inst.AddFact(add, {m, n, r0}, Derivation{}, true, nullptr);
+  inst.AddFact(add, {m, n, r0}, nullptr);
   Constraint comm = MakeTgd(
       "add-commutative",
       {MakeAtom("addM", {Var("M"), Var("N"), Var("R")})},
@@ -262,8 +257,8 @@ TEST(ChaseEngineTest, FunctionalEgdMergesResults) {
   int32_t mul = inst.InternPredicate("multiM");
   NodeId m = inst.FreshNull(), n = inst.FreshNull();
   NodeId r1 = inst.FreshNull(), r2 = inst.FreshNull();
-  inst.AddFact(mul, {m, n, r1}, Derivation{}, true, nullptr);
-  inst.AddFact(mul, {m, n, r2}, Derivation{}, true, nullptr);
+  inst.AddFact(mul, {m, n, r1}, nullptr);
+  inst.AddFact(mul, {m, n, r2}, nullptr);
   Constraint functional = MakeEgd(
       "I_multiM",
       {MakeAtom("multiM", {Var("M"), Var("N"), Var("R1")}),
@@ -283,9 +278,9 @@ TEST(ChaseEngineTest, ConstantClashIsUnsatisfiable) {
   Instance inst;
   int32_t name = inst.InternPredicate("name");
   NodeId m = inst.FreshNull();
-  inst.AddFact(name, {m, inst.InternConstant("a")}, Derivation{}, true,
+  inst.AddFact(name, {m, inst.InternConstant("a")},
                nullptr);
-  inst.AddFact(name, {m, inst.InternConstant("b")}, Derivation{}, true,
+  inst.AddFact(name, {m, inst.InternConstant("b")},
                nullptr);
   Constraint key = MakeEgd("name-key",
                            {MakeAtom("name", {Var("M"), Var("X")}),
@@ -305,8 +300,8 @@ TEST(ChaseEngineTest, EgdEquatesNullWithConstant) {
   NodeId i = inst.FreshNull();
   NodeId d = inst.FreshNull();
   int32_t identity = inst.InternPredicate("identity");
-  inst.AddFact(identity, {i}, Derivation{}, true, nullptr);
-  inst.AddFact(det, {i, d}, Derivation{}, true, nullptr);
+  inst.AddFact(identity, {i}, nullptr);
+  inst.AddFact(det, {i, d}, nullptr);
   Constraint c = MakeEgd("det-identity",
                          {MakeAtom("identity", {Var("I")}),
                           MakeAtom("det", {Var("I"), Var("D")})},
@@ -324,7 +319,7 @@ TEST(ChaseEngineTest, GateSkipsApplications) {
   Instance inst;
   int32_t p = inst.InternPredicate("p");
   NodeId a = inst.FreshNull();
-  inst.AddFact(p, {a}, Derivation{}, true, nullptr);
+  inst.AddFact(p, {a}, nullptr);
   Constraint grow = MakeTgd("grow", {MakeAtom("p", {Var("X")})},
                             {MakeAtom("q", {Var("X")})});
   const std::vector<Constraint> constraints = {grow};
@@ -342,7 +337,7 @@ TEST(ChaseEngineTest, GateSkipsApplications) {
 struct DivergingChase {
   DivergingChase() {
     int32_t p = inst.InternPredicate("succ");
-    inst.AddFact(p, {inst.FreshNull(), inst.FreshNull()}, Derivation{}, true,
+    inst.AddFact(p, {inst.FreshNull(), inst.FreshNull()},
                  nullptr);
   }
   Instance inst;
@@ -369,7 +364,7 @@ TEST(ChaseEngineTest, ObserverSeesAdditions) {
   Instance inst;
   int32_t p = inst.InternPredicate("p");
   NodeId a = inst.FreshNull();
-  inst.AddFact(p, {a}, Derivation{}, true, nullptr);
+  inst.AddFact(p, {a}, nullptr);
   Constraint grow = MakeTgd("grow", {MakeAtom("p", {Var("X")})},
                             {MakeAtom("q", {Var("X"), Var("Z")})});
   const std::vector<Constraint> constraints = {grow};
@@ -402,9 +397,9 @@ TEST(ChaseEngineTest, RoundEndHookSeesEveryRoundOnCleanInstance) {
     Instance inst;
     int32_t mul = inst.InternPredicate("multiM");
     NodeId m = inst.FreshNull(), n = inst.FreshNull(), r1 = inst.FreshNull();
-    inst.AddFact(mul, {m, n, r1}, Derivation{}, true, nullptr);
-    inst.AddFact(mul, {r1, m, inst.FreshNull()}, Derivation{}, true, nullptr);
-    inst.AddFact(mul, {inst.FreshNull(), r1, m}, Derivation{}, true, nullptr);
+    inst.AddFact(mul, {m, n, r1}, nullptr);
+    inst.AddFact(mul, {r1, m, inst.FreshNull()}, nullptr);
+    inst.AddFact(mul, {inst.FreshNull(), r1, m}, nullptr);
     ChaseEngine engine(&inst, constraints);
     if (with_hook) {
       engine.set_round_end([&inst, rounds_seen](const ChaseStats& stats) {
@@ -471,8 +466,7 @@ TEST(ChaseEngineTest, StalledOnlyWhenTheHookEndsTheChase) {
   };
   {  // Fixpoint: `grow` adds q in round 1; round 2 adds nothing.
     Instance inst;
-    inst.AddFact(inst.InternPredicate("p"), {inst.FreshNull()}, Derivation{},
-                 true, nullptr);
+    inst.AddFact(inst.InternPredicate("p"), {inst.FreshNull()}, nullptr);
     const std::vector<Constraint> constraints = {MakeTgd(
         "grow", {MakeAtom("p", {Var("X")})}, {MakeAtom("q", {Var("X")})})};
     ChaseEngine engine(&inst, constraints);
@@ -509,8 +503,8 @@ TEST(ChaseEngineTest, AssociativityOnChainTerminates) {
   NodeId m = inst.FreshNull(), n = inst.FreshNull();
   NodeId r1 = inst.FreshNull(), r2 = inst.FreshNull();
   // (M N) M encoded: multiM(M, N, R1), multiM(R1, M, R2).
-  inst.AddFact(mul, {m, n, r1}, Derivation{}, true, nullptr);
-  inst.AddFact(mul, {r1, m, r2}, Derivation{}, true, nullptr);
+  inst.AddFact(mul, {m, n, r1}, nullptr);
+  inst.AddFact(mul, {r1, m, r2}, nullptr);
   Constraint assoc = MakeTgd(
       "mul-associative",
       {MakeAtom("multiM", {Var("A"), Var("B"), Var("R1")}),
@@ -558,8 +552,6 @@ struct ReferenceInstance {
   struct Entry {
     int32_t predicate;
     std::vector<NodeId> args;  // As of the last Rebuild, or as added.
-    bool initial;
-    std::vector<int32_t> derivations;  // Constraint indices, used as tags.
     FactId fused_into = -1;
   };
 
@@ -572,18 +564,16 @@ struct ReferenceInstance {
   // AddFact's contract: args canonicalized, deduplicated against the live
   // facts' args as stored.
   FactId Add(const Instance& inst, int32_t predicate, std::vector<NodeId> args,
-             bool initial, int32_t tag, bool* added) {
+             bool* added) {
     for (NodeId& a : args) a = inst.Find(a);
     for (size_t id = 0; id < facts.size(); ++id) {
-      Entry& e = facts[id];
+      const Entry& e = facts[id];
       if (e.fused_into < 0 && e.predicate == predicate && e.args == args) {
-        e.initial = e.initial || initial;
-        e.derivations.push_back(tag);
         *added = false;
         return static_cast<FactId>(id);
       }
     }
-    facts.push_back(Entry{predicate, std::move(args), initial, {tag}});
+    facts.push_back(Entry{predicate, std::move(args)});
     *added = true;
     return static_cast<FactId>(facts.size() - 1);
   }
@@ -604,11 +594,6 @@ struct ReferenceInstance {
         survivor_touched[it->second] = touched;
         continue;
       }
-      Entry& s = facts[static_cast<size_t>(it->second)];
-      s.initial = s.initial || e.initial;
-      s.derivations.insert(s.derivations.end(), e.derivations.begin(),
-                           e.derivations.end());
-      e.derivations.clear();
       e.fused_into = it->second;
       if (survivor_touched[it->second] && !touched) {
         ++collisions->lower_touched;
@@ -638,8 +623,8 @@ std::string Join(const std::vector<T>& v) {
 }
 
 // The first difference between `inst` and `ref`, or "" when they agree on
-// the live facts, tombstones, derivations, every index bucket, HasFact and
-// the live count.
+// the live facts, tombstones, every index bucket, HasFact and the live
+// count.
 std::string Diff(const Instance& inst, const ReferenceInstance& ref,
                  const std::vector<int32_t>& predicates,
                  const std::vector<int>& arity) {
@@ -652,23 +637,15 @@ std::string Diff(const Instance& inst, const ReferenceInstance& ref,
   for (FactId id = 0; id < inst.fact_id_end(); ++id) {
     const Fact& f = inst.fact(id);
     const ReferenceInstance::Entry& e = ref.facts[static_cast<size_t>(id)];
-    std::vector<int32_t> tags;
-    for (const Derivation& d : f.derivations) {
-      tags.push_back(d.constraint_index);
-    }
     if (f.live() != (e.fused_into < 0) ||
         inst.Survivor(id) != ref.Survivor(id)) {
       out << "fact " << id << ": survivor " << inst.Survivor(id) << " vs "
           << ref.Survivor(id);
-    } else if (!f.live()) {
-      if (!tags.empty()) out << "tombstone " << id << " keeps derivations";
-    } else if (f.predicate != e.predicate || f.args != e.args ||
-               f.initial != e.initial || tags != e.derivations) {
-      out << "fact " << id << ": " << f.predicate << Join(f.args)
-          << " initial=" << f.initial << " derivations=" << Join(tags)
-          << " vs " << e.predicate << Join(e.args) << " initial="
-          << e.initial << " derivations=" << Join(e.derivations);
-    } else if (!inst.HasFact(f.predicate, f.args)) {
+    } else if (f.live() &&
+               (f.predicate != e.predicate || f.args != e.args)) {
+      out << "fact " << id << ": " << f.predicate << Join(f.args) << " vs "
+          << e.predicate << Join(e.args);
+    } else if (f.live() && !inst.HasFact(f.predicate, f.args)) {
       out << "HasFact misses live fact " << id;
     }
     if (!out.str().empty()) return out.str();
@@ -767,14 +744,11 @@ TEST(RebuildDifferentialTest, MatchesRebuildFromScratch) {
         for (int i = 0; i < arity[pi]; ++i) {
           args.push_back(nodes[rng.NextBelow(nodes.size())]);
         }
-        const bool initial = rng.NextBelow(2) == 0;
         if (inst.dirty()) ++adds_while_dirty;
         bool added = false;
         bool ref_added = false;
-        const FactId id = inst.AddFact(predicates[pi], args,
-                                       Derivation{step, {}}, initial, &added);
-        const FactId ref_id =
-            ref.Add(inst, predicates[pi], args, initial, step, &ref_added);
+        const FactId id = inst.AddFact(predicates[pi], args, &added);
+        const FactId ref_id = ref.Add(inst, predicates[pi], args, &ref_added);
         ASSERT_EQ(id, ref_id) << "seed=" << seed << " iter=" << iter
                               << " step=" << step;
         ASSERT_EQ(added, ref_added) << "seed=" << seed << " iter=" << iter

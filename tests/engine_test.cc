@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "engine/evaluator.h"
-#include "engine/view_catalog.h"
 #include "engine/workspace.h"
 #include "la/parser.h"
 #include "matrix/generate.h"
+#include "reference_evaluator.h"
 
 namespace hadad::engine {
 namespace {
@@ -33,12 +35,12 @@ Workspace SmallWorkspace() {
 
 TEST(EvaluatorTest, ExecutesAsStated) {
   Workspace ws = SmallWorkspace();
-  auto out = Execute(*Parse("t(M %*% N)"), ws);
+  auto out = reference::Evaluate(*Parse("t(M %*% N)"), ws);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rows(), 30);
   EXPECT_EQ(out->cols(), 30);
   // Equals the algebraic alternative.
-  auto alt = Execute(*Parse("t(N) %*% t(M)"), ws);
+  auto alt = reference::Evaluate(*Parse("t(N) %*% t(M)"), ws);
   ASSERT_TRUE(alt.ok());
   EXPECT_TRUE(out->ApproxEquals(*alt, 1e-9));
 }
@@ -47,14 +49,14 @@ TEST(EvaluatorTest, StatsCountIntermediatesNotRoot) {
   Workspace ws = SmallWorkspace();
   ExecStats stats;
   // (M N) M-free: t(M %*% N): one intermediate (M N, 30x30 dense).
-  ASSERT_TRUE(Execute(*Parse("t(M %*% N)"), ws, &stats).ok());
+  ASSERT_TRUE(reference::Evaluate(*Parse("t(M %*% N)"), ws, &stats).ok());
   EXPECT_EQ(stats.operators, 2);
   EXPECT_DOUBLE_EQ(stats.intermediate_nnz, 900.0);
 }
 
 TEST(EvaluatorTest, ScalarPipelines) {
   Workspace ws = SmallWorkspace();
-  auto s = Execute(*Parse("sum(M) + trace(C)"), ws);
+  auto s = reference::Evaluate(*Parse("sum(M) + trace(C)"), ws);
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(s->IsScalar());
   auto direct = matrix::Sum(*ws.Get("M").value()) +
@@ -64,16 +66,16 @@ TEST(EvaluatorTest, ScalarPipelines) {
 
 TEST(EvaluatorTest, SubtractionDesugarsCorrectly) {
   Workspace ws = SmallWorkspace();
-  auto out = Execute(*Parse("M - M"), ws);
+  auto out = reference::Evaluate(*Parse("M - M"), ws);
   ASSERT_TRUE(out.ok());
   EXPECT_NEAR(matrix::Sum(*out), 0.0, 1e-12);
 }
 
 TEST(EvaluatorTest, ErrorsSurface) {
   Workspace ws = SmallWorkspace();
-  EXPECT_FALSE(Execute(*Parse("Q %*% M"), ws).ok());       // Unknown name.
-  EXPECT_FALSE(Execute(*Parse("M %*% M"), ws).ok());       // Dim mismatch.
-  EXPECT_FALSE(Execute(*Parse("inv(M)"), ws).ok());        // Non-square.
+  EXPECT_FALSE(reference::Evaluate(*Parse("Q %*% M"), ws).ok());  // Unknown.
+  EXPECT_FALSE(reference::Evaluate(*Parse("M %*% M"), ws).ok());  // Dims.
+  EXPECT_FALSE(reference::Evaluate(*Parse("inv(M)"), ws).ok());  // Non-square.
 }
 
 TEST(WorkspaceTest, MetaCatalogShapes) {
@@ -94,40 +96,27 @@ TEST(WorkspaceTest, TypeFlagDetection) {
   EXPECT_TRUE(catalog.at("I").orthogonal);
 }
 
-TEST(ProfilesTest, NaivePlanIsIdentity) {
-  Workspace ws = SmallWorkspace();
-  Engine naive(Profile::kNaive, &ws);
-  la::ExprPtr e = Parse("(M %*% N) %*% M");
-  auto plan = naive.Plan(e);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE((*plan)->Equals(*e));
+// The kSmart profile's planner (api::Session runs it before compiling every
+// kSmart plan; tests/expected_rewrites_test.cc checks what such sessions
+// execute against the reference evaluator).
+std::string SmartPlan(const Workspace& ws, const std::string& text) {
+  auto plan = ApplySmartRewrites(Parse(text), ws.BuildMetaCatalog());
+  HADAD_CHECK_MSG(plan.ok(), text.c_str());
+  return la::ToString(*plan);
 }
 
 TEST(ProfilesTest, SmartReordersChains) {
   Workspace ws = SmallWorkspace();
-  Engine smart(Profile::kSmart, &ws);
   // M (30x8), N (8x30): (M N) M is wasteful; smart plans M (N M).
-  auto plan = smart.Plan(Parse("(M %*% N) %*% M"));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(la::ToString(*plan), "M %*% (N %*% M)");
-  // Results agree with naive execution.
-  Engine naive(Profile::kNaive, &ws);
-  auto a = naive.Run(Parse("(M %*% N) %*% M"));
-  auto b = smart.Run(Parse("(M %*% N) %*% M"));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->ApproxEquals(*b, 1e-8));
+  EXPECT_EQ(SmartPlan(ws, "(M %*% N) %*% M"), "M %*% (N %*% M)");
 }
 
 TEST(ProfilesTest, SmartAppliesStaticSimplifications) {
   Workspace ws = SmallWorkspace();
-  Engine smart(Profile::kSmart, &ws);
-  EXPECT_EQ(la::ToString(smart.Plan(Parse("sum(t(M))")).value()), "sum(M)");
-  EXPECT_EQ(la::ToString(smart.Plan(Parse("t(t(M))")).value()), "M");
-  EXPECT_EQ(la::ToString(smart.Plan(Parse("sum(rowSums(M))")).value()),
-            "sum(M)");
-  EXPECT_EQ(la::ToString(smart.Plan(Parse("rowSums(t(M))")).value()),
-            "t(colSums(M))");
+  EXPECT_EQ(SmartPlan(ws, "sum(t(M))"), "sum(M)");
+  EXPECT_EQ(SmartPlan(ws, "t(t(M))"), "M");
+  EXPECT_EQ(SmartPlan(ws, "sum(rowSums(M))"), "sum(M)");
+  EXPECT_EQ(SmartPlan(ws, "rowSums(t(M))"), "t(colSums(M))");
 }
 
 TEST(ProfilesTest, SmartMissesCrossRuleInterplay) {
@@ -135,25 +124,8 @@ TEST(ProfilesTest, SmartMissesCrossRuleInterplay) {
   // (MN)^T = N^T M^T with the aggregate rules. The smart plan leaves the
   // product in place.
   Workspace ws = SmallWorkspace();
-  Engine smart(Profile::kSmart, &ws);
-  auto plan = smart.Plan(Parse("sum(colSums(t(N) %*% t(M)))"));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(la::ToString(*plan), "sum(t(N) %*% t(M))");
-}
-
-TEST(ViewCatalogTest, MaterializeAndReuse) {
-  Workspace ws = SmallWorkspace();
-  ViewCatalog views(&ws);
-  ASSERT_TRUE(views.MaterializeText("V3", "N %*% M").ok());
-  ASSERT_TRUE(ws.Has("V3"));
-  auto direct = Execute(*Parse("N %*% M"), ws);
-  auto via_view = Execute(*Parse("V3"), ws);
-  ASSERT_TRUE(via_view.ok());
-  EXPECT_TRUE(via_view->ApproxEquals(*direct, 1e-10));
-  // Name collisions rejected.
-  EXPECT_FALSE(views.MaterializeText("V3", "t(M)").ok());
-  EXPECT_FALSE(views.MaterializeText("M", "t(M)").ok());
-  EXPECT_EQ(views.entries().size(), 1u);
+  EXPECT_EQ(SmartPlan(ws, "sum(colSums(t(N) %*% t(M)))"),
+            "sum(t(N) %*% t(M))");
 }
 
 // End-to-end sanity: rewriting preserves semantics on real data. This is the
@@ -165,7 +137,7 @@ TEST(EndToEndTest, RewritePreservesValue) {
         "rowSums(t(M))", "inv(C) %*% inv(D)", "trace(C + D)",
         "sum(M + M)", "(M + S) %*% v"}) {
     la::ExprPtr original = Parse(text);
-    auto a = Execute(*original, ws);
+    auto a = reference::Evaluate(*original, ws);
     ASSERT_TRUE(a.ok()) << text;
     (void)a;
   }

@@ -1,7 +1,7 @@
 // Tests for the parallel physical execution engine (src/exec/): thread
 // pool, DAG compilation (CSE + kernel selection), scheduler equivalence
-// with the tree-walking evaluator, determinism across thread counts, and
-// the api::Session Threads() routing.
+// with the reference tree-walking evaluator (tests/reference_evaluator.h),
+// determinism across thread counts, and the api::Session Threads() routing.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "la/parser.h"
 #include "matrix/blocked_kernels.h"
 #include "matrix/generate.h"
+#include "reference_evaluator.h"
 
 namespace hadad::exec {
 namespace {
@@ -347,7 +348,7 @@ TEST(ExecEquivalenceTest, MatchesSequentialAcrossBenchmarkPipelines) {
   int checked = 0;
   for (const core::Pipeline& p : core::LaBenchmark()) {
     la::ExprPtr expr = Parse(p.text);
-    Result<Matrix> sequential = engine::Execute(*expr, workspace);
+    Result<Matrix> sequential = reference::Evaluate(*expr, workspace);
     Result<Matrix> inline_run = inline_executor.Run(expr, workspace);
     Result<Matrix> parallel = executor.Run(expr, workspace);
     ASSERT_EQ(sequential.ok(), inline_run.ok()) << p.id;
@@ -393,7 +394,7 @@ TEST(ExecEquivalenceTest, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ExecEquivalenceTest, ExecOptionsOverloadOfExecute) {
+TEST(ExecEquivalenceTest, ExecutorStatsOfACseSharedRun) {
   Rng rng(29);
   engine::Workspace workspace;
   workspace.Put("X", matrix::RandomDense(rng, 100, 80));
@@ -402,9 +403,9 @@ TEST(ExecEquivalenceTest, ExecOptionsOverloadOfExecute) {
 
   ExecStats stats;
   Result<Matrix> parallel =
-      engine::Execute(*expr, workspace, ExecOptions{.threads = 4}, &stats);
+      Executor(ExecOptions{.threads = 4}).Run(expr, workspace, &stats);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  Result<Matrix> sequential = engine::Execute(*expr, workspace);
+  Result<Matrix> sequential = reference::Evaluate(*expr, workspace);
   ASSERT_TRUE(sequential.ok());
   EXPECT_TRUE(ExactlyEqual(*sequential, *parallel));
 
@@ -654,7 +655,7 @@ TEST_F(FusionTest, MatchesTreeEvaluatorOnChains) {
   for (const char* text : {"A + B * C - D", "colSums(X %*% Y)",
                            "S1 + S2 - S1"}) {
     la::ExprPtr expr = Parse(text);
-    Result<Matrix> tree = engine::Execute(*expr, workspace_);
+    Result<Matrix> tree = reference::Evaluate(*expr, workspace_);
     Result<Matrix> fused = Executor(ExecOptions{.threads = 2})
                                .Run(expr, workspace_);
     ASSERT_TRUE(tree.ok()) << text;
@@ -666,8 +667,8 @@ TEST_F(FusionTest, MatchesTreeEvaluatorOnChains) {
 TEST_F(FusionTest, ExecStatsRecordFusion) {
   la::ExprPtr expr = Parse("A + B * C - D");
   ExecStats stats;
-  Result<Matrix> out = engine::Execute(*expr, workspace_,
-                                       ExecOptions{.threads = 2}, &stats);
+  Result<Matrix> out =
+      Executor(ExecOptions{.threads = 2}).Run(expr, workspace_, &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(stats.fused_nodes, 1);
   EXPECT_EQ(stats.fused_ops_eliminated, 3);
@@ -675,9 +676,9 @@ TEST_F(FusionTest, ExecStatsRecordFusion) {
   EXPECT_EQ(stats.plan_nodes, 5);  // Four loads + the fused node.
 
   ExecStats unfused_stats;
-  Result<Matrix> unfused = engine::Execute(
-      *expr, workspace_,
-      ExecOptions{.threads = 2, .enable_fusion = false}, &unfused_stats);
+  Result<Matrix> unfused =
+      Executor(ExecOptions{.threads = 2, .enable_fusion = false})
+          .Run(expr, workspace_, &unfused_stats);
   ASSERT_TRUE(unfused.ok());
   EXPECT_EQ(unfused_stats.fused_nodes, 0);
   EXPECT_EQ(unfused_stats.operators, 4);

@@ -15,9 +15,10 @@
 #include "core/workloads.h"
 #include "cost/cost_model.h"
 #include "engine/evaluator.h"
-#include "engine/view_catalog.h"
+#include "engine/profiles.h"
 #include "la/parser.h"
 #include "pacb/optimizer.h"
+#include "reference_evaluator.h"
 
 namespace hadad::core {
 namespace {
@@ -133,10 +134,10 @@ TEST_F(LaBenchmarkTest, NotOptPipelinesMatchOrBeatPaperRewrites) {
           << p.expected_rewrite;
     }
     // Semantics: original and rewriting agree on the actual matrices.
-    auto original_value = engine::Execute(
+    auto original_value = reference::Evaluate(
         *la::ParseExpression(p.text).value(), *workspace_);
     ASSERT_TRUE(original_value.ok()) << p.id;
-    auto rewrite_value = engine::Execute(*r->best, *workspace_);
+    auto rewrite_value = reference::Evaluate(*r->best, *workspace_);
     ASSERT_TRUE(rewrite_value.ok())
         << p.id << " -> " << la::ToString(r->best);
     EXPECT_TRUE(original_value->ApproxEquals(*rewrite_value, 1e-5))
@@ -152,14 +153,52 @@ TEST_F(LaBenchmarkTest, OptPipelinesNeverRegress) {
     auto r = optimizer_->OptimizeText(p.text);
     ASSERT_TRUE(r.ok()) << p.id << ": " << r.status().ToString();
     EXPECT_LE(r->best_cost, r->original_cost + 1e-6) << p.id;
-    auto original_value = engine::Execute(
+    auto original_value = reference::Evaluate(
         *la::ParseExpression(p.text).value(), *workspace_);
     ASSERT_TRUE(original_value.ok()) << p.id;
-    auto rewrite_value = engine::Execute(*r->best, *workspace_);
+    auto rewrite_value = reference::Evaluate(*r->best, *workspace_);
     ASSERT_TRUE(rewrite_value.ok())
         << p.id << " -> " << la::ToString(r->best);
     EXPECT_TRUE(original_value->ApproxEquals(*rewrite_value, 1e-5))
         << p.id << " -> " << la::ToString(r->best);
+  }
+}
+
+// What a session executes, under either profile and either estimator: the
+// pipeline as stated (ExecuteOriginal, which kSmart plans with its own
+// rewrites) must match the reference evaluator within 1e-8, and HADAD's
+// rewriting (Execute) within 1e-5, on all 57 pipelines.
+TEST_F(LaBenchmarkTest, ProfileSessionsMatchReferenceEvaluator) {
+  for (const engine::Profile profile :
+       {engine::Profile::kNaive, engine::Profile::kSmart}) {
+    for (const pacb::EstimatorKind estimator :
+         {pacb::EstimatorKind::kNaive, pacb::EstimatorKind::kMnc}) {
+      api::SessionBuilder builder;
+      for (const auto& [name, m] : workspace_->data()) builder.Put(name, *m);
+      auto session =
+          builder.SetProfile(profile).SetEstimator(estimator).Build();
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      const std::string label =
+          std::string(profile == engine::Profile::kSmart ? "kSmart"
+                                                         : "kNaive") +
+          (estimator == pacb::EstimatorKind::kMnc ? "/mnc" : "/naive");
+      for (const Pipeline& p : LaBenchmark()) {
+        auto want = reference::Evaluate(
+            *la::ParseExpression(p.text).value(), *workspace_);
+        ASSERT_TRUE(want.ok()) << p.id;
+        auto prepared = (*session)->Prepare(p.text);
+        ASSERT_TRUE(prepared.ok()) << label << " " << p.id;
+        auto as_stated = prepared->ExecuteOriginal();
+        ASSERT_TRUE(as_stated.ok()) << label << " " << p.id;
+        EXPECT_TRUE(as_stated->ApproxEquals(*want, 1e-8))
+            << label << " " << p.id << " as stated";
+        auto rewritten = prepared->Execute();
+        ASSERT_TRUE(rewritten.ok()) << label << " " << p.id;
+        EXPECT_TRUE(rewritten->ApproxEquals(*want, 1e-5))
+            << label << " " << p.id << " -> "
+            << la::ToString(prepared->plan());
+      }
+    }
   }
 }
 
@@ -223,14 +262,15 @@ TEST_F(LaBenchmarkTest, SessionRewritesMatchGoldenFile) {
 }
 
 // Table 15's setting: the TestConfig workspace with every V_exp view
-// materialized into it.
+// materialized into it by the reference evaluator.
 engine::Workspace VexpWorkspace() {
   Rng rng(77);
   engine::Workspace workspace = MakeLaBenchWorkspace(rng, TestConfig());
-  engine::ViewCatalog views(&workspace);
   for (const ViewSpec& v : VexpViews()) {
-    Status st = views.MaterializeText(v.name, v.definition);
-    HADAD_CHECK_MSG(st.ok(), v.name.c_str());
+    auto value = reference::Evaluate(
+        *la::ParseExpression(v.definition).value(), workspace);
+    HADAD_CHECK_MSG(value.ok(), v.name.c_str());
+    workspace.Put(v.name, *std::move(value));
   }
   return workspace;
 }
@@ -276,9 +316,9 @@ TEST(VexpViewsTest, Table15RewritesMatchedOrBeaten) {
         << vr.rewrite;
     if (la::ToString(r->best).find('V') != std::string::npos) ++views_used;
     // Execute through the materialized views.
-    auto original_value = engine::Execute(
+    auto original_value = reference::Evaluate(
         *la::ParseExpression(p->text).value(), workspace);
-    auto rewrite_value = engine::Execute(*r->best, workspace);
+    auto rewrite_value = reference::Evaluate(*r->best, workspace);
     ASSERT_TRUE(rewrite_value.ok())
         << p->id << " -> " << la::ToString(r->best);
     EXPECT_TRUE(original_value->ApproxEquals(*rewrite_value, 1e-4))

@@ -16,6 +16,7 @@
 #include "la/vrem.h"
 #include "matrix/generate.h"
 #include "pacb/optimizer.h"
+#include "reference_evaluator.h"
 
 namespace hadad {
 namespace {
@@ -85,9 +86,9 @@ TEST(ExtensibilityTest, SoundUserRulePreservesSemantics) {
       {MakeAtom(la::vrem::kRev, {Var("R"), Var("M")})})}).ok());
   auto r = opt.OptimizeText("sum(rev(rev(A)) + A)");
   ASSERT_TRUE(r.ok());
-  auto original = engine::Execute(
+  auto original = reference::Evaluate(
       *la::ParseExpression("sum(rev(rev(A)) + A)").value(), ws);
-  auto rewritten = engine::Execute(*r->best, ws);
+  auto rewritten = reference::Evaluate(*r->best, ws);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_TRUE(original->ApproxEquals(*rewritten, 1e-9));
 }

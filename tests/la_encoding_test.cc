@@ -122,13 +122,21 @@ TEST(CatalogTest, FamiliesAreNonEmptyAndWellFormed) {
   }
 }
 
-TEST(CatalogTest, BuildMmcRespectsOptions) {
-  CatalogOptions all;
-  CatalogOptions none;
-  none.stat_agg = false;
-  none.decompositions = false;
-  none.morpheus = false;
-  EXPECT_GT(BuildMmc(all).size(), BuildMmc(none).size());
+TEST(CatalogTest, BuildMmcConcatenatesTheSixFamilies) {
+  std::vector<std::string> expected;
+  for (const std::vector<chase::Constraint>& family :
+       {MmcCoreKeys(), MmcFunctionalKeys(), MmcLaProperties(),
+        MmcDecompositions(), MmcStatAgg(), MorpheusRules()}) {
+    for (const chase::Constraint& c : family) {
+      expected.push_back(chase::ToString(c));
+    }
+  }
+  std::vector<std::string> built;
+  for (const chase::Constraint& c : BuildMmc()) {
+    built.push_back(chase::ToString(c));
+  }
+  EXPECT_EQ(built, expected);
+  EXPECT_EQ(SharedMmc().size(), expected.size());
 }
 
 TEST(CatalogTest, EqualityRulesComeInBothDirections) {

@@ -10,6 +10,7 @@
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "pacb/optimizer.h"
+#include "reference_evaluator.h"
 
 namespace hadad {
 namespace {
@@ -42,13 +43,13 @@ TEST(LupTest, EvaluatorFactorsSatisfyPmEqualsLu) {
   Rng rng(11);
   engine::Workspace ws;
   ws.Put("C", matrix::RandomDense(rng, 12, 12, -1.0, 1.0));
-  auto pm = engine::Execute(*Parse("lup_p(C) %*% C"), ws);
-  auto lu = engine::Execute(*Parse("lup_l(C) %*% lup_u(C)"), ws);
+  auto pm = reference::Evaluate(*Parse("lup_p(C) %*% C"), ws);
+  auto lu = reference::Evaluate(*Parse("lup_l(C) %*% lup_u(C)"), ws);
   ASSERT_TRUE(pm.ok());
   ASSERT_TRUE(lu.ok());
   EXPECT_TRUE(pm->ApproxEquals(*lu, 1e-9));
   // The permutation factor is orthogonal: P^T P = I.
-  auto ptp = engine::Execute(*Parse("t(lup_p(C)) %*% lup_p(C)"), ws);
+  auto ptp = reference::Evaluate(*Parse("t(lup_p(C)) %*% lup_p(C)"), ws);
   ASSERT_TRUE(ptp.ok());
   EXPECT_TRUE(ptp->ApproxEquals(matrix::Matrix::Identity(12), 1e-12));
 }
@@ -67,8 +68,8 @@ TEST(LupTest, RewriterKnowsPmEqualsLu) {
   Rng rng(12);
   engine::Workspace ws;
   ws.Put("C", matrix::RandomDense(rng, 64, 64, -1.0, 1.0));
-  auto a = engine::Execute(*Parse("lup_l(C) %*% lup_u(C)"), ws);
-  auto b = engine::Execute(*r->best, ws);
+  auto a = reference::Evaluate(*Parse("lup_l(C) %*% lup_u(C)"), ws);
+  auto b = reference::Evaluate(*r->best, ws);
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a->ApproxEquals(*b, 1e-8));
 }

@@ -9,6 +9,7 @@
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "morpheus/generator.h"
+#include "reference_evaluator.h"
 
 namespace hadad::morpheus {
 namespace {
@@ -101,7 +102,7 @@ class MorpheusSessionTest : public ::testing::Test {
   }
 
   matrix::Matrix Plain(const std::string& text) {
-    auto out = engine::Execute(*Parse(text), plain_);
+    auto out = reference::Evaluate(*Parse(text), plain_);
     HADAD_CHECK_MSG(out.ok(), text.c_str());
     return *out;
   }

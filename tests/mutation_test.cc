@@ -22,6 +22,7 @@
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "matrix/matrix.h"
+#include "reference_evaluator.h"
 #include "views/adaptive.h"
 #include "views/maintenance.h"
 
@@ -236,15 +237,15 @@ TEST(BuildAppendDeltaTest, DeltaMatchesFullRecompute) {
     ws.Put("B", b);
     ws.Put("C", c);
     ws.Put("D", extra);
-    auto old_value = engine::Execute(*def, ws);
+    auto old_value = reference::Evaluate(*def, ws);
     ASSERT_TRUE(old_value.ok()) << def_text;
-    auto delta_value = engine::Execute(**delta_expr, ws);
+    auto delta_value = reference::Evaluate(**delta_expr, ws);
     ASSERT_TRUE(delta_value.ok()) << def_text;
     auto incremental = matrix::Add(*old_value, *delta_value);
     ASSERT_TRUE(incremental.ok()) << def_text;
 
     ASSERT_TRUE(ws.Append("A", extra).ok());
-    auto full = engine::Execute(*def, ws);
+    auto full = reference::Evaluate(*def, ws);
     ASSERT_TRUE(full.ok()) << def_text;
     EXPECT_TRUE(incremental->ApproxEquals(*full, 1e-9)) << def_text;
   }
@@ -331,7 +332,7 @@ TEST(SessionPutTest, IntroducesNewNameAfterBuild) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   engine::Workspace ws;
   ws.Put("Z", z);
-  auto want = engine::Execute(*Parse("colSums(Z)"), ws);
+  auto want = reference::Evaluate(*Parse("colSums(Z)"), ws);
   ASSERT_TRUE(want.ok());
   EXPECT_TRUE(got->ApproxEquals(*want, 0.0));
 
@@ -745,7 +746,7 @@ TEST(AdaptiveMutationTest, AppendDeltaRefreshMatchesFullRecompute) {
       engine::Workspace scratch;
       scratch.Put("X", grown);
       scratch.Put("R", f.r);
-      auto full = engine::Execute(*v.definition, scratch);
+      auto full = reference::Evaluate(*v.definition, scratch);
       ASSERT_TRUE(full.ok());
       const matrix::Matrix* resident = f.session->workspace().Find(v.name);
       ASSERT_NE(resident, nullptr);

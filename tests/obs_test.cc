@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "engine/evaluator.h"
 #include "engine/workspace.h"
+#include "exec/executor.h"
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "obs/explain.h"
@@ -643,10 +644,9 @@ TEST(ExplainAnalyzeTest, NodeSecondsSumMatchesTotalOperatorSeconds) {
   ws.Put("B", matrix::RandomDense(rng, 60, 60));
   auto expr = la::ParseExpression("(A %*% B) + t(A %*% B)");
   ASSERT_TRUE(expr.ok());
-  engine::ExecOptions opts;
-  opts.threads = 2;
   engine::ExecStats stats;
-  auto result = engine::Execute(**expr, ws, opts, &stats);
+  auto result = exec::Executor(engine::ExecOptions{.threads = 2})
+                    .Run(*expr, ws, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_FALSE(stats.node_timings.empty());
   double node_sum = 0.0;

@@ -7,11 +7,11 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "engine/evaluator.h"
-#include "engine/view_catalog.h"
 #include "engine/workspace.h"
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "pacb/optimizer.h"
+#include "reference_evaluator.h"
 
 namespace hadad::pacb {
 namespace {
@@ -129,8 +129,8 @@ TEST(OptimizerEdgeTest, SubtractionPipelinesRoundTrip) {
   Optimizer opt(ws.BuildMetaCatalog());
   auto r = opt.OptimizeText("(M - N) %*% w");
   ASSERT_TRUE(r.ok());
-  auto a = engine::Execute(*la::ParseExpression("(M - N) %*% w").value(), ws);
-  auto b = engine::Execute(*r->best, ws);
+  auto a = reference::Evaluate(*la::ParseExpression("(M - N) %*% w").value(), ws);
+  auto b = reference::Evaluate(*r->best, ws);
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a->ApproxEquals(*b, 1e-8));
 }

@@ -16,6 +16,7 @@
 #include "la/expr.h"
 #include "matrix/generate.h"
 #include "pacb/optimizer.h"
+#include "reference_evaluator.h"
 
 namespace hadad {
 namespace {
@@ -140,9 +141,9 @@ TEST_P(OracleTest, RewritePreservesValueAndNeverCostsMore) {
     auto r = optimizer.Optimize(expr);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_LE(r->best_cost, r->original_cost + 1e-6);
-    auto original = engine::Execute(*expr, ws);
+    auto original = reference::Evaluate(*expr, ws);
     ASSERT_TRUE(original.ok());
-    auto rewritten = engine::Execute(*r->best, ws);
+    auto rewritten = reference::Evaluate(*r->best, ws);
     ASSERT_TRUE(rewritten.ok()) << la::ToString(r->best);
     EXPECT_TRUE(original->ApproxEquals(*rewritten, 1e-6))
         << "rewrote to " << la::ToString(r->best);

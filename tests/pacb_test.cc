@@ -450,9 +450,9 @@ TEST(MetaTrackerTest, WaitingFactSurvivesRebuild) {
   const chase::NodeId x = inst.FreshNull();
   const chase::NodeId y = inst.FreshNull();
   std::vector<chase::FactId> ids;
-  ids.push_back(inst.AddFact(zero, {a}, chase::Derivation{}, true, nullptr));
-  ids.push_back(inst.AddFact(zero, {b}, chase::Derivation{}, true, nullptr));
-  ids.push_back(inst.AddFact(tr, {x, y}, chase::Derivation{}, true, nullptr));
+  ids.push_back(inst.AddFact(zero, {a}, nullptr));
+  ids.push_back(inst.AddFact(zero, {b}, nullptr));
+  ids.push_back(inst.AddFact(tr, {x, y}, nullptr));
   tracker.OnFactsAdded(ids);  // tr(x, y) waits on x.
   ASSERT_EQ(tracker.Get(y), nullptr);
   ASSERT_TRUE(inst.Merge(a, b).ok());

@@ -25,8 +25,7 @@ TEST(RangedMatchingTest, PivotDecompositionCoversExactlyNewMatches) {
     for (int i = 0; i < count; ++i) {
       inst.AddFact(e,
                    {nodes[rng.NextBelow(nodes.size())],
-                    nodes[rng.NextBelow(nodes.size())]},
-                   Derivation{}, true, nullptr);
+                    nodes[rng.NextBelow(nodes.size())]}, nullptr);
     }
   };
   add_edges(30);
@@ -88,9 +87,9 @@ TEST(ArgIndexTest, FactsWithFiltersByPositionAndNode) {
   int32_t p = inst.InternPredicate("p");
   NodeId a = inst.FreshNull();
   NodeId b = inst.FreshNull();
-  inst.AddFact(p, {a, b}, Derivation{}, true, nullptr);
-  inst.AddFact(p, {b, a}, Derivation{}, true, nullptr);
-  inst.AddFact(p, {a, a}, Derivation{}, true, nullptr);
+  inst.AddFact(p, {a, b}, nullptr);
+  inst.AddFact(p, {b, a}, nullptr);
+  inst.AddFact(p, {a, a}, nullptr);
   EXPECT_EQ(inst.FactsWith(p, 0, a).size(), 2u);
   EXPECT_EQ(inst.FactsWith(p, 0, b).size(), 1u);
   EXPECT_EQ(inst.FactsWith(p, 1, a).size(), 2u);
@@ -103,8 +102,8 @@ TEST(ArgIndexTest, SurvivesRebuildAfterMerges) {
   NodeId a = inst.FreshNull();
   NodeId b = inst.FreshNull();
   NodeId c = inst.FreshNull();
-  inst.AddFact(p, {a, c}, Derivation{}, true, nullptr);
-  inst.AddFact(p, {b, c}, Derivation{}, true, nullptr);
+  inst.AddFact(p, {a, c}, nullptr);
+  inst.AddFact(p, {b, c}, nullptr);
   ASSERT_TRUE(inst.Merge(a, b).ok());
   inst.Rebuild();
   // Facts fused: one fact, indexed under the surviving root.
@@ -122,8 +121,7 @@ TEST(SemiNaiveEngineTest, TransitiveClosureMatchesNaiveFixpoint) {
     for (int i = 0; i < 7; ++i) nodes.push_back(inst.FreshNull());
     for (int i = 0; i + 1 < 7; ++i) {
       inst.AddFact(e, {nodes[static_cast<size_t>(i)],
-                       nodes[static_cast<size_t>(i) + 1]},
-                   Derivation{}, true, nullptr);
+                       nodes[static_cast<size_t>(i) + 1]}, nullptr);
     }
   };
   Constraint tc = MakeTgd("tc",

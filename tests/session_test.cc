@@ -12,10 +12,12 @@
 #include "engine/evaluator.h"
 #include "engine/profiles.h"
 #include "engine/workspace.h"
+#include "exec/executor.h"
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "morpheus/generator.h"
 #include "pacb/optimizer.h"
+#include "reference_evaluator.h"
 
 namespace hadad::api {
 namespace {
@@ -140,11 +142,11 @@ TEST(SessionBuilderTest, BuildersAreSingleUse) {
 // Prepare/Execute parity with the manual three-object flow
 // ---------------------------------------------------------------------------
 
-TEST(SessionTest, PrepareMatchesManualWorkspaceOptimizerEngineFlow) {
+TEST(SessionTest, PrepareMatchesManualWorkspaceOptimizerExecutorFlow) {
   const std::string pipeline = "(M %*% N) %*% M";
   TestData d = MakeTestData();
 
-  // Manual expert flow: Workspace -> Optimizer -> Engine, hand-wired.
+  // Manual expert flow: Workspace -> Optimizer -> Executor, hand-wired.
   engine::Workspace ws;
   ws.Put("M", d.m);
   ws.Put("N", d.n);
@@ -154,8 +156,8 @@ TEST(SessionTest, PrepareMatchesManualWorkspaceOptimizerEngineFlow) {
   optimizer.SetData(&ws.data());
   auto manual_rewrite = optimizer.OptimizeText(pipeline);
   ASSERT_TRUE(manual_rewrite.ok());
-  engine::Engine engine(engine::Profile::kNaive, &ws);
-  auto manual_result = engine.Run(manual_rewrite->best);
+  auto manual_result = exec::Executor(engine::ExecOptions{.threads = 1})
+                           .Run(manual_rewrite->best, ws);
   ASSERT_TRUE(manual_result.ok());
 
   // Session flow over the same data.
@@ -174,8 +176,8 @@ TEST(SessionTest, PrepareMatchesManualWorkspaceOptimizerEngineFlow) {
   EXPECT_TRUE(session_result->ApproxEquals(*manual_result, 1e-10));
 
   // ExecuteOriginal runs the pipeline as stated.
-  auto as_stated = engine::Execute(*la::ParseExpression(pipeline).value(),
-                                   session->workspace());
+  auto as_stated = reference::Evaluate(
+      *la::ParseExpression(pipeline).value(), session->workspace());
   ASSERT_TRUE(as_stated.ok());
   auto original = prepared->ExecuteOriginal();
   ASSERT_TRUE(original.ok());
@@ -355,8 +357,8 @@ TEST(SessionTest, ViewsAreMaterializedAndReachableByRewrites) {
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   // Materialized into the workspace...
   ASSERT_TRUE((*session)->workspace().Has("V"));
-  auto direct = engine::Execute(*la::ParseExpression("N %*% M").value(),
-                                (*session)->workspace());
+  auto direct = reference::Evaluate(
+      *la::ParseExpression("N %*% M").value(), (*session)->workspace());
   auto via_view = (*session)->Run("V");
   ASSERT_TRUE(via_view.ok());
   EXPECT_TRUE(via_view->ApproxEquals(*direct, 1e-10));
@@ -381,7 +383,7 @@ TEST(SessionTest, SmartProfileAppliesEngineRewrites) {
                      .SetProfile(engine::Profile::kSmart)
                      .Build();
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->engine().profile(), engine::Profile::kSmart);
+  EXPECT_EQ((*session)->profile(), engine::Profile::kSmart);
 }
 
 TEST(SessionTest, NormalizedMatrixRoutesThroughMorpheus) {
@@ -411,7 +413,7 @@ TEST(SessionTest, NormalizedMatrixRoutesThroughMorpheus) {
   const matrix::Matrix* g = (*session)->workspace().Find("G");
   ASSERT_NE(g, nullptr);
   ground.Put("G", *g);
-  auto expected = engine::Execute(
+  auto expected = reference::Evaluate(
       *la::ParseExpression("colSums(M %*% G)").value(), ground);
   ASSERT_TRUE(expected.ok());
   EXPECT_TRUE(factorized->ApproxEquals(*expected, 1e-8));

@@ -17,11 +17,11 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "engine/evaluator.h"
-#include "engine/view_catalog.h"
 #include "engine/workspace.h"
 #include "la/parser.h"
 #include "matrix/generate.h"
 #include "pacb/optimizer.h"
+#include "reference_evaluator.h"
 #include "views/adaptive.h"
 #include "views/advisor.h"
 #include "views/view_store.h"
@@ -266,38 +266,6 @@ TEST(ViewAdvisorTest, ThresholdsOnDecayedWeightNotRawHits) {
 }
 
 // ---------------------------------------------------------------------------
-// engine::ViewCatalog size accounting + Drop
-// ---------------------------------------------------------------------------
-
-TEST(ViewCatalogTest, TracksBytesAndDrops) {
-  Rng rng(3);
-  engine::Workspace ws;
-  ws.Put("M", matrix::RandomDense(rng, 8, 4));
-  engine::ViewCatalog catalog(&ws);
-
-  ASSERT_TRUE(catalog.MaterializeText("V", "t(M)").ok());
-  ASSERT_TRUE(catalog.MaterializeText("W", "M %*% t(M)").ok());
-  const engine::ViewCatalog::Entry* v = catalog.FindEntry("V");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->bytes, 8 * 4 * static_cast<int64_t>(sizeof(double)));
-  EXPECT_EQ(catalog.total_bytes(),
-            (8 * 4 + 8 * 8) * static_cast<int64_t>(sizeof(double)));
-
-  ASSERT_TRUE(catalog.Drop("V").ok());
-  EXPECT_FALSE(ws.Has("V"));
-  EXPECT_TRUE(ws.Has("W"));
-  EXPECT_EQ(catalog.FindEntry("V"), nullptr);
-  EXPECT_EQ(catalog.total_bytes(),
-            8 * 8 * static_cast<int64_t>(sizeof(double)));
-
-  Status missing = catalog.Drop("V");
-  EXPECT_EQ(missing.code(), StatusCode::kNotFound);
-  // Base matrices are not droppable through the catalog.
-  EXPECT_EQ(catalog.Drop("M").code(), StatusCode::kNotFound);
-  EXPECT_TRUE(ws.Has("M"));
-}
-
-// ---------------------------------------------------------------------------
 // ViewStore budget + eviction
 // ---------------------------------------------------------------------------
 
@@ -346,6 +314,60 @@ TEST(ViewStoreTest, NeverExceedsBudgetAndEvictsLowestBenefit) {
 
   // A candidate bigger than the whole budget is inadmissible outright.
   EXPECT_FALSE(store.PlanAdmission(3 * kMatrixBytes, &evict));
+}
+
+// The store's own bookkeeping: bytes per view, the workspace entry it binds
+// and takes back, and the names it refuses.
+TEST(ViewStoreTest, TracksBytesAndEvicts) {
+  Rng rng(3);
+  engine::Workspace ws;
+  ws.Put("M", matrix::RandomDense(rng, 8, 4));
+  ViewStore store(&ws, /*budget_bytes=*/1 << 20);
+  const auto admit = [&](const std::string& name, const std::string& def) {
+    auto value = reference::Evaluate(*Parse(def), ws);
+    EXPECT_TRUE(value.ok()) << def;
+    return store.Admit(MakeMeta(name, def, 1.0), *std::move(value));
+  };
+  ASSERT_TRUE(admit("V", "t(M)").ok());
+  ASSERT_TRUE(admit("W", "M %*% t(M)").ok());
+  EXPECT_EQ(store.views().at("V").bytes,
+            8 * 4 * static_cast<int64_t>(sizeof(double)));
+  EXPECT_EQ(store.bytes_in_use(),
+            (8 * 4 + 8 * 8) * static_cast<int64_t>(sizeof(double)));
+
+  // A taken view name and a base matrix's name are both refused.
+  EXPECT_EQ(admit("V", "M").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(admit("M", "t(M)").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.size(), 2u);
+
+  ASSERT_TRUE(store.Evict("V").ok());
+  EXPECT_FALSE(ws.Has("V"));
+  EXPECT_TRUE(ws.Has("W"));
+  EXPECT_FALSE(store.ContainsName("V"));
+  EXPECT_EQ(store.bytes_in_use(),
+            8 * 8 * static_cast<int64_t>(sizeof(double)));
+
+  EXPECT_EQ(store.Evict("V").code(), StatusCode::kNotFound);
+  // Base matrices are not evictable through the store.
+  EXPECT_EQ(store.Evict("M").code(), StatusCode::kNotFound);
+  EXPECT_TRUE(ws.Has("M"));
+}
+
+// An admitted view is a workspace name: scanning it reads the value the
+// definition evaluated to.
+TEST(ViewStoreTest, AdmittedViewAnswersScans) {
+  Rng rng(11);
+  engine::Workspace ws;
+  ws.Put("M", matrix::RandomDense(rng, 30, 8));
+  ws.Put("N", matrix::RandomDense(rng, 8, 30));
+  ViewStore store(&ws, /*budget_bytes=*/1 << 20);
+  auto direct = reference::Evaluate(*Parse("N %*% M"), ws);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(store.Admit(MakeMeta("V3", "N %*% M", 1.0), *direct).ok());
+  ASSERT_TRUE(ws.Has("V3"));
+  auto via_view = reference::Evaluate(*Parse("V3"), ws);
+  ASSERT_TRUE(via_view.ok());
+  EXPECT_TRUE(via_view->ApproxEquals(*direct, 1e-10));
 }
 
 TEST(ViewStoreTest, HitsWeightEvictionOrder) {
@@ -607,7 +629,7 @@ struct RaceHarness {
     host.state_mu = &state_mu;
     host.evaluate = [this](const la::ExprPtr& def, engine::WorkspaceView wsv)
         -> Result<matrix::Matrix> {
-      Result<matrix::Matrix> r = engine::Execute(*def, wsv);
+      Result<matrix::Matrix> r = reference::Evaluate(*def, wsv);
       if (inject.exchange(false)) {
         // The writer proceeds while the evaluation's snapshot is pinned —
         // MVCC's whole point — and invalidates the stamped deps.
@@ -657,7 +679,7 @@ TEST(AdaptiveSnapshotRaceTest, StaleMaterializationIsDiscardedNotInstalled) {
   ASSERT_EQ(h.manager->StoredViews().size(), 1u);
 
   // The installed value matches the post-conflict data exactly.
-  auto expected = engine::Execute(*def, h.ws);
+  auto expected = reference::Evaluate(*def, h.ws);
   ASSERT_TRUE(expected.ok());
   auto got = h.ws.Get(h.manager->StoredViews()[0].name);
   ASSERT_TRUE(got.ok());
