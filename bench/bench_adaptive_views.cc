@@ -36,7 +36,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "matrix/generate.h"
-#include "views/adaptive.h"
 
 using namespace hadad;  // NOLINT
 
@@ -108,9 +107,8 @@ bool SweepOverhead(double* plain_s, double* adaptive_s) {
     api::SessionBuilder builder;
     builder.Put("A", a).Put("B", b);
     if (adaptive) {
-      views::AdaptiveOptions options;
-      options.budget_bytes = 1;  // Admits no candidate: nothing pends.
-      builder.AdaptiveViews(options);
+      // A 1-byte budget admits no candidate: nothing pends.
+      builder.AdaptiveViews(/*budget_bytes=*/1, /*min_hits=*/3);
     }
     return builder.Build().value();
   };
@@ -179,10 +177,11 @@ int main(int argc, char** argv) {
   const double cold_s = TimedSweep(*cold_session, queries, expected);
 
   // Warmed adaptive configuration: observe, materialize, re-serve.
-  views::AdaptiveOptions options;
-  options.budget_bytes = int64_t{64} << 20;
-  options.min_hits = 2;
-  auto adaptive_session = MakeBuilder().AdaptiveViews(options).Build().value();
+  auto adaptive_session = MakeBuilder()
+                              .AdaptiveViews(/*budget_bytes=*/int64_t{64} << 20,
+                                             /*min_hits=*/2)
+                              .Build()
+                              .value();
   for (int warm = 0; warm < 3; ++warm) {
     for (const std::string& q : queries) {
       if (!adaptive_session->Run(q).ok()) {

@@ -23,7 +23,7 @@ void RunBindings(bench::FigureReport& report, const char* label,
                                   pacb::EstimatorKind::kNaive);
   report.Table(label, tag);
   for (const char* id : {"P1.1", "P1.13", "P1.15", "P1.12", "P2.10"}) {
-    report.Compare(*session, id, /*repeats=*/2);
+    report.Compare(*session, id);
   }
 }
 

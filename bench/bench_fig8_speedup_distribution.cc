@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   report.Table("all P¬Opt pipelines", "p_not_opt");
   for (const core::Pipeline& p : core::LaBenchmark()) {
     if (p.cls != core::PipelineClass::kNotOpt) continue;
-    auto row = report.Compare(*session, p, /*repeats=*/2);
+    auto row = report.Compare(*session, p);
     if (!row.has_value()) continue;
     ++total;
     if (row->speedup < 1.5) {

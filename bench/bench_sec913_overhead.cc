@@ -119,7 +119,7 @@ void PrintSummary(bench::FigureReport* report) {
   std::vector<double> shares;
   for (const core::Pipeline& p : core::LaBenchmark()) {
     if (p.cls != core::PipelineClass::kOpt) continue;
-    auto row = report->Compare(*GetEnv()->mnc, p, /*repeats=*/2);
+    auto row = report->Compare(*GetEnv()->mnc, p);
     if (!row.has_value()) continue;
     shares.push_back(row->overhead_pct / 100.0);
   }

@@ -7,9 +7,12 @@
 //   RW_find  = the optimizer's time,
 //              PreparedQuery::rewrite().optimize_seconds;
 //   overhead = RW_find / (Q_exec + RW_find) (§9.1.3).
-// Each form runs `repeats` times and keeps its best execution time; the two
-// results must agree within kAgreeTolerance (rewriting reorders
-// floating-point operations).
+// Each form runs once to warm up; then the two alternate (Q_exec, RW_exec,
+// Q_exec, ...) until each has run at least kMinRuns times and summed at
+// least kMinSeconds of ExecStats::seconds, or has run kMaxRuns times. Each
+// side reports its median, so a row whose two sides execute the same plan
+// reads near 1x however the host's load drifts. The two results must agree
+// within kAgreeTolerance (rewriting reorders floating-point operations).
 //
 // FigureReport prints the fixed-width table the figure benches share and,
 // with `--json=PATH` (bench_json.h), records one row per pipeline:
@@ -21,6 +24,7 @@
 #define HADAD_BENCH_COMPARE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -34,6 +38,9 @@
 namespace hadad::bench {
 
 inline constexpr double kAgreeTolerance = 1e-5;
+inline constexpr size_t kMinRuns = 5;
+inline constexpr double kMinSeconds = 0.020;
+inline constexpr size_t kMaxRuns = 200;
 
 struct ComparisonRow {
   std::string id;
@@ -79,9 +86,8 @@ class FigureReport {
   // Compares one pipeline on `session`, prints its row and records it.
   // nullopt (after printing why) when the comparison failed.
   std::optional<ComparisonRow> Compare(const api::Session& session,
-                                       const core::Pipeline& pipeline,
-                                       int repeats = 3) {
-    Result<ComparisonRow> row = Measure(session, pipeline, repeats);
+                                       const core::Pipeline& pipeline) {
+    Result<ComparisonRow> row = Measure(session, pipeline);
     if (!row.ok()) {
       std::printf("%-7s failed: %s\n", pipeline.id.c_str(),
                   row.status().ToString().c_str());
@@ -101,9 +107,8 @@ class FigureReport {
 
   // Compare() by pipeline id.
   std::optional<ComparisonRow> Compare(const api::Session& session,
-                                       const std::string& id,
-                                       int repeats = 3) {
-    return Compare(session, *core::FindPipeline(id), repeats);
+                                       const std::string& id) {
+    return Compare(session, *core::FindPipeline(id));
   }
 
   JsonWriter& json() { return json_; }
@@ -113,35 +118,51 @@ class FigureReport {
   int Finish() const { return json_.Write() && !failed_ ? 0 : 1; }
 
  private:
-  // Prepares `pipeline` on `session` and times both forms.
+  // Median of a non-empty sample.
+  static double Median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const size_t mid = v.size() / 2;
+    return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
+  }
+
+  // Prepares `pipeline` on `session` and times both forms, alternating.
   static Result<ComparisonRow> Measure(const api::Session& session,
-                                       const core::Pipeline& pipeline,
-                                       int repeats) {
+                                       const core::Pipeline& pipeline) {
     HADAD_ASSIGN_OR_RETURN(api::PreparedQuery query,
                            session.Prepare(pipeline.text));
     ComparisonRow row;
     row.id = pipeline.id;
     row.rewrite = la::ToString(query.plan());
     row.rw_find_seconds = query.rewrite().optimize_seconds;
-    const auto time = [&](bool as_stated,
-                          matrix::Matrix* value) -> Result<double> {
-      double best = 1e300;
-      for (int i = 0; i < repeats; ++i) {
-        engine::ExecStats stats;
-        HADAD_ASSIGN_OR_RETURN(*value, as_stated
-                                           ? query.ExecuteOriginal(&stats)
-                                           : query.Execute(&stats));
-        best = std::min(best, stats.seconds);
+    // Index 0 is the pipeline as stated (Q_exec), 1 the rewriting (RW_exec).
+    matrix::Matrix values[2];
+    std::vector<double> seconds[2];
+    double summed[2] = {0.0, 0.0};
+    const auto run = [&](int side, bool timed) -> Status {
+      engine::ExecStats stats;
+      HADAD_ASSIGN_OR_RETURN(values[side], side == 0
+                                               ? query.ExecuteOriginal(&stats)
+                                               : query.Execute(&stats));
+      if (timed) {
+        seconds[side].push_back(stats.seconds);
+        summed[side] += stats.seconds;
       }
-      return best;
+      return Status::OK();
     };
-    matrix::Matrix original_value;
-    HADAD_ASSIGN_OR_RETURN(row.q_exec_seconds, time(true, &original_value));
-    matrix::Matrix rewrite_value;
-    HADAD_ASSIGN_OR_RETURN(row.rw_exec_seconds,
-                           time(false, &rewrite_value));
-    row.values_agree =
-        original_value.ApproxEquals(rewrite_value, kAgreeTolerance);
+    const auto done = [&](int side) {
+      const size_t runs = seconds[side].size();
+      return runs >= kMaxRuns ||
+             (runs >= kMinRuns && summed[side] >= kMinSeconds);
+    };
+    for (int side : {0, 1}) HADAD_RETURN_IF_ERROR(run(side, /*timed=*/false));
+    while (!done(0) || !done(1)) {
+      for (int side : {0, 1}) {
+        if (!done(side)) HADAD_RETURN_IF_ERROR(run(side, /*timed=*/true));
+      }
+    }
+    row.q_exec_seconds = Median(seconds[0]);
+    row.rw_exec_seconds = Median(seconds[1]);
+    row.values_agree = values[0].ApproxEquals(values[1], kAgreeTolerance);
     row.speedup = row.rw_exec_seconds > 0
                       ? row.q_exec_seconds / row.rw_exec_seconds
                       : 1.0;

@@ -21,16 +21,14 @@ int main(int argc, char** argv) {
   const std::string trace_path = argc > 1 ? argv[1] : "hadad_trace.json";
 
   Rng rng(42);
-  views::AdaptiveOptions adaptive;
-  adaptive.min_hits = 2;
-  adaptive.synchronous = true;  // Deterministic: materialize inline.
   auto built = api::SessionBuilder()
                    .Put("M", matrix::RandomDense(rng, 200, 200))
                    .Put("N", matrix::RandomDense(rng, 200, 200))
                    .Put("v", matrix::RandomDense(rng, 200, 1))
                    .AddView("Mt", "t(M)")
                    .Threads(2)
-                   .AdaptiveViews(adaptive)
+                   .AdaptiveViews(/*budget_bytes=*/int64_t{256} << 20,
+                                  /*min_hits=*/2)
                    .Tracing()
                    .Build();
   if (!built.ok()) {
@@ -42,6 +40,8 @@ int main(int argc, char** argv) {
   // A small workload: one pipeline repeated (plan-cache hits + enough
   // observations for the adaptive advisor), a second pipeline sharing a
   // subexpression, and one mutation (view refresh + propagation spans).
+  // Adaptive views materialize on the session's background worker; the
+  // waits let them land before the mutation and before the trace dump.
   const std::string pipeline = "t(N) %*% (M %*% N) %*% v";
   for (int i = 0; i < 4; ++i) {
     auto result = session->Run(pipeline);
@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  session->WaitForAdaptiveViews();
   Status mutated = session->Update("M", matrix::RandomDense(rng, 200, 200));
   if (!mutated.ok()) {
     std::printf("update failed: %s\n", mutated.ToString().c_str());
@@ -79,6 +80,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", session->MetricsText().c_str());
 
   // --- Chrome trace-event export ------------------------------------------
+  session->WaitForAdaptiveViews();
   Status dumped = session->DumpTrace(trace_path);
   if (!dumped.ok()) {
     std::printf("trace dump failed: %s\n", dumped.ToString().c_str());

@@ -49,6 +49,7 @@ std::string PreparedQuery::Explain() const {
       << rw.chase_stats.facts_added << " facts, "
       << rw.chase_stats.pruned_applications << " pruned";
   if (rw.chase_stats.budget_exhausted) out << ", budget exhausted";
+  if (rw.chase_stats.stalled) out << ", stalled";
   out << ")\n";
   out << "alternatives: " << rw.rewrites.size() << " equivalent rewriting"
       << (rw.rewrites.size() == 1 ? "" : "s") << "\n";
@@ -207,8 +208,7 @@ Result<std::shared_ptr<const PreparedPlan>> Session::BuildAndInsertPlan(
 }
 
 Result<exec::CompiledPlan> Session::CompileQuery(
-    const la::ExprPtr& expr,
-    const std::set<std::string>* fusion_barriers) const {
+    const la::ExprPtr& expr) const {
   // Respect the profile (kSmart applies its internal rewrites before
   // execution), then hand the plan to the DAG engine.
   la::ExprPtr planned = expr;
@@ -219,7 +219,7 @@ Result<exec::CompiledPlan> Session::CompileQuery(
   const cost::LeafMetaFn leaf_meta = optimizer_->LeafResolver();
   HADAD_ASSIGN_OR_RETURN(
       exec::CompiledPlan compiled,
-      executor_->Compile(planned, workspace_, &leaf_meta, fusion_barriers));
+      executor_->Compile(planned, workspace_, &leaf_meta));
   compiled_plans_->Inc();
   fused_nodes_->Inc(compiled.fused_nodes);
   fused_ops_eliminated_->Inc(compiled.fused_ops_eliminated);
@@ -239,53 +239,26 @@ Result<std::shared_ptr<const exec::CompiledPlan>> Session::GetOrCompile(
     compile.Annotate("fused_nodes", compiled.fused_nodes);
     compile.Annotate("fused_ops_eliminated", compiled.fused_ops_eliminated);
   };
-  // Subexpressions that are (or just became) adaptive-view candidates stay
-  // unfused so the workload monitor keeps attributing their cost. The
-  // barrier set evolves with the workload, so a CACHED compiled plan is
-  // reusable only while none of the canonicals it fused away has become a
-  // barrier since — otherwise the candidate would stay swallowed forever on
-  // the hot path, starving attribution right where it matters most.
-  // Without adaptive views there are no barriers, and plans that fused
-  // nothing can never go barrier-stale: return those without querying the
-  // barrier set at all.
-  if (!as_stated) {
-    common::MutexLock lock(&plan.compile_mu);
-    if (plan.compiled != nullptr &&
-        (adaptive_ == nullptr || plan.compiled->fused_canonicals.empty())) {
-      annotate(*plan.compiled, "true");
-      return plan.compiled;
-    }
-  }
-  const std::set<std::string> barriers =
-      adaptive_ != nullptr ? adaptive_->FusionBarriers()
-                           : std::set<std::string>();
-  const std::set<std::string>* barriers_arg =
-      adaptive_ != nullptr ? &barriers : nullptr;
   if (as_stated) {
     // The as-stated form compiles per execution; only rewrite.best has a
     // resident DAG.
     HADAD_ASSIGN_OR_RETURN(exec::CompiledPlan compiled,
-                           CompileQuery(plan.original, barriers_arg));
+                           CompileQuery(plan.original));
     annotate(compiled, "false");
     return std::make_shared<const exec::CompiledPlan>(std::move(compiled));
   }
-  const auto barrier_clean = [&](const exec::CompiledPlan& compiled) {
-    for (const std::string& canonical : compiled.fused_canonicals) {
-      if (barriers.count(canonical) > 0) return false;
-    }
-    return true;
-  };
   {
     common::MutexLock lock(&plan.compile_mu);
-    if (plan.compiled != nullptr && barrier_clean(*plan.compiled)) {
+    if (plan.compiled != nullptr) {
       annotate(*plan.compiled, "true");
       return plan.compiled;
     }
   }
   HADAD_ASSIGN_OR_RETURN(exec::CompiledPlan compiled,
-                         CompileQuery(plan.rewrite.best, barriers_arg));
+                         CompileQuery(plan.rewrite.best));
   common::MutexLock lock(&plan.compile_mu);
-  if (plan.compiled == nullptr || !barrier_clean(*plan.compiled)) {
+  // First insertion wins, so concurrent first runs share one DAG.
+  if (plan.compiled == nullptr) {
     plan.compiled =
         std::make_shared<const exec::CompiledPlan>(std::move(compiled));
   }
@@ -304,7 +277,6 @@ Result<matrix::Matrix> Session::RunPlan(
   if (root.active()) AnnotateRoot(root, plan->canonical);
   const obs::SpanId span = root.active() ? root.id() : parent;
 
-  const bool adaptive = adaptive_ != nullptr;
   // A plan derived before the last view install/evict or data mutation may
   // reference a gone view or carry kernels chosen for stale shapes:
   // re-derive through the cache, bounded in case the state keeps churning.
@@ -315,10 +287,6 @@ Result<matrix::Matrix> Session::RunPlan(
       auto fresh = GetOrBuildPlan(plan->canonical, &from_cache, span);
       if (fresh.ok()) plan = std::move(*fresh);
     }
-    engine::ExecStats local_stats;
-    engine::ExecStats* exec_stats =
-        stats != nullptr ? stats
-                         : (adaptive && !original ? &local_stats : nullptr);
     bool as_stated = original;
     // The pinned MVCC snapshot and the physical plan, prepared under the
     // shared hold and consumed lock-free below.
@@ -346,17 +314,16 @@ Result<matrix::Matrix> Session::RunPlan(
     Result<matrix::Matrix> result = compiled.status();
     if (compiled.ok()) {
       const obs::TraceContext ctx{trace_.get(), span};
-      result = executor_->RunCompiled(**compiled, *snapshot, exec_stats, &ctx,
-                                      cancel);
+      result =
+          executor_->RunCompiled(**compiled, *snapshot, stats, &ctx, cancel);
       if (ran != nullptr) *ran = *compiled;
     }
     // Unpin before adaptive propagation: OnExecution may schedule work that
     // takes the state lock, and the snapshot's versions are done serving.
     snapshot.reset();
-    if (adaptive && !original && result.ok()) {
+    if (adaptive_ != nullptr && !original && result.ok()) {
       // OnExecution takes the state lock itself, hence outside the scope.
-      adaptive_->OnExecution(
-          as_stated ? plan->original : plan->rewrite.best, exec_stats);
+      adaptive_->OnExecution(as_stated ? plan->original : plan->rewrite.best);
     }
     return result;
   }
@@ -853,14 +820,8 @@ SessionBuilder& SessionBuilder::Threads(int n) {
 
 SessionBuilder& SessionBuilder::AdaptiveViews(int64_t budget_bytes,
                                               int64_t min_hits) {
-  views::AdaptiveOptions options;
-  options.budget_bytes = budget_bytes;
-  options.min_hits = min_hits;
-  return AdaptiveViews(options);
-}
-
-SessionBuilder& SessionBuilder::AdaptiveViews(views::AdaptiveOptions options) {
-  adaptive_ = options;
+  adaptive_budget_bytes_ = budget_bytes;
+  adaptive_min_hits_ = min_hits;
   return *this;
 }
 
@@ -1082,7 +1043,7 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
 
   session->profile_ = profile_;
 
-  if (adaptive_.has_value()) {
+  if (adaptive_budget_bytes_.has_value()) {
     views::AdaptiveViewManager::Host host;
     // `raw` is safe to capture: the manager is a member and never outlives.
     host.workspace = &raw->workspace_;
@@ -1096,7 +1057,7 @@ Result<std::shared_ptr<Session>> SessionBuilder::Build() {
       raw->view_generation_.fetch_add(1, std::memory_order_release);
     };
     session->adaptive_ = std::make_unique<views::AdaptiveViewManager>(
-        std::move(host), *adaptive_);
+        std::move(host), *adaptive_budget_bytes_, adaptive_min_hits_);
   }
   return session;
 }

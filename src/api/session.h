@@ -138,7 +138,8 @@ class PreparedQuery {
   Result<matrix::Matrix> ExecuteOriginal(engine::ExecStats* stats = nullptr) const;
 
   // Human-readable report: original vs. rewritten expression, γ estimates,
-  // RW_find time, chase statistics, and the alternative rewritings found.
+  // RW_find time, chase statistics (naming a chase that exhausted its
+  // budget or stalled), and the alternative rewritings found.
   std::string Explain() const;
 
   // Executes the rewriting once with per-node measurement and renders the
@@ -240,8 +241,8 @@ class Session : public std::enable_shared_from_this<Session> {
   // (MVCC), so a long-running query never delays a mutation and vice versa.
 
   // Replaces base matrix `name` (shape, sparsity, and representation may
-  // all change). Dependent user views are re-materialized synchronously (in
-  // registration order, so views over views cascade); dependent adaptive
+  // all change). Dependent user views are re-materialized inside the call
+  // (in registration order, so views over views cascade); dependent adaptive
   // views are invalidated; cached plans whose leaves moved re-derive on
   // next use. Errors: NotFound (unknown name), InvalidArgument (views and
   // Morpheus-declared names are derived/declared, not updatable — and a
@@ -313,7 +314,8 @@ class Session : public std::enable_shared_from_this<Session> {
     return adaptive_.get();
   }
 
-  // Blocks until queued adaptive-view materializations are installed.
+  // Blocks until queued adaptive-view materializations and delta refreshes
+  // have landed on the background worker (installed, discarded or failed).
   // No-op without AdaptiveViews; tests and benchmarks use it to make the
   // warmed state deterministic. Safe to call from any thread.
   void WaitForAdaptiveViews() const;
@@ -433,16 +435,13 @@ class Session : public std::enable_shared_from_this<Session> {
       std::shared_ptr<const exec::CompiledPlan>* ran = nullptr) const
       HADAD_EXCLUDES(views_mu_);
   // Profile-plans `expr` (kSmart's internal rewrites) and compiles it on
-  // the session executor with the given fusion barriers, accumulating the
-  // compiled-plans and fused-* counters: the compile of every query plan.
-  Result<exec::CompiledPlan> CompileQuery(
-      const la::ExprPtr& expr,
-      const std::set<std::string>* fusion_barriers) const
+  // the session executor, accumulating the compiled-plans and fused-*
+  // counters: the compile of every query plan.
+  Result<exec::CompiledPlan> CompileQuery(const la::ExprPtr& expr) const
       HADAD_REQUIRES_SHARED(views_mu_);
   // The physical DAG RunPlan executes, under a "dag_compile" span: for
-  // rewrite.best the DAG cached in `plan` (compiled on first use, and
-  // recompiled when a fused-away subexpression became a fusion barrier);
-  // for the as-stated form (`as_stated`) a fresh compile of plan.original.
+  // rewrite.best the DAG cached in `plan` (compiled on first use); for the
+  // as-stated form (`as_stated`) a fresh compile of plan.original.
   Result<std::shared_ptr<const exec::CompiledPlan>> GetOrCompile(
       const PreparedPlan& plan, bool as_stated, obs::SpanId parent) const
       HADAD_REQUIRES_SHARED(views_mu_);
@@ -605,12 +604,12 @@ class SessionBuilder {
 
   // Turns on the adaptive materialized-view subsystem (src/views/): the
   // session monitors executed plans, and subexpressions recomputed at least
-  // `min_hits` times are materialized in the background (within
+  // `min_hits` times are ranked by γ (hits x estimated recomputation cost
+  // per estimated byte), materialized on a background worker (within
   // `budget_bytes`, with benefit-weighted eviction) and registered so later
   // rewrites answer from them — exactly like user views, no query changes.
+  // Session::WaitForAdaptiveViews blocks until queued work has landed.
   SessionBuilder& AdaptiveViews(int64_t budget_bytes, int64_t min_hits);
-  // Full control (materialization mode, store caps, sweep width).
-  SessionBuilder& AdaptiveViews(views::AdaptiveOptions options);
 
   // Sparsity estimator for the cost model γ (default: naive metadata).
   SessionBuilder& SetEstimator(pacb::EstimatorKind kind);
@@ -638,7 +637,9 @@ class SessionBuilder {
   pacb::OptimizerOptions options_;
   std::optional<pacb::EstimatorKind> estimator_;
   std::optional<int> exec_threads_;
-  std::optional<views::AdaptiveOptions> adaptive_;
+  // Set by AdaptiveViews; the session has no adaptive manager otherwise.
+  std::optional<int64_t> adaptive_budget_bytes_;
+  int64_t adaptive_min_hits_ = 0;
   std::optional<obs::TraceOptions> tracing_;
   engine::Profile profile_ = engine::Profile::kNaive;
   bool built_ = false;

@@ -140,14 +140,6 @@
 #define HADAD_EXCLUDES(...)
 #endif
 
-// Tells the analysis the capability is held without acquiring it (runtime-
-// checked entry points). Use sparingly; prefer REQUIRES.
-#if HADAD_TSA_HAS_ATTRIBUTE__(assert_capability)
-#define HADAD_ASSERT_CAPABILITY(x) __attribute__((assert_capability(x)))
-#else
-#define HADAD_ASSERT_CAPABILITY(x)
-#endif
-
 // The function returns a reference to the given capability (getters).
 #if HADAD_TSA_HAS_ATTRIBUTE__(lock_returned)
 #define HADAD_RETURN_CAPABILITY(x) __attribute__((lock_returned(x)))

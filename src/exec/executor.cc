@@ -14,19 +14,16 @@ Executor::Executor(const engine::ExecOptions& options,
 
 Result<CompiledPlan> Executor::Compile(
     const la::ExprPtr& expr, engine::WorkspaceView workspace,
-    const cost::LeafMetaFn* leaf_meta,
-    const std::set<std::string>* fusion_barriers) const {
-  CompileOptions options = compile_options_;
-  options.fusion_barriers = fusion_barriers;
-  return exec::Compile(expr, workspace, leaf_meta, options);
+    const cost::LeafMetaFn* leaf_meta) const {
+  return exec::Compile(expr, workspace, leaf_meta, compile_options_);
 }
 
-Result<matrix::Matrix> Executor::Run(
-    const la::ExprPtr& expr, engine::WorkspaceView workspace,
-    engine::ExecStats* stats, const cost::LeafMetaFn* leaf_meta,
-    const std::set<std::string>* fusion_barriers) const {
-  HADAD_ASSIGN_OR_RETURN(
-      CompiledPlan plan, Compile(expr, workspace, leaf_meta, fusion_barriers));
+Result<matrix::Matrix> Executor::Run(const la::ExprPtr& expr,
+                                     engine::WorkspaceView workspace,
+                                     engine::ExecStats* stats,
+                                     const cost::LeafMetaFn* leaf_meta) const {
+  HADAD_ASSIGN_OR_RETURN(CompiledPlan plan,
+                         Compile(expr, workspace, leaf_meta));
   return RunCompiled(plan, workspace, stats);
 }
 

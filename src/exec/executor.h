@@ -2,8 +2,6 @@
 #define HADAD_EXEC_EXECUTOR_H_
 
 #include <memory>
-#include <set>
-#include <string>
 
 #include "common/status.h"
 #include "engine/evaluator.h"
@@ -42,16 +40,13 @@ class Executor {
   // `workspace`. `leaf_meta`, when non-null, answers leaf rows, cols and
   // nnz without rescanning the workspace (api::Session passes
   // pacb::Optimizer::LeafResolver() under its state lock; see
-  // exec::Compile). `fusion_barriers`, when non-null, names canonical forms
-  // the fusion pass must keep materialized (adaptive-view candidate roots);
-  // both only need to outlive this call. Thread-safe: concurrent Run()s
-  // share the pool; the caller must ensure `workspace` does not mutate
-  // mid-call.
+  // exec::Compile); it only needs to outlive this call. Thread-safe:
+  // concurrent Run()s share the pool; the caller must ensure `workspace`
+  // does not mutate mid-call.
   Result<matrix::Matrix> Run(
       const la::ExprPtr& expr, engine::WorkspaceView workspace,
       engine::ExecStats* stats = nullptr,
-      const cost::LeafMetaFn* leaf_meta = nullptr,
-      const std::set<std::string>* fusion_barriers = nullptr) const;
+      const cost::LeafMetaFn* leaf_meta = nullptr) const;
 
   // The physical plan Run() would execute; exposed for tests, Explain, and
   // api::Session's per-plan DAG cache. Thread-safe when `leaf_meta` is
@@ -59,8 +54,7 @@ class Executor {
   // options).
   Result<CompiledPlan> Compile(
       const la::ExprPtr& expr, engine::WorkspaceView workspace,
-      const cost::LeafMetaFn* leaf_meta = nullptr,
-      const std::set<std::string>* fusion_barriers = nullptr) const;
+      const cost::LeafMetaFn* leaf_meta = nullptr) const;
 
   // Executes an already-compiled plan (api::PreparedQuery caches one per
   // plan so the hit path skips DAG recompilation). The plan must have been

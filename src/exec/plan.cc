@@ -309,22 +309,8 @@ class Compiler {
     const int32_t id = static_cast<int32_t>(plan_.nodes.size());
     expr_node_.emplace(node.expr, id);
     plan_.nodes.push_back(std::move(node));
-    // Keep the canonical alongside the node: the fusion pass needs it for
-    // barrier checks and fused_canonicals without re-stringifying subtrees.
-    canonicals_.push_back(key);
     if (options_.enable_cse) memo_.emplace(std::move(key), id);
     return id;
-  }
-
-  // The node's canonical form, computed lazily when CSE did not provide it
-  // (enable_cse off, or the CSE-hit branch of LowerTransposedMultiply).
-  const std::string& CanonicalOf(int32_t id) {
-    std::string& canonical = canonicals_[static_cast<size_t>(id)];
-    if (canonical.empty()) {
-      canonical =
-          la::ToString(*plan_.nodes[static_cast<size_t>(id)].expr);
-    }
-    return canonical;
   }
 
   Result<cost::ClassMeta> LeafMeta(const std::string& name) {
@@ -407,13 +393,6 @@ class Compiler {
     return x.shape.rows == y.shape.rows && x.shape.cols == y.shape.cols;
   }
 
-  // True when the node's canonical form must stay a materialized plan node
-  // (adaptive-view candidate roots the session asked us not to fuse over).
-  bool IsBarrier(int32_t id) {
-    return options_.fusion_barriers != nullptr &&
-           options_.fusion_barriers->count(CanonicalOf(id)) > 0;
-  }
-
   // Recomputes consumer edges and the leaf dependency set from `inputs`.
   void RebuildEdges() {
     for (PlanNode& node : plan_.nodes) node.consumers.clear();
@@ -483,9 +462,8 @@ class Compiler {
   // Collapses maximal same-shape elementwise subtrees into single
   // kFusedElementwise nodes. An interior node joins its consumer's chain
   // only when that consumer is its ONLY consumer (so CSE-shared
-  // subexpressions stay materialized — sharing still pays once) and its
-  // canonical form is not a fusion barrier. Interior nodes become dead and
-  // are swept by EliminateDeadNodes.
+  // subexpressions stay materialized — sharing still pays once). Interior
+  // nodes become dead and are swept by EliminateDeadNodes.
   void FuseElementwiseChains() {
     // The pass proves "not shared" through consumer counts of the
     // hash-consed DAG; without CSE two tree occurrences of one
@@ -499,8 +477,7 @@ class Compiler {
       if (!fusable[i] || node.consumers.size() != 1) continue;
       const size_t consumer = static_cast<size_t>(node.consumers[0]);
       absorbable[i] = fusable[consumer] &&
-                      SameShape(node.meta, plan_.nodes[consumer].meta) &&
-                      !IsBarrier(static_cast<int32_t>(i));
+                      SameShape(node.meta, plan_.nodes[consumer].meta);
     }
     for (size_t i = 0; i < n; ++i) {
       if (!fusable[i] || absorbable[i]) continue;  // Chain roots only.
@@ -538,17 +515,13 @@ class Compiler {
       ++plan_.fused_nodes;
       plan_.fused_ops_eliminated +=
           static_cast<int64_t>(members.size()) - 1;
-      for (int32_t member : members) {
-        if (member == static_cast<int32_t>(i)) continue;  // Root survives.
-        plan_.fused_canonicals.insert(CanonicalOf(member));
-      }
     }
   }
 
   // Rewrites sum/rowSums/colSums/mean/colMeans over a blocked dense GEMM
   // into a reducing GEMM node that takes the product's operands directly —
   // the product is never materialized. Requires the product to have no
-  // other consumer and not be a fusion barrier. (rowMeans has no kernel
+  // other consumer. (rowMeans has no kernel
   // yet: it would need the row count threaded per row — cheap but untested;
   // it stays on the generic path.)
   void PushDownAggregations() {
@@ -561,13 +534,11 @@ class Compiler {
       if (node.kernel != KernelKind::kGeneric || node.inputs.size() != 1) {
         continue;
       }
-      const int32_t product_id = node.inputs[0];
       const PlanNode& product =
-          plan_.nodes[static_cast<size_t>(product_id)];
+          plan_.nodes[static_cast<size_t>(node.inputs[0])];
       if (product.op != OpKind::kMultiply ||
           product.kernel != KernelKind::kGemmBlocked ||
-          product.consumers.size() != 1 || product.inputs.size() != 2 ||
-          IsBarrier(product_id)) {
+          product.consumers.size() != 1 || product.inputs.size() != 2) {
         continue;
       }
       if (!cost::ReducingGemmProfitable(
@@ -590,7 +561,6 @@ class Compiler {
       node.inputs = product.inputs;
       ++plan_.fused_nodes;
       ++plan_.fused_ops_eliminated;  // The materialized product.
-      plan_.fused_canonicals.insert(CanonicalOf(product_id));
     }
   }
 
@@ -634,11 +604,9 @@ class Compiler {
   cost::NaiveMetadataEstimator estimator_;
   CompiledPlan plan_;
   std::unordered_map<std::string, int32_t> memo_;
-  // Fusion-pass lookups, filled during lowering: node id -> canonical form
-  // (parallel to plan_.nodes; empty until needed when CSE is off) and
-  // expression object -> node id (CSE duplicates map to the memoized node).
-  // Both go stale at EliminateDeadNodes, which runs after every use.
-  std::vector<std::string> canonicals_;
+  // Fusion-pass lookup, filled during lowering: expression object -> node
+  // id (CSE duplicates map to the memoized node). It goes stale at
+  // EliminateDeadNodes, which runs after every use.
   std::unordered_map<const Expr*, int32_t> expr_node_;
 };
 

@@ -2,7 +2,6 @@
 #define HADAD_EXEC_PLAN_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -104,13 +103,6 @@ struct CompiledPlan {
   // materialized intermediate each — the pass eliminated.
   int64_t fused_nodes = 0;
   int64_t fused_ops_eliminated = 0;
-  // Canonical forms of the operator nodes fusion eliminated (chain
-  // interiors, folded products). Callers that cache compiled plans check
-  // these against their current fusion-barrier set: if a canonical later
-  // becomes a barrier (an adaptive-view candidate crossing its hit
-  // threshold), the cached plan must be recompiled so the subexpression
-  // gets its own node again.
-  std::set<std::string> fused_canonicals;
 
   std::string ToString() const;  // One node per line, for tests/debugging.
 };
@@ -131,12 +123,6 @@ struct CompileOptions {
   // fusion additionally requires enable_cse (the pass relies on the CSE
   // memo to prove an interior node is not shared).
   bool enable_fusion = true;
-  // Canonical (la::ToString) forms that must stay materialized as their own
-  // plan nodes — the session passes its adaptive-view candidate roots so
-  // WorkloadMonitor cost attribution and imminent view installs keep seeing
-  // these subexpressions as distinct operators. Borrowed; may be null, and
-  // only needs to outlive the Compile call.
-  const std::set<std::string>* fusion_barriers = nullptr;
   // Registry of normalized matrices: names it holds compile to nm_*
   // kernels instead of workspace loads. Borrowed and immutable; may be null.
   const morpheus::MorpheusEngine* normalized = nullptr;

@@ -25,7 +25,7 @@ class ThreadPool {
  public:
   // `threads <= 0` resolves to std::thread::hardware_concurrency().
   // `always_spawn` forces spawning workers even at 1 thread, so Submit()
-  // runs tasks asynchronously — background services (the adaptive view
+  // returns before the task runs — background services (the adaptive view
   // materializer) need a real worker where query execution wants the
   // inline fast path.
   explicit ThreadPool(int threads, bool always_spawn = false);

@@ -16,15 +16,12 @@ std::string RefreshKey(const std::string& name) { return "refresh:" + name; }
 
 }  // namespace
 
-AdaptiveViewManager::AdaptiveViewManager(Host host, AdaptiveOptions options)
+AdaptiveViewManager::AdaptiveViewManager(Host host, int64_t budget_bytes,
+                                         int64_t min_hits)
     : host_(std::move(host)),
-      options_(options),
-      monitor_(/*max_tracked=*/1024, options.monitor_half_life_runs),
-      store_(host_.workspace, options.budget_bytes, options.max_views) {
-  if (!options_.synchronous) {
-    worker_ = std::make_unique<exec::ThreadPool>(1, /*always_spawn=*/true);
-  }
-}
+      budget_bytes_(budget_bytes),
+      min_hits_(min_hits),
+      store_(host_.workspace, budget_bytes) {}
 
 AdaptiveViewManager::~AdaptiveViewManager() {
   // The pool destructor drains queued tasks; waiting here keeps the
@@ -33,10 +30,9 @@ AdaptiveViewManager::~AdaptiveViewManager() {
   Drain();
 }
 
-void AdaptiveViewManager::OnExecution(const la::ExprPtr& executed,
-                                      const engine::ExecStats* stats) {
+void AdaptiveViewManager::OnExecution(const la::ExprPtr& executed) {
   if (executed == nullptr) return;
-  monitor_.Observe(executed, stats);
+  monitor_.Observe(executed);
 
   std::set<std::string> leaves;
   la::CollectMatrixRefs(*executed, &leaves);
@@ -123,61 +119,37 @@ void AdaptiveViewManager::OnDataMutation(const DataChange& change) {
   }
 
   for (RefreshTask& task : refreshes) {
-    if (worker_ != nullptr) {
-      worker_->Submit([this, t = std::move(task)]() mutable {
-        RefreshOne(std::move(t), /*caller_holds_state_lock=*/false);
-      });
-    } else {
-      // Synchronous mode: the session's mutation path already holds the
-      // unique state lock, so the refresh must not re-acquire it.
-      RefreshOne(std::move(task), /*caller_holds_state_lock=*/true);
-    }
+    worker_.Submit([this, t = std::move(task)]() mutable {
+      RefreshOne(std::move(t));
+    });
   }
 }
 
-void AdaptiveViewManager::RefreshOne(RefreshTask task,
-                                     bool caller_holds_state_lock) {
+void AdaptiveViewManager::RefreshOne(RefreshTask task) {
   // InstallRefresh consumes the task; the drain key outlives it. A
   // discarded refresh is never blacklisted — it is a data-change casualty,
-  // not a doomed candidate — so both paths finish with failed=false.
+  // not a doomed candidate — so it finishes with failed=false.
   obs::ScopedSpan span(host_.trace, "adaptive_refresh", "views");
   span.Annotate("view", task.meta.name);
   const std::string refresh_key = RefreshKey(task.meta.name);
-  if (caller_holds_state_lock) {
-    // Synchronous mode: the session's mutation path already holds the
-    // unique state lock (through its own alias of *host_.state_mu), so
-    // this path must not re-acquire it — evaluate against the live
-    // workspace directly.
-    AssertStateLockHeld();
-    Result<matrix::Matrix> fresh = ComputeRefreshValue(task, *host_.workspace);
-    InstallRefresh(std::move(task), std::move(fresh));
-    FinishPending(refresh_key, /*failed=*/false);
-    return;
-  }
-  // Background mode: pin a workspace snapshot under a brief shared hold,
-  // then evaluate the refreshed value with NO lock held — foreground
-  // queries and writers both keep running meanwhile. InstallRefresh
-  // re-checks the dependency stamps under the exclusive lock, so mutations
-  // landing in the gap discard the refresh rather than corrupt it.
+  // Pin a workspace snapshot under a brief shared hold, then evaluate
+  // old_value + f(Δ) with NO lock held — foreground queries and writers
+  // both keep running meanwhile. InstallRefresh re-checks the dependency
+  // stamps under the exclusive lock, so mutations landing in the gap
+  // discard the refresh rather than corrupt it.
   engine::SnapshotPtr snap;
   {
     common::ReaderMutexLock state(host_.state_mu);
     snap = host_.workspace->PinSnapshot();
   }
-  Result<matrix::Matrix> fresh = ComputeRefreshValue(task, *snap);
+  Result<matrix::Matrix> fresh = host_.evaluate(task.delta_expr, *snap);
   snap.reset();  // Unpin before taking the exclusive lock.
+  if (fresh.ok()) fresh = matrix::Add(*task.old_value, *fresh);
   {
     common::WriterMutexLock state(host_.state_mu);
     InstallRefresh(std::move(task), std::move(fresh));
   }
   FinishPending(refresh_key, /*failed=*/false);
-}
-
-Result<matrix::Matrix> AdaptiveViewManager::ComputeRefreshValue(
-    const RefreshTask& task, engine::WorkspaceView ws) {
-  HADAD_ASSIGN_OR_RETURN(matrix::Matrix delta,
-                         host_.evaluate(task.delta_expr, ws));
-  return matrix::Add(*task.old_value, delta);
 }
 
 void AdaptiveViewManager::InstallRefresh(RefreshTask task,
@@ -248,9 +220,9 @@ void AdaptiveViewManager::MaybeScheduleMaterializations() {
   }
 
   AdvisorOptions advisor_options;
-  advisor_options.min_hits = options_.min_hits;
-  advisor_options.max_recommendations = options_.max_candidates;
-  advisor_options.max_bytes = options_.budget_bytes;
+  advisor_options.min_hits = min_hits_;
+  advisor_options.max_recommendations = kMaxCandidates;
+  advisor_options.max_bytes = budget_bytes_;
   auto skip = [&excluded_canonicals,
                &adaptive_names](const SubexprStat& stat) {
     if (excluded_canonicals.contains(stat.canonical)) return true;
@@ -270,20 +242,9 @@ void AdaptiveViewManager::MaybeScheduleMaterializations() {
     recs = Recommend(monitor_.Snapshot(), *host_.optimizer, advisor_options,
                      skip);
   }
-  {
-    // Publish the viable-candidate set for FusionBarriers(): exactly the
-    // subexpressions that may materialize soon and therefore must keep
-    // their own plan nodes for cost attribution.
-    common::MutexLock admin(&admin_mu_);
-    candidate_canonicals_.clear();
-    for (const Recommendation& rec : recs) {
-      candidate_canonicals_.insert(rec.canonical);
-    }
-  }
-
   int scheduled = 0;
   for (Recommendation& rec : recs) {
-    if (scheduled >= options_.max_views_per_sweep) break;
+    if (scheduled >= kMaxViewsPerSweep) break;
     {
       common::MutexLock admin(&admin_mu_);
       if (pending_.contains(rec.canonical) ||
@@ -293,13 +254,9 @@ void AdaptiveViewManager::MaybeScheduleMaterializations() {
       pending_.insert(rec.canonical);
     }
     ++scheduled;
-    if (worker_ != nullptr) {
-      worker_->Submit([this, rec = std::move(rec)]() mutable {
-        MaterializeOne(std::move(rec));
-      });
-    } else {
+    worker_.Submit([this, rec = std::move(rec)]() mutable {
       MaterializeOne(std::move(rec));
-    }
+    });
   }
 }
 
@@ -425,7 +382,7 @@ AdaptiveViewStats AdaptiveViewManager::stats() const {
   s.views_refreshed = refreshed_.load(std::memory_order_relaxed);
   s.view_hit_runs = hit_runs_.load(std::memory_order_relaxed);
   s.materialize_failures = failures_.load(std::memory_order_relaxed);
-  s.budget_bytes = options_.budget_bytes;
+  s.budget_bytes = budget_bytes_;
   common::MutexLock admin(&admin_mu_);
   s.bytes_in_use = store_.bytes_in_use();
   s.pending = static_cast<int64_t>(pending_.size());
@@ -443,17 +400,6 @@ std::vector<StoredView> AdaptiveViewManager::StoredViews() const {
 bool AdaptiveViewManager::IsAdaptiveViewName(const std::string& name) const {
   common::MutexLock admin(&admin_mu_);
   return store_.ContainsName(name);
-}
-
-std::set<std::string> AdaptiveViewManager::FusionBarriers() const {
-  common::MutexLock admin(&admin_mu_);
-  std::set<std::string> barriers = candidate_canonicals_;
-  for (const std::string& key : pending_) {
-    // pending_ also tracks delta refreshes under "refresh:<name>" keys;
-    // those are not canonical forms and never match a plan node.
-    if (!key.starts_with("refresh:")) barriers.insert(key);
-  }
-  return barriers;
 }
 
 }  // namespace hadad::views

@@ -25,30 +25,6 @@
 
 namespace hadad::views {
 
-struct AdaptiveOptions {
-  // Byte budget for all adaptively materialized views together; the store
-  // never exceeds it (eviction runs before admission).
-  int64_t budget_bytes = int64_t{256} << 20;
-  // Executions of a subexpression before it becomes a candidate.
-  int64_t min_hits = 3;
-  // At most this many materializations are queued per advisor sweep (one
-  // sweep runs after each observed execution, skipped while one is
-  // already in flight).
-  int max_views_per_sweep = 1;
-  // Entry-count cap for the store (each view extends the rewrite search).
-  size_t max_views = 16;
-  // Candidates the advisor ranks per sweep.
-  size_t max_candidates = 4;
-  // Half-life (in observed executions) of the workload monitor's decayed
-  // hit weights; 0 keeps raw lifetime counts. On long-lived sessions a
-  // positive half-life stops week-old workloads from outranking the
-  // current mix.
-  double monitor_half_life_runs = 0.0;
-  // Materialize inline inside OnExecution instead of on the background
-  // worker — deterministic single-threaded behavior for tests.
-  bool synchronous = false;
-};
-
 struct AdaptiveViewStats {
   int64_t views_created = 0;
   int64_t views_evicted = 0;
@@ -66,10 +42,11 @@ struct AdaptiveViewStats {
 };
 
 // Closes the loop from observed workload to rewrite-usable views: monitors
-// executed plans, asks the advisor for candidates, materializes winners in
-// the background, and installs them into the host's workspace + optimizer
-// so subsequent rewrites can answer from them — with budgeted eviction
-// keeping the store bounded.
+// executed plans, asks the advisor for candidates, materializes winners on
+// one background worker, and installs them into the host's workspace +
+// optimizer so subsequent rewrites can answer from them — with budgeted
+// eviction keeping the store bounded. Every materialization and delta
+// refresh runs on that worker; Drain() waits for them.
 //
 // Locking contract: `host.state_mu` guards the host's workspace and
 // optimizer. The manager takes it shared to pin snapshots and to score
@@ -86,12 +63,11 @@ class AdaptiveViewManager {
     // candidates and serves the statistics of installed views.
     pacb::Optimizer* optimizer = nullptr;
     common::SharedMutex* state_mu = nullptr;
-    // Evaluates a view definition over `ws` — a pinned workspace snapshot
-    // on the background paths (called with NO state lock held; writers
-    // proceed concurrently) or the live workspace on the synchronous-mode
-    // refresh path, whose caller's mutation holds the unique state lock.
-    // It must read nothing mutable beyond `ws` — in particular no
-    // optimizer leaf resolver, which reads the live binding.
+    // Evaluates a view definition over `ws`, a pinned workspace snapshot.
+    // Called on the background worker with NO state lock held (writers
+    // proceed concurrently), so it must read nothing mutable beyond `ws` —
+    // in particular no optimizer leaf resolver, which reads the live
+    // binding.
     std::function<Result<matrix::Matrix>(const la::ExprPtr&,
                                          engine::WorkspaceView ws)>
         evaluate;
@@ -103,7 +79,17 @@ class AdaptiveViewManager {
     obs::TraceRecorder* trace = nullptr;
   };
 
-  AdaptiveViewManager(Host host, AdaptiveOptions options);
+  // At most this many materializations are queued per advisor sweep (one
+  // sweep runs after each observed execution, skipped while one is
+  // already in flight).
+  static constexpr int kMaxViewsPerSweep = 1;
+  // Candidates the advisor ranks per sweep.
+  static constexpr size_t kMaxCandidates = 4;
+
+  // `budget_bytes` bounds all adaptively materialized views together (the
+  // store never exceeds it: eviction runs before admission); a
+  // subexpression becomes a candidate after `min_hits` executions.
+  AdaptiveViewManager(Host host, int64_t budget_bytes, int64_t min_hits);
   // Drains in-flight materializations before destruction.
   ~AdaptiveViewManager();
 
@@ -112,8 +98,7 @@ class AdaptiveViewManager {
 
   // Feeds one executed plan into the monitor, credits view hits, and — when
   // a candidate crosses min_hits — queues its background materialization.
-  void OnExecution(const la::ExprPtr& executed,
-                   const engine::ExecStats* stats) HADAD_EXCLUDES(admin_mu_);
+  void OnExecution(const la::ExprPtr& executed) HADAD_EXCLUDES(admin_mu_);
 
   // Propagates a mutation batch into the store. MUST be called under the
   // host's *unique* state lock (the session's mutation path holds it).
@@ -126,9 +111,10 @@ class AdaptiveViewManager {
   // optimizer, with WorkloadMonitor::Forget keeping advisor stats honest.
   void OnDataMutation(const DataChange& change) HADAD_EXCLUDES(admin_mu_);
 
-  // Blocks until every queued materialization has been installed (or
-  // failed). Foreground queries never need this; tests and benchmarks use
-  // it to make warm-up deterministic.
+  // Blocks until every queued materialization and delta refresh has
+  // finished on the worker (installed, discarded or failed). Foreground
+  // queries never need this; tests and benchmarks use it to make warm-up
+  // deterministic.
   void Drain() HADAD_EXCLUDES(admin_mu_);
 
   // Point-in-time counter snapshot. Thread-safe; may be called anytime.
@@ -138,24 +124,9 @@ class AdaptiveViewManager {
   // True when `name` is one of the store's installed views. Thread-safe.
   bool IsAdaptiveViewName(const std::string& name) const
       HADAD_EXCLUDES(admin_mu_);
-  // The options this manager was built with. Thread-safe (immutable).
-  const AdaptiveOptions& options() const { return options_; }
-
   // Distinct canonical subexpressions the workload monitor currently
   // tracks (the session exposes this as a gauge). Thread-safe.
   int64_t MonitorTrackedCount() const { return monitor_.tracked_count(); }
-
-  // Canonical forms of the current *viable* materialization candidates:
-  // the advisor's latest recommendation set (size-filtered against the
-  // budget, failure-filtered) plus everything queued or in flight. The
-  // session hands these to the exec plan compiler as fusion barriers, so a
-  // subexpression about to become a view keeps its own plan node (operator
-  // fusion would otherwise swallow it and starve the monitor's cost
-  // attribution). Subexpressions that can never materialize (over budget,
-  // failed) are deliberately NOT barriers — fusion stays on for them.
-  // Thread-safe and cheap (one mutex + small set copy); called per Run on
-  // executor sessions.
-  std::set<std::string> FusionBarriers() const HADAD_EXCLUDES(admin_mu_);
 
  private:
   // One detached view awaiting its incremental refresh: the old value's
@@ -173,16 +144,7 @@ class AdaptiveViewManager {
 
   void MaybeScheduleMaterializations() HADAD_EXCLUDES(admin_mu_);
   void MaterializeOne(Recommendation rec) HADAD_EXCLUDES(admin_mu_);
-  // `caller_holds_state_lock` is true only on the synchronous-mode path,
-  // where the session's mutation call already holds the unique state lock.
-  void RefreshOne(RefreshTask task, bool caller_holds_state_lock)
-      HADAD_EXCLUDES(admin_mu_);
-  // Evaluates old_value + f(Δ) for a detached view against `ws` — a pinned
-  // snapshot on the background path (lock-free; writers never wait), the
-  // live workspace in synchronous mode (the caller's mutation holds the
-  // unique state lock).
-  Result<matrix::Matrix> ComputeRefreshValue(const RefreshTask& task,
-                                             engine::WorkspaceView ws);
+  void RefreshOne(RefreshTask task) HADAD_EXCLUDES(admin_mu_);
   // Re-admits the refreshed value (or records the discard) and erases the
   // temp delta entry. The unique state hold covers the workspace and
   // optimizer writes.
@@ -191,15 +153,10 @@ class AdaptiveViewManager {
   void FinishPending(const std::string& canonical, bool failed)
       HADAD_EXCLUDES(admin_mu_);
   std::string NextViewName() HADAD_REQUIRES(admin_mu_);
-  // Tells the analysis the host's state lock is held on the synchronous-
-  // mode path, where the session's mutation call holds it through its own
-  // alias (api::Session::views_mu_ IS *host_.state_mu) — a cross-object
-  // identity the analysis cannot see. The contract itself is runtime-
-  // enforced by the session (OnDataMutation documents MUST-hold-unique).
-  void AssertStateLockHeld() const HADAD_ASSERT_CAPABILITY(host_.state_mu) {}
 
   const Host host_;
-  const AdaptiveOptions options_;
+  const int64_t budget_bytes_;
+  const int64_t min_hits_;
   WorkloadMonitor monitor_;
 
   // Guards the store and the scheduling bookkeeping below. Ordering:
@@ -209,10 +166,6 @@ class AdaptiveViewManager {
   ViewStore store_ HADAD_GUARDED_BY(admin_mu_);
   // Canonical texts queued or in flight.
   std::set<std::string> pending_ HADAD_GUARDED_BY(admin_mu_);
-  // The advisor's latest recommendation set (canonical texts): the viable
-  // candidates the fusion-barrier query answers from. Refreshed wholesale
-  // each sweep; installed/filtered candidates drop out on the next one.
-  std::set<std::string> candidate_canonicals_ HADAD_GUARDED_BY(admin_mu_);
   // Canonicals whose materialization failed (evaluation error or over
   // budget): never re-queued, so a doomed candidate cannot thrash.
   std::set<std::string> failed_ HADAD_GUARDED_BY(admin_mu_);
@@ -228,9 +181,9 @@ class AdaptiveViewManager {
   // Uniquifies temp delta names.
   int64_t refresh_seq_ HADAD_GUARDED_BY(admin_mu_) = 0;
 
-  // Single background worker; null in synchronous mode. Declared last so
-  // its destructor joins in-flight tasks while everything above is alive.
-  std::unique_ptr<exec::ThreadPool> worker_;
+  // The single background worker. Declared last so its destructor joins
+  // in-flight tasks while everything above is alive.
+  exec::ThreadPool worker_{1, /*always_spawn=*/true};
 };
 
 }  // namespace hadad::views

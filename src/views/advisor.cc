@@ -33,10 +33,7 @@ std::vector<Recommendation> Recommend(
     const std::function<bool(const SubexprStat&)>& skip) {
   std::vector<Recommendation> recs;
   for (const SubexprStat& stat : observed) {
-    // Threshold on the decayed mass (== raw hits when decay is off): a
-    // form that crossed min_hits long ago but stopped running no longer
-    // qualifies on a long-lived session.
-    if (stat.weight < static_cast<double>(options.min_hits)) continue;
+    if (stat.hits < options.min_hits) continue;
     if (stat.expr == nullptr || stat.expr->is_leaf()) continue;
     // A view of pure scalar arithmetic saves nothing worth storing.
     if (!ReferencesAnyMatrix(*stat.expr)) continue;
@@ -57,16 +54,10 @@ std::vector<Recommendation> Recommend(
         rec.est_bytes > static_cast<double>(options.max_bytes)) {
       continue;
     }
-    rec.measured_seconds_per_hit =
-        stat.weight > 0.0 ? stat.measured_seconds / stat.weight : 0.0;
-    // Benefit per execution: prefer the measured signal; fall back to the
-    // size-based estimate when the engine reported no timings. Either way
-    // the unit is consistent across one session's candidates. Frequency is
-    // the decayed weight, so the current mix outranks stale workloads.
-    const double per_hit = rec.measured_seconds_per_hit > 0.0
-                               ? rec.measured_seconds_per_hit
-                               : rec.est_recompute_cost;
-    rec.score = stat.weight * per_hit / std::max(1.0, rec.est_bytes);
+    // Every candidate is scored in γ units, so one sweep compares like
+    // with like.
+    rec.score = static_cast<double>(stat.hits) * rec.est_recompute_cost /
+                std::max(1.0, rec.est_bytes);
     recs.push_back(std::move(rec));
   }
   std::sort(recs.begin(), recs.end(),

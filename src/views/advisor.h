@@ -33,17 +33,16 @@ struct Recommendation {
   double est_recompute_cost = 0.0;
   // Estimated materialized size, from the estimator's output ClassMeta.
   double est_bytes = 0.0;
-  // Observed per-execution seconds (0 when the engine reports no timings).
-  double measured_seconds_per_hit = 0.0;
-  // Ranking key: frequency x per-recompute benefit per materialized byte.
+  // Ranking key: hits x est_recompute_cost / est_bytes.
   double score = 0.0;
 };
 
 // The view advisor: scores WorkloadMonitor statistics into a ranked
-// recommendation set. Benefit is the estimated recomputation cost
-// (measured seconds when the DAG engine reported op timings, else the γ
-// estimate) times observed frequency, weighed against the estimated
-// materialized size. Candidates are estimated with
+// recommendation set. Benefit is γ alone, the cost measure the optimizer
+// ranks rewritings by (§7.1): a candidate scores hits x its γ
+// recomputation estimate per estimated materialized byte, so the ranking
+// does not depend on which kernels (or fusion) the engine picked.
+// Candidates are estimated with
 // `optimizer.Estimate()`, so the caller must hold what keeps its leaf
 // resolver valid (a session's state lock). `skip` filters candidates the
 // caller already materialized or queued — return true to drop the

@@ -6,11 +6,8 @@
 
 namespace hadad::views {
 
-ViewStore::ViewStore(engine::Workspace* workspace, int64_t budget_bytes,
-                     size_t max_views)
-    : workspace_(workspace),
-      budget_bytes_(budget_bytes),
-      max_views_(max_views) {}
+ViewStore::ViewStore(engine::Workspace* workspace, int64_t budget_bytes)
+    : workspace_(workspace), budget_bytes_(budget_bytes) {}
 
 bool ViewStore::ContainsCanonical(const std::string& canonical) const {
   for (const auto& [name, v] : views_) {
@@ -48,18 +45,18 @@ bool ViewStore::PlanAdmission(int64_t bytes,
   int64_t free_bytes = budget_bytes_ - bytes_in_use();
   size_t remaining = views_.size();
   for (const StoredView* v : order) {
-    if (free_bytes >= bytes && remaining < max_views_) break;
+    if (free_bytes >= bytes && remaining < kMaxViews) break;
     evict->push_back(v->name);
     free_bytes += v->bytes;
     --remaining;
   }
-  return free_bytes >= bytes && remaining < max_views_;
+  return free_bytes >= bytes && remaining < kMaxViews;
 }
 
 Status ViewStore::Admit(StoredView meta, matrix::Matrix value) {
   meta.bytes = matrix::ApproxBytes(value);
   if (bytes_in_use() + meta.bytes > budget_bytes_ ||
-      views_.size() >= max_views_) {
+      views_.size() >= kMaxViews) {
     return Status::BudgetExhausted(
         "admitting view '" + meta.name + "' (" + std::to_string(meta.bytes) +
         " bytes) would exceed the store budget");

@@ -1,6 +1,7 @@
 #ifndef HADAD_VIEWS_VIEW_STORE_H_
 #define HADAD_VIEWS_VIEW_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,10 +35,11 @@ struct StoredView {
 // AdaptiveViewManager serializes access under its host's state lock.
 class ViewStore {
  public:
-  // `max_views` additionally caps the entry count (each view adds rewrite-
-  // search constraints, so unbounded counts would tax RW_find).
-  ViewStore(engine::Workspace* workspace, int64_t budget_bytes,
-            size_t max_views = 16);
+  // Entry-count cap next to the byte budget: each view adds rewrite-search
+  // constraints, so unbounded counts would tax RW_find.
+  static constexpr size_t kMaxViews = 16;
+
+  ViewStore(engine::Workspace* workspace, int64_t budget_bytes);
 
   int64_t budget_bytes() const { return budget_bytes_; }
   int64_t bytes_in_use() const { return bytes_in_use_; }
@@ -79,7 +81,6 @@ class ViewStore {
 
   engine::Workspace* workspace_;
   int64_t budget_bytes_;
-  size_t max_views_;
   std::map<std::string, StoredView> views_;
   int64_t bytes_in_use_ = 0;  // Summed StoredView::bytes.
 };

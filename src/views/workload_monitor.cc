@@ -1,27 +1,12 @@
 #include "views/workload_monitor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
 
 namespace hadad::views {
 
 namespace {
-
-// Sums the per-operator average seconds over every operator node of `e`.
-double AttributeSeconds(
-    const la::Expr& e,
-    const std::unordered_map<std::string, double>& avg_op_seconds) {
-  if (e.is_leaf()) return 0.0;
-  double total = 0.0;
-  auto it = avg_op_seconds.find(la::OpName(e.kind()));
-  if (it != avg_op_seconds.end()) total += it->second;
-  for (const la::ExprPtr& child : e.children()) {
-    total += AttributeSeconds(*child, avg_op_seconds);
-  }
-  return total;
-}
 
 // Collects each distinct non-leaf subtree (by canonical text) once.
 void CollectSubtrees(const la::ExprPtr& e,
@@ -35,22 +20,8 @@ void CollectSubtrees(const la::ExprPtr& e,
 
 }  // namespace
 
-double WorkloadMonitor::DecaySince(int64_t last_run) const {
-  if (half_life_runs_ <= 0.0) return 1.0;
-  const double idle = static_cast<double>(runs_ - last_run);
-  if (idle <= 0.0) return 1.0;
-  return std::exp2(-idle / half_life_runs_);
-}
-
-void WorkloadMonitor::Observe(const la::ExprPtr& executed,
-                              const engine::ExecStats* stats) {
+void WorkloadMonitor::Observe(const la::ExprPtr& executed) {
   if (executed == nullptr) return;
-  std::unordered_map<std::string, double> avg_op_seconds;
-  if (stats != nullptr) {
-    for (const engine::OpTiming& t : stats->op_timings) {
-      if (t.count > 0) avg_op_seconds[t.op] = t.seconds / t.count;
-    }
-  }
   std::map<std::string, la::ExprPtr> subtrees;
   CollectSubtrees(executed, &subtrees);
 
@@ -59,7 +30,7 @@ void WorkloadMonitor::Observe(const la::ExprPtr& executed,
   for (auto& [canonical, expr] : subtrees) {
     auto it = stats_.find(canonical);
     if (it == stats_.end()) {
-      if (stats_.size() >= max_tracked_) {
+      if (stats_.size() >= kMaxTracked) {
         // Replace a cold singleton so a burst of one-off forms cannot
         // permanently blind the advisor; repeated forms (hits > 1) stay.
         auto victim =
@@ -68,17 +39,9 @@ void WorkloadMonitor::Observe(const la::ExprPtr& executed,
         if (victim == stats_.end()) continue;
         stats_.erase(victim);
       }
-      it = stats_.emplace(canonical,
-                          SubexprStat{canonical, expr, 0, 0.0, 0.0, runs_})
-               .first;
+      it = stats_.emplace(canonical, SubexprStat{canonical, expr, 0}).first;
     }
-    SubexprStat& s = it->second;
-    const double decay = DecaySince(s.last_run);
-    s.hits += 1;
-    s.weight = s.weight * decay + 1.0;
-    s.measured_seconds = s.measured_seconds * decay +
-                         AttributeSeconds(*expr, avg_op_seconds);
-    s.last_run = runs_;
+    it->second.hits += 1;
   }
 }
 
@@ -87,14 +50,7 @@ std::vector<SubexprStat> WorkloadMonitor::Snapshot() const {
   {
     common::MutexLock lock(&mu_);
     out.reserve(stats_.size());
-    for (const auto& [canonical, stat] : stats_) {
-      SubexprStat copy = stat;
-      // Surface the as-of-now decayed mass; the stored entry stays lazy.
-      const double decay = DecaySince(copy.last_run);
-      copy.weight *= decay;
-      copy.measured_seconds *= decay;
-      out.push_back(std::move(copy));
-    }
+    for (const auto& [canonical, stat] : stats_) out.push_back(stat);
   }
   std::sort(out.begin(), out.end(),
             [](const SubexprStat& a, const SubexprStat& b) {
@@ -119,12 +75,6 @@ int64_t WorkloadMonitor::observed_runs() const {
 int64_t WorkloadMonitor::tracked_count() const {
   common::MutexLock lock(&mu_);
   return static_cast<int64_t>(stats_.size());
-}
-
-void WorkloadMonitor::Clear() {
-  common::MutexLock lock(&mu_);
-  stats_.clear();
-  runs_ = 0;
 }
 
 }  // namespace hadad::views

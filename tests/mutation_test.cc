@@ -659,14 +659,10 @@ AdaptiveFixture MakeAdaptiveFixture(int64_t min_hits = 2) {
   AdaptiveFixture f;
   f.x = matrix::RandomDense(rng, 40, 10);
   f.r = matrix::RandomDense(rng, 10, 10);
-  views::AdaptiveOptions options;
-  options.budget_bytes = 1 << 20;
-  options.min_hits = min_hits;
-  options.synchronous = true;
   f.session = api::SessionBuilder()
                   .Put("X", f.x)
                   .Put("R", f.r)
-                  .AdaptiveViews(options)
+                  .AdaptiveViews(/*budget_bytes=*/1 << 20, min_hits)
                   .Build()
                   .value();
   return f;
@@ -676,6 +672,7 @@ TEST(AdaptiveMutationTest, UpdateInvalidatesDependentViews) {
   AdaptiveFixture f = MakeAdaptiveFixture();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(f.session->Run(kAdaptivePipeline).ok());
+    f.session->WaitForAdaptiveViews();
   }
   ASSERT_GE(f.session->stats().adaptive_views_created, 1);
   ASSERT_FALSE(f.session->adaptive()->StoredViews().empty());
@@ -707,6 +704,7 @@ TEST(AdaptiveMutationTest, AppendDeltaRefreshMatchesFullRecompute) {
   AdaptiveFixture f = MakeAdaptiveFixture();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(f.session->Run(kAdaptivePipeline).ok());
+    f.session->WaitForAdaptiveViews();
   }
   ASSERT_FALSE(f.session->adaptive()->StoredViews().empty());
 
@@ -819,14 +817,10 @@ TEST(MutationConcurrencyTest, AdaptiveInstallsRaceMutationsSafely) {
   Rng rng(41);
   matrix::Matrix x = matrix::RandomDense(rng, 24, 8);
   matrix::Matrix r = matrix::RandomDense(rng, 8, 8);
-  views::AdaptiveOptions options;
-  options.budget_bytes = 1 << 20;
-  options.min_hits = 2;
-  options.synchronous = false;  // Real background worker.
   auto session = api::SessionBuilder()
                      .Put("X", x)
                      .Put("R", r)
-                     .AdaptiveViews(options)
+                     .AdaptiveViews(/*budget_bytes=*/1 << 20, /*min_hits=*/2)
                      .Build()
                      .value();
 

@@ -241,6 +241,21 @@ TEST(SessionTest, ExplainMarksAlreadyOptimalPipelines) {
   EXPECT_NE(prepared->Explain().find("already optimal"), std::string::npos);
 }
 
+TEST(SessionTest, ExplainNamesAStalledChase) {
+  std::shared_ptr<Session> session = MakeSession();
+  // The chase stops after rounds that no longer lower the goal's cost.
+  auto stalled = session->Prepare("trace(M %*% N)");
+  ASSERT_TRUE(stalled.ok());
+  ASSERT_TRUE(stalled->rewrite().chase_stats.stalled);
+  EXPECT_NE(stalled->Explain().find(", stalled)"), std::string::npos)
+      << stalled->Explain();
+  // A chase that ended otherwise says nothing of a stall.
+  auto settled = session->Prepare("M");
+  ASSERT_TRUE(settled.ok());
+  ASSERT_FALSE(settled->rewrite().chase_stats.stalled);
+  EXPECT_EQ(settled->Explain().find("stalled"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Plan cache
 // ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,8 +45,8 @@ TEST(WorkloadMonitorTest, CountsEachSubexpressionOncePerRun) {
   // t(X) %*% X appears twice in one run; hash-consed DAG semantics count
   // it once per execution.
   la::ExprPtr e = Parse("(t(X) %*% X) + (t(X) %*% X)");
-  monitor.Observe(e, nullptr);
-  monitor.Observe(e, nullptr);
+  monitor.Observe(e);
+  monitor.Observe(e);
 
   std::vector<SubexprStat> snapshot = monitor.Snapshot();
   int64_t product_hits = 0;
@@ -66,24 +66,10 @@ TEST(WorkloadMonitorTest, CountsEachSubexpressionOncePerRun) {
   }
 }
 
-TEST(WorkloadMonitorTest, AttributesMeasuredSecondsFromOpTimings) {
-  WorkloadMonitor monitor;
-  engine::ExecStats stats;
-  stats.op_timings.push_back({"%*%", 2, 0.2});  // 0.1s per product.
-  stats.op_timings.push_back({"t", 1, 0.05});
-  monitor.Observe(Parse("t(X) %*% X"), &stats);
-
-  for (const SubexprStat& s : monitor.Snapshot()) {
-    if (s.canonical == la::ToString(Parse("t(X) %*% X"))) {
-      EXPECT_NEAR(s.measured_seconds, 0.15, 1e-12);  // product + transpose.
-    }
-  }
-}
-
 TEST(WorkloadMonitorTest, ForgetDropsSubtreesButKeepsParents) {
   WorkloadMonitor monitor;
-  monitor.Observe(Parse("(t(X) %*% X) + R"), nullptr);
-  monitor.Observe(Parse("t(X) %*% Y"), nullptr);
+  monitor.Observe(Parse("(t(X) %*% X) + R"));
+  monitor.Observe(Parse("t(X) %*% Y"));
   monitor.Forget(Parse("t(X) %*% X"));
 
   bool saw_parent = false;
@@ -96,7 +82,7 @@ TEST(WorkloadMonitorTest, ForgetDropsSubtreesButKeepsParents) {
   }
   EXPECT_TRUE(saw_parent);
   // A forgotten subexpression still computed elsewhere re-accumulates.
-  monitor.Observe(Parse("t(X) %*% Y"), nullptr);
+  monitor.Observe(Parse("t(X) %*% Y"));
   bool transpose_back = false;
   for (const SubexprStat& s : monitor.Snapshot()) {
     if (s.canonical == la::ToString(Parse("t(X)"))) {
@@ -107,49 +93,10 @@ TEST(WorkloadMonitorTest, ForgetDropsSubtreesButKeepsParents) {
   EXPECT_TRUE(transpose_back);
 }
 
-TEST(WorkloadMonitorTest, DecayHalvesIdleWeightsByHalfLife) {
-  // Half-life of 2 observed runs. Without decay, weight == hits exactly.
-  WorkloadMonitor no_decay(16, 0.0);
-  WorkloadMonitor decayed(16, 2.0);
-  for (int i = 0; i < 4; ++i) {
-    no_decay.Observe(Parse("t(A) %*% A"), nullptr);
-    decayed.Observe(Parse("t(A) %*% A"), nullptr);
-  }
-  auto weight_of = [](const WorkloadMonitor& m, const std::string& text) {
-    for (const SubexprStat& s : m.Snapshot()) {
-      if (s.canonical == text) return s.weight;
-    }
-    return -1.0;
-  };
-  const std::string gram = la::ToString(Parse("t(A) %*% A"));
-  EXPECT_DOUBLE_EQ(weight_of(no_decay, gram), 4.0);
-  // Consecutive runs decay by 2^(-1/2) between observations:
-  // w = ((1*d + 1)*d + 1)*d + 1 with d = 2^(-1/2).
-  const double d = std::exp2(-0.5);
-  EXPECT_NEAR(weight_of(decayed, gram), ((d + 1) * d + 1) * d + 1, 1e-12);
-
-  // Four idle runs (a different workload) halve the gram's weight twice;
-  // the raw hit count never decays, and the fresh workload overtakes.
-  for (int i = 0; i < 4; ++i) {
-    no_decay.Observe(Parse("B %*% B"), nullptr);
-    decayed.Observe(Parse("B %*% B"), nullptr);
-  }
-  const std::string fresh = la::ToString(Parse("B %*% B"));
-  EXPECT_DOUBLE_EQ(weight_of(no_decay, gram), 4.0);
-  EXPECT_NEAR(weight_of(decayed, gram),
-              (((d + 1) * d + 1) * d + 1) * 0.25, 1e-12);
-  EXPECT_GT(weight_of(decayed, fresh), weight_of(decayed, gram));
-  for (const SubexprStat& s : decayed.Snapshot()) {
-    if (s.canonical == gram) {
-      EXPECT_EQ(s.hits, 4);
-    }
-  }
-}
-
 TEST(WorkloadMonitorTest, SnapshotIsDeterministicallyOrdered) {
   WorkloadMonitor monitor;
-  monitor.Observe(Parse("t(B) %*% A"), nullptr);
-  monitor.Observe(Parse("t(A)"), nullptr);
+  monitor.Observe(Parse("t(B) %*% A"));
+  monitor.Observe(Parse("t(A)"));
   std::vector<SubexprStat> a = monitor.Snapshot();
   std::vector<SubexprStat> b = monitor.Snapshot();
   ASSERT_EQ(a.size(), b.size());
@@ -181,17 +128,14 @@ la::MetaCatalog AdvisorCatalog() {
   return catalog;
 }
 
-// Hand-built monitor output: weight mirrors hits (no decay), measured 0.
+// Hand-built monitor output.
 std::vector<SubexprStat> AdvisorInput() {
   std::vector<SubexprStat> stats;
   stats.push_back({la::ToString(Parse("(t(X) %*% X) + R")),
-                   Parse("(t(X) %*% X) + R"), 5, 5.0, 0.0, 0});
-  stats.push_back({la::ToString(Parse("t(X) %*% X")), Parse("t(X) %*% X"), 5,
-                   5.0, 0.0, 0});
-  stats.push_back({la::ToString(Parse("t(X)")), Parse("t(X)"), 5, 5.0, 0.0,
-                   0});
-  stats.push_back(
-      {la::ToString(Parse("R + R")), Parse("R + R"), 1, 1.0, 0.0, 0});
+                   Parse("(t(X) %*% X) + R"), 5});
+  stats.push_back({la::ToString(Parse("t(X) %*% X")), Parse("t(X) %*% X"), 5});
+  stats.push_back({la::ToString(Parse("t(X)")), Parse("t(X)"), 5});
+  stats.push_back({la::ToString(Parse("R + R")), Parse("R + R"), 1});
   return stats;
 }
 
@@ -235,34 +179,6 @@ TEST(ViewAdvisorTest, MinHitsAndSkipFilterCandidates) {
     EXPECT_NE(r.canonical, product);
   }
   EXPECT_EQ(skipped.size() + 1, recs.size());
-}
-
-TEST(ViewAdvisorTest, MeasuredSecondsOverrideSizeEstimates) {
-  AdvisorOptions options;
-  options.min_hits = 1;
-  const pacb::Optimizer optimizer(AdvisorCatalog());
-  // By size estimates t(X) %*% X dominates t(X); measured timings say the
-  // transpose is (pathologically) more expensive — measurements win.
-  std::vector<SubexprStat> stats;
-  stats.push_back({la::ToString(Parse("t(X) %*% X")), Parse("t(X) %*% X"), 4,
-                   4.0, 0.04, 0});
-  stats.push_back({la::ToString(Parse("t(X)")), Parse("t(X)"), 4, 4.0, 40.0,
-                   0});
-  auto recs = Recommend(stats, optimizer, options);
-  ASSERT_EQ(recs.size(), 2u);
-  EXPECT_EQ(recs[0].canonical, la::ToString(Parse("t(X)")));
-}
-
-TEST(ViewAdvisorTest, ThresholdsOnDecayedWeightNotRawHits) {
-  AdvisorOptions options;
-  options.min_hits = 3;
-  const pacb::Optimizer optimizer(AdvisorCatalog());
-  // Five raw hits but a decayed weight below min_hits: a long-idle
-  // workload no longer qualifies.
-  std::vector<SubexprStat> stats;
-  stats.push_back({la::ToString(Parse("t(X) %*% X")), Parse("t(X) %*% X"), 5,
-                   1.5, 0.0, 0});
-  EXPECT_TRUE(Recommend(stats, optimizer, options).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -438,23 +354,20 @@ TEST(AdaptiveSessionTest, RepeatedQueryAutoMaterializesAndRewrites) {
   auto expected = baseline->Run(kPipeline);
   ASSERT_TRUE(expected.ok());
 
-  views::AdaptiveOptions options;
-  options.budget_bytes = 1 << 20;
-  options.min_hits = 2;
-  options.synchronous = true;  // Deterministic single-threaded loop.
   auto session = api::SessionBuilder()
                      .Put("X", d.x)
                      .Put("R", d.r)
-                     .AdaptiveViews(options)
+                     .AdaptiveViews(/*budget_bytes=*/1 << 20, /*min_hits=*/2)
                      .Build()
                      .value();
 
-  // Run 1 and 2: executed as stated; run 2 crosses min_hits and (in
-  // synchronous mode) installs the view before returning.
+  // Run 1 and 2: executed as stated; run 2 crosses min_hits and queues the
+  // materialization, which the wait lets land.
   for (int i = 0; i < 2; ++i) {
     auto result = session->Run(kPipeline);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->ApproxEquals(*expected, 0.0));  // Bit-identical.
+    session->WaitForAdaptiveViews();
   }
   api::SessionStats mid = session->stats();
   ASSERT_GE(mid.adaptive_views_created, 1);
@@ -492,14 +405,10 @@ TEST(AdaptiveSessionTest, StalePreparedQueryRederivesAfterViewLands) {
   auto expected = baseline->Run(kPipeline);
   ASSERT_TRUE(expected.ok());
 
-  views::AdaptiveOptions options;
-  options.budget_bytes = 1 << 20;
-  options.min_hits = 2;
-  options.synchronous = true;
   auto session = api::SessionBuilder()
                      .Put("X", d.x)
                      .Put("R", d.r)
-                     .AdaptiveViews(options)
+                     .AdaptiveViews(/*budget_bytes=*/1 << 20, /*min_hits=*/2)
                      .Build()
                      .value();
 
@@ -507,6 +416,7 @@ TEST(AdaptiveSessionTest, StalePreparedQueryRederivesAfterViewLands) {
   ASSERT_TRUE(prepared.ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(session->Run(kPipeline).ok());
+    session->WaitForAdaptiveViews();
   }
   ASSERT_GE(session->stats().adaptive_views_created, 1);
   // The stale handle still executes — against the refreshed plan, which
@@ -524,19 +434,21 @@ TEST(AdaptiveSessionTest, BudgetIsNeverExceededUnderEvictionPressure) {
   for (int k = 0; k < 4; ++k) {
     builder.Put("R" + std::to_string(k), matrix::RandomDense(rng, 10, 10));
   }
-  views::AdaptiveOptions options;
   // Room for two 10x10 results; four hot disjoint pipelines force the
   // store to evict.
-  options.budget_bytes = 2 * 10 * 10 * sizeof(double) + 64;
-  options.min_hits = 2;
-  options.synchronous = true;
-  auto session = builder.AdaptiveViews(options).Build().value();
+  auto session = builder
+                     .AdaptiveViews(
+                         /*budget_bytes=*/2 * 10 * 10 * sizeof(double) + 64,
+                         /*min_hits=*/2)
+                     .Build()
+                     .value();
 
   for (int round = 0; round < 4; ++round) {
     for (int k = 0; k < 4; ++k) {
       std::string text =
           "t(R" + std::to_string(k) + ") %*% R" + std::to_string(k);
       ASSERT_TRUE(session->Run(text).ok());
+      session->WaitForAdaptiveViews();
       api::SessionStats s = session->stats();
       EXPECT_LE(s.adaptive_bytes_in_use, s.adaptive_budget_bytes);
     }
@@ -560,15 +472,13 @@ TEST(AdaptiveSessionTest, BackgroundMaterializationIsRaceSafe) {
     expected.push_back(*r);
   }
 
-  views::AdaptiveOptions options;
   // Tight budget: concurrent installs and evictions race with serving.
-  options.budget_bytes = 2 * 12 * 12 * sizeof(double) + 64;
-  options.min_hits = 2;
-  options.synchronous = false;  // Real background worker.
   auto session = api::SessionBuilder()
                      .Put("X", d.x)
                      .Put("R", d.r)
-                     .AdaptiveViews(options)
+                     .AdaptiveViews(
+                         /*budget_bytes=*/2 * 12 * 12 * sizeof(double) + 64,
+                         /*min_hits=*/2)
                      .Build()
                      .value();
 
@@ -606,6 +516,47 @@ TEST(AdaptiveSessionTest, BackgroundMaterializationIsRaceSafe) {
   }
 }
 
+// bench_adaptive_views' mix: three pipelines share t(X) %*% X. Ranked by γ
+// alone, the Gram matrix (50x50, answering every pipeline) outranks t(X)
+// (50x1000, answering none of them by itself) whatever kernels or fusion
+// the engine picked, so the store's contents are the same on every
+// dispatch tier.
+TEST(AdaptiveSessionTest, StoreHoldsOnlyTheSharedGram) {
+  Rng rng(42);
+  api::SessionBuilder builder;
+  builder.Put("X", matrix::RandomDense(rng, 1000, 50));
+  std::vector<std::string> pipelines;
+  for (int k = 0; k < 3; ++k) {
+    const std::string r = "R" + std::to_string(k);
+    builder.Put(r, matrix::RandomDense(rng, 50, 50));
+    pipelines.push_back("(t(X) %*% X) + " + r);
+  }
+  auto session = builder
+                     .AdaptiveViews(/*budget_bytes=*/int64_t{64} << 20,
+                                    /*min_hits=*/2)
+                     .Build()
+                     .value();
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& text : pipelines) {
+      ASSERT_TRUE(session->Run(text).ok()) << text;
+    }
+    session->WaitForAdaptiveViews();
+  }
+
+  std::vector<StoredView> stored = session->adaptive()->StoredViews();
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[0].canonical, la::ToString(Parse("t(X) %*% X")));
+  EXPECT_EQ(session->stats().adaptive_bytes_in_use, 20000);
+  for (const std::string& text : pipelines) {
+    auto prepared = session->Prepare(text);
+    ASSERT_TRUE(prepared.ok()) << text;
+    std::set<std::string> leaves;
+    la::CollectMatrixRefs(*prepared->plan(), &leaves);
+    EXPECT_TRUE(leaves.contains(stored[0].name))
+        << text << " runs as " << la::ToString(prepared->plan());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MVCC snapshot races: a mutation landing between a background evaluation
 // and its install must discard the stale value, never install it.
@@ -615,7 +566,7 @@ TEST(AdaptiveSessionTest, BackgroundMaterializationIsRaceSafe) {
 // base-data mutation mid-evaluation — deterministic reproduction of the
 // writer-races-installer window.
 struct RaceHarness {
-  explicit RaceHarness(bool synchronous) {
+  RaceHarness() {
     Rng rng(21);
     x0 = matrix::RandomDense(rng, 80, 12);
     conflict = matrix::RandomDense(rng, 80, 12);
@@ -640,10 +591,8 @@ struct RaceHarness {
     };
     host.on_views_changed = [] {};
 
-    AdaptiveOptions options;
-    options.min_hits = 2;
-    options.synchronous = synchronous;
-    manager.emplace(host, options);
+    manager.emplace(host, /*budget_bytes=*/int64_t{256} << 20,
+                    /*min_hits=*/2);
   }
 
   matrix::Matrix x0;
@@ -656,12 +605,13 @@ struct RaceHarness {
 };
 
 TEST(AdaptiveSnapshotRaceTest, StaleMaterializationIsDiscardedNotInstalled) {
-  RaceHarness h(/*synchronous=*/true);
+  RaceHarness h;
   la::ExprPtr def = Parse("t(X) %*% X");
 
-  h.manager->OnExecution(def, nullptr);
+  h.manager->OnExecution(def);
   h.inject.store(true);
-  h.manager->OnExecution(def, nullptr);  // Crosses min_hits; materializes.
+  h.manager->OnExecution(def);  // Crosses min_hits; materializes.
+  h.manager->Drain();
 
   // The computed value described the pre-conflict X: discarded, with the
   // candidate neither installed nor blacklisted as a failure.
@@ -673,8 +623,9 @@ TEST(AdaptiveSnapshotRaceTest, StaleMaterializationIsDiscardedNotInstalled) {
 
   // The workload may legitimately rebuild on the new data: a clean retry
   // (no injected conflict) installs.
-  h.manager->OnExecution(def, nullptr);
-  h.manager->OnExecution(def, nullptr);
+  h.manager->OnExecution(def);
+  h.manager->OnExecution(def);
+  h.manager->Drain();
   EXPECT_EQ(h.manager->stats().views_created, 1);
   ASSERT_EQ(h.manager->StoredViews().size(), 1u);
 
@@ -687,11 +638,11 @@ TEST(AdaptiveSnapshotRaceTest, StaleMaterializationIsDiscardedNotInstalled) {
 }
 
 TEST(AdaptiveSnapshotRaceTest, StaleDeltaRefreshIsDiscardedNotInstalled) {
-  RaceHarness h(/*synchronous=*/false);  // Real background worker.
+  RaceHarness h;
   la::ExprPtr def = Parse("t(X) %*% X");
 
-  h.manager->OnExecution(def, nullptr);
-  h.manager->OnExecution(def, nullptr);
+  h.manager->OnExecution(def);
+  h.manager->OnExecution(def);
   h.manager->Drain();
   ASSERT_EQ(h.manager->stats().views_created, 1);
 
