@@ -10,6 +10,9 @@
 //   oracle  a human pre-materialized the shared subexpression as a view at
 //           build time (the paper's hand-tuned V_exp setup).
 //
+// After a warm-up, the three configurations run in interleaved blocks of
+// kRoundsPerBlock passes over the mix; each row reports its configuration's
+// median block, in seconds per Run, so one preempted block cannot move it.
 // Results of every configuration are verified against the cold path at
 // 1e-9; the driver exits non-zero on a mismatch or if the warmed path is
 // not at least 1.5x faster than cold.
@@ -42,7 +45,8 @@ using namespace hadad;  // NOLINT
 namespace {
 
 constexpr int kQueries = 3;
-constexpr int kTimedRounds = 30;
+constexpr int kBlocks = 10;
+constexpr int kRoundsPerBlock = 3;
 constexpr double kTolerance = 1e-9;
 
 // sweep_overhead: leaf shape (2M dense cells each), warm-up runs (past the
@@ -74,13 +78,18 @@ api::SessionBuilder MakeBuilder() {
   return builder;
 }
 
-// Runs the full mix kTimedRounds times; returns total seconds, or a
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Runs the full mix kRoundsPerBlock times; returns seconds per Run, or a
 // negative value on failure/mismatch.
-double TimedSweep(api::Session& session,
+double TimedBlock(api::Session& session,
                   const std::vector<std::string>& queries,
                   const std::vector<matrix::Matrix>& expected) {
   Timer timer;
-  for (int round = 0; round < kTimedRounds; ++round) {
+  for (int round = 0; round < kRoundsPerBlock; ++round) {
     for (size_t q = 0; q < queries.size(); ++q) {
       auto result = session.Run(queries[q]);
       if (!result.ok()) {
@@ -93,7 +102,7 @@ double TimedSweep(api::Session& session,
       }
     }
   }
-  return timer.ElapsedSeconds();
+  return timer.ElapsedSeconds() / (kRoundsPerBlock * kQueries);
 }
 
 // Median seconds per Run of kSweepPipeline on each session, timed in
@@ -148,12 +157,8 @@ bool SweepOverhead(double* plain_s, double* adaptive_s) {
     std::printf("SWEEP FAILED: a view was admitted under a 1-byte budget\n");
     return false;
   }
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  *plain_s = median(plain_blocks);
-  *adaptive_s = median(adaptive_blocks);
+  *plain_s = Median(plain_blocks);
+  *adaptive_s = Median(adaptive_blocks);
   return true;
 }
 
@@ -174,7 +179,6 @@ int main(int argc, char** argv) {
     }
     expected.push_back(*r);
   }
-  const double cold_s = TimedSweep(*cold_session, queries, expected);
 
   // Warmed adaptive configuration: observe, materialize, re-serve.
   auto adaptive_session = MakeBuilder()
@@ -193,24 +197,44 @@ int main(int argc, char** argv) {
     // before timing (background installs race warmup runs otherwise).
     adaptive_session->WaitForAdaptiveViews();
   }
-  const double warmed_s = TimedSweep(*adaptive_session, queries, expected);
 
   // Oracle configuration: the shared subexpression pre-materialized by hand.
+  // One pass fills its plan cache, as the others' warm-up did.
   auto oracle_session =
       MakeBuilder().AddView("G", "t(X) %*% X").Build().value();
-  const double oracle_s = TimedSweep(*oracle_session, queries, expected);
+  for (const std::string& q : queries) {
+    if (!oracle_session->Run(q).ok()) {
+      std::printf("warmup failed\n");
+      return 1;
+    }
+  }
 
-  if (cold_s < 0 || warmed_s < 0 || oracle_s < 0) return 1;
+  std::vector<double> cold_blocks;
+  std::vector<double> warmed_blocks;
+  std::vector<double> oracle_blocks;
+  for (int block = 0; block < kBlocks; ++block) {
+    for (auto [session, blocks] :
+         {std::pair{cold_session.get(), &cold_blocks},
+          std::pair{adaptive_session.get(), &warmed_blocks},
+          std::pair{oracle_session.get(), &oracle_blocks}}) {
+      const double seconds = TimedBlock(*session, queries, expected);
+      if (seconds < 0) return 1;
+      blocks->push_back(seconds);
+    }
+  }
+  const double cold_s = Median(cold_blocks);
+  const double warmed_s = Median(warmed_blocks);
+  const double oracle_s = Median(oracle_blocks);
 
-  const int runs = kTimedRounds * kQueries;
-  std::printf("== adaptive views: repeated-workload sweep "
-              "(%d queries x %d rounds, verified at 1e-9) ==\n",
-              kQueries, kTimedRounds);
-  std::printf("%-22s %12s %14s %10s\n", "configuration", "total[ms]",
-              "per-run[us]", "speedup");
+  std::printf("== adaptive views: repeated-workload sweep (%d queries, "
+              "median of %d interleaved blocks of %d rounds, verified at "
+              "1e-9) ==\n",
+              kQueries, kBlocks, kRoundsPerBlock);
+  std::printf("%-22s %14s %10s\n", "configuration", "per-run[us]",
+              "speedup");
   auto row = [&](const char* name, double seconds) {
-    std::printf("%-22s %12.2f %14.1f %9.2fx\n", name, seconds * 1e3,
-                seconds * 1e6 / runs, seconds > 0 ? cold_s / seconds : 0.0);
+    std::printf("%-22s %14.1f %9.2fx\n", name, seconds * 1e6,
+                seconds > 0 ? cold_s / seconds : 0.0);
   };
   row("cold (no views)", cold_s);
   row("warmed (adaptive)", warmed_s);

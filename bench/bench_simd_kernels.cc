@@ -1,9 +1,10 @@
 // Scalar vs SIMD kernel tier, measured at the matrix-kernel seam: the same
-// blocked/fused kernels run twice via ScopedTierOverride — once pinned to
-// the scalar reference tier, once on the tier runtime dispatch resolved for
-// this CPU — and every vector result is verified BIT-IDENTICAL to the
-// scalar one (verified_tolerance 0 in the JSON: the tiers share one
-// rounding sequence by construction, so any mismatch is a bug, not noise).
+// blocked/fused kernels and inv/det/exp run twice via ScopedTierOverride —
+// once pinned to the scalar reference tier, once on the tier runtime
+// dispatch resolved for this CPU — and every vector result is verified
+// BIT-IDENTICAL to the scalar one (verified_tolerance 0 in the JSON: the
+// tiers share one rounding sequence by construction, so any mismatch is a
+// bug, not noise).
 //
 // On a scalar-only host the two arms coincide and speedups print ~1.0x;
 // the records still emit so the baseline schema is hardware-independent.
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
   std::printf("%-20s %12s %12s %8s  %s\n", "workload", "scalar[ms]",
               "vector[ms]", "speedup", "verified");
   bool all_identical = true;
-  for (const Workload& w : workloads) {
+  auto run = [&](const Workload& w) {
     matrix::DenseMatrix scalar_out(1, 1), vector_out(1, 1);
     const double scalar_s =
         TimeUnder(matrix::SimdTier::kScalar, kRepeats, w.body, &scalar_out);
@@ -147,7 +148,26 @@ int main(int argc, char** argv) {
     // verified_tolerance 0: the vector arm reproduced the scalar bits.
     json.Add(w.id, vector_s, speedup, /*threads=*/1,
              /*verified_tolerance=*/identical ? 0.0 : -1.0);
-  }
+  };
+  for (const Workload& w : workloads) run(w);
+
+  // inv / det / exp on the 256 x 256 shape of the benchmark workspace's C
+  // and D: the packed PLU's row update, the row-wise triangular solves and
+  // exp's blocked products all run on the tier's axpy. (det of this input
+  // overflows to +inf; the row times the elimination.) The input is made
+  // only now: the scalar arm of the GEMM rows above moves with where their
+  // buffers land, and allocating it first shifted gemm_colsums_384's
+  // scalar time by half.
+  const matrix::Matrix la = matrix::RandomInvertible(rng, 256);
+  const std::vector<Workload> la_workloads = {
+      {"inv_256", [&] { return matrix::Inverse(la).value().ToDense(); }},
+      {"det_256",
+       [&] {
+         return matrix::DenseMatrix(1, 1, {matrix::Determinant(la).value()});
+       }},
+      {"exp_256", [&] { return matrix::MatrixExp(la).value().ToDense(); }},
+  };
+  for (const Workload& w : la_workloads) run(w);
 
   HADAD_CHECK_MSG(all_identical,
                   "vector tier diverged from the scalar reference");

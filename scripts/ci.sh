@@ -57,14 +57,15 @@ case "$mode" in
     ctest --output-on-failure -j
     # Second dispatch arm: the kernel-bearing suites (SIMD microkernels,
     # exec bit-identity, matrix/engine/session pipelines, the adaptive-view
-    # store, whose contents must not depend on the tier) must also pass
+    # store, whose contents must not depend on the tier, and the PLU-based
+    # decompositions, whose elimination dispatches too) must also pass
     # with the vector tier pinned off — same binaries, scalar reference
     # dispatch. Results are bit-identical across tiers by contract, so any
     # divergence here is a real kernel bug, not noise. (-R must precede the
     # bare -j: ctest would otherwise parse -R as -j's level argument and
     # silently drop the filter.)
     HADAD_FORCE_SCALAR=1 ctest --output-on-failure -R \
-      'simd_test|exec_test|matrix_test|matrix_edge_test|engine_test|mutation_test|session_test|views_test' \
+      'simd_test|exec_test|matrix_test|matrix_edge_test|engine_test|mutation_test|session_test|views_test|decompositions_test|lup_test' \
       -j
     # Serving smoke: concurrent clients over one substrate, one
     # deadline-exceeded request, clean pool drain (exits nonzero on any

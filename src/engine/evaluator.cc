@@ -8,13 +8,13 @@ using la::Expr;
 using la::OpKind;
 using matrix::Matrix;
 
-Result<Matrix> ApplyOp(const Expr& e,
-                       const std::vector<const Matrix*>& in) {
+Result<Matrix> ApplyOp(const Expr& e, const std::vector<const Matrix*>& in,
+                       const matrix::RangeRunner& runner) {
   switch (e.kind()) {
     case OpKind::kTranspose:
       return matrix::Transpose(*in[0]);
     case OpKind::kInverse:
-      return matrix::Inverse(*in[0]);
+      return matrix::Inverse(*in[0], runner);
     case OpKind::kDet: {
       HADAD_ASSIGN_OR_RETURN(double d, matrix::Determinant(*in[0]));
       return Matrix::Scalar(d);
@@ -26,7 +26,7 @@ Result<Matrix> ApplyOp(const Expr& e,
     case OpKind::kDiag:
       return matrix::Diag(*in[0]);
     case OpKind::kExp:
-      return matrix::MatrixExp(*in[0]);
+      return matrix::MatrixExp(*in[0], runner);
     case OpKind::kAdjoint:
       return matrix::Adjugate(*in[0]);
     case OpKind::kRev:

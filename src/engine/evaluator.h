@@ -91,9 +91,12 @@ struct ExecOptions {
 
 // Applies a single operator to already-evaluated inputs — the generic
 // per-node kernel of the exec:: DAG runtime. `e` supplies the operator kind
-// only; inputs.size() must equal its arity.
+// only; inputs.size() must equal its arity. `runner` reaches the kernels
+// that can split their work (inverse and exp); their results do not depend
+// on it.
 Result<matrix::Matrix> ApplyOp(const la::Expr& e,
-                               const std::vector<const matrix::Matrix*>& inputs);
+                               const std::vector<const matrix::Matrix*>& inputs,
+                               const matrix::RangeRunner& runner = nullptr);
 
 }  // namespace hadad::engine
 

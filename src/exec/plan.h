@@ -53,7 +53,10 @@ enum class KernelKind {
   kNmRightMultiply,
   kNmLeftMultiply,
   kNmMaterialize,
-  kGeneric,      // Sequential engine::ApplyOp (everything else).
+  // engine::ApplyOp (everything else). It gets the pool's range runner, on
+  // which inv splits its triangular solves by column and exp its products
+  // by row; every other operator runs sequentially.
+  kGeneric,
 };
 
 const char* KernelName(KernelKind kind);

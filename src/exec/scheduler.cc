@@ -304,7 +304,7 @@ Result<Matrix> EvalNode(RunState& state, int32_t id) {
     case KernelKind::kGeneric:
       break;
   }
-  return engine::ApplyOp(*node.expr, in);
+  return engine::ApplyOp(*node.expr, in, PoolRunner(state.pool));
 }
 
 // Runs node `id`'s kernel, stores its result, releases exhausted inputs,

@@ -9,19 +9,6 @@
 
 namespace hadad::matrix {
 
-namespace {
-
-void RunRange(const RangeRunner& runner, int64_t n,
-              const std::function<void(int64_t, int64_t)>& body) {
-  if (runner) {
-    runner(n, body);
-  } else {
-    body(0, n);
-  }
-}
-
-}  // namespace
-
 DenseMatrix MultiplyDenseBlocked(const DenseMatrix& a, const DenseMatrix& b,
                                  const RangeRunner& runner) {
   HADAD_CHECK_EQ(a.cols(), b.rows());

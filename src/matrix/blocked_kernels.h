@@ -2,30 +2,23 @@
 #define HADAD_MATRIX_BLOCKED_KERNELS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "matrix/dense_matrix.h"
+#include "matrix/matrix.h"
 #include "matrix/sparse_matrix.h"
 
 namespace hadad::matrix {
 
-// Partitioning hook the parallel kernels below use to split their row range:
-// runner(n, body) must invoke body(begin, end) over a disjoint cover of
-// [0, n), possibly concurrently (exec::ThreadPool::ParallelFor adapts to
-// this signature). A null runner means sequential: body(0, n).
-//
-// Every kernel assigns each output row to exactly one chunk and keeps its
-// per-row accumulation order independent of the partition, so results are
-// bit-for-bit identical at every thread count — and bit-for-bit identical
-// to the naive kernels in matrix.cc, which these supersede on large inputs.
-using RangeRunner =
-    std::function<void(int64_t n, const std::function<void(int64_t, int64_t)>&)>;
-
-// Recommended partition grain (rows per chunk) for these kernels. Callers
-// adapting a thread pool should split row ranges at multiples of this so
-// chunking stays independent of the worker count.
-inline constexpr int64_t kRowGrain = 64;
+// Row-partitioned kernels over a RangeRunner (matrix.h). Each assigns every
+// output row to exactly one chunk and keeps its per-row accumulation order
+// independent of the partition, so results are bit-for-bit identical at
+// every thread count, and to the naive kernels in matrix.cc that they
+// supersede on large inputs: Multiply's dense x dense loop (also after a
+// Transpose, for the fused t(A) x B), its sparse x dense loop and
+// Gustavson SpGEMM, the Add/ElementwiseMultiply/ScalarMultiply chain, and
+// Sum/RowSums/ColSums/Mean/ColMeans over a materialized product. MatrixExp
+// has no naive form left: it runs its products on MultiplyDenseBlocked.
 
 // Cache-blocked, row-partitioned dense GEMM: out = a * b. Tiles the inner
 // (k) dimension so the active rows of `b` stay hot in cache while a block of

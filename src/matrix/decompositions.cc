@@ -1,6 +1,10 @@
 #include "matrix/decompositions.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "common/check.h"
+#include "matrix/simd.h"
 
 namespace hadad::matrix {
 
@@ -31,16 +35,13 @@ Result<LuResult> LuDecompose(const Matrix& m) {
   return LuResult{Matrix(std::move(l)), Matrix(std::move(u))};
 }
 
-Result<PluResult> PluDecompose(const Matrix& m) {
-  if (!m.IsSquare()) {
-    return Status::InvalidArgument("PLU requires a square matrix");
-  }
-  const int64_t n = m.rows();
-  DenseMatrix a = m.ToDense();
-  PluResult out;
+PackedPlu FactorPlu(DenseMatrix a) {
+  HADAD_CHECK_EQ(a.rows(), a.cols());
+  const int64_t n = a.rows();
+  PackedPlu out;
   out.perm.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) out.perm[static_cast<size_t>(i)] = i;
-  out.sign = 1.0;
+  const SimdOps& ops = ActiveOps();
   for (int64_t col = 0; col < n; ++col) {
     // Partial pivoting: pick the largest remaining entry in this column.
     int64_t pivot = col;
@@ -52,36 +53,44 @@ Result<PluResult> PluDecompose(const Matrix& m) {
       }
     }
     if (pivot != col) {
-      for (int64_t j = 0; j < n; ++j) {
-        std::swap(a.At(col, j), a.At(pivot, j));
-      }
+      std::swap_ranges(a.row(col), a.row(col) + n, a.row(pivot));
       std::swap(out.perm[static_cast<size_t>(col)],
                 out.perm[static_cast<size_t>(pivot)]);
       out.sign = -out.sign;
     }
     const double p = a.At(col, col);
     if (p == 0.0) continue;  // Singular; U keeps the zero pivot.
+    const double* pivot_row = a.row(col) + col + 1;
     for (int64_t r = col + 1; r < n; ++r) {
-      const double f = a.At(r, col) / p;
-      a.At(r, col) = f;  // Store the L multiplier in place.
-      for (int64_t j = col + 1; j < n; ++j) {
-        a.At(r, j) -= f * a.At(col, j);
-      }
+      double* row = a.row(r);
+      const double f = row[col] / p;
+      row[col] = f;  // Store the L multiplier in place.
+      // a(r, j) -= f * a(col, j): x - f*y and x + (-f)*y round alike.
+      ops.axpy(row + col + 1, pivot_row, -f, n - col - 1);
     }
   }
+  out.lu = std::move(a);
+  return out;
+}
+
+Result<PluResult> PluDecompose(const Matrix& m) {
+  if (!m.IsSquare()) {
+    return Status::InvalidArgument("PLU requires a square matrix");
+  }
+  const int64_t n = m.rows();
+  PackedPlu packed = FactorPlu(m.ToDense());
   DenseMatrix l = DenseMatrix::Identity(n);
   DenseMatrix u(n, n);
   for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      if (j < i) {
-        l.At(i, j) = a.At(i, j);
-      } else {
-        u.At(i, j) = a.At(i, j);
-      }
-    }
+    const double* lu_row = packed.lu.row(i);
+    std::copy(lu_row, lu_row + i, l.row(i));
+    std::copy(lu_row + i, lu_row + n, u.row(i) + i);
   }
+  PluResult out;
   out.l = Matrix(std::move(l));
   out.u = Matrix(std::move(u));
+  out.perm = std::move(packed.perm);
+  out.sign = packed.sign;
   return out;
 }
 

@@ -27,6 +27,21 @@ struct PluResult {
 };
 Result<PluResult> PluDecompose(const Matrix& m);
 
+// The partial-pivoting elimination behind PluDecompose, Determinant, Inverse
+// and Adjugate, packed into one dense n x n buffer: L's multipliers strictly
+// below the diagonal (its unit diagonal implied), U on and above it; perm
+// and sign as in PluResult. A zero pivot leaves its column uneliminated and
+// the zero in U. The trailing-row update runs as the active SIMD tier's
+// axpy with -f, which matches a(r, j) -= f * a(col, j) bit for bit on
+// every non-NaN value.
+struct PackedPlu {
+  DenseMatrix lu;
+  std::vector<int64_t> perm;
+  double sign = 1.0;
+};
+// `a` must be square.
+PackedPlu FactorPlu(DenseMatrix a);
+
 // M = Q * R with Q orthogonal, R upper-triangular (Householder reflections).
 // Requires a square matrix, matching the paper's QR constraint (§6.2.5).
 struct QrResult {

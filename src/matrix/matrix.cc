@@ -5,7 +5,9 @@
 #include <limits>
 #include <string>
 
+#include "matrix/blocked_kernels.h"
 #include "matrix/decompositions.h"
+#include "matrix/simd.h"
 
 namespace hadad::matrix {
 
@@ -202,7 +204,65 @@ double CofactorDet(const DenseMatrix& a) {
   return det;
 }
 
+double DeterminantFromPlu(const PackedPlu& plu) {
+  double det = plu.sign;
+  for (int64_t i = 0; i < plu.lu.rows(); ++i) det *= plu.lu.At(i, i);
+  return det;
+}
+
+// Solves A X = I for all n right-hand sides at once, row by row: with
+// A = P^T L U, X starts as P (row i holds a 1 at column perm[i]), the
+// forward pass subtracts L(i,j) * row j from row i (j < i, ascending), and
+// the back pass subtracts U(i,j) * row j (j > i, ascending) and divides
+// row i by U(i,i). Each column sees exactly the operations, in the order,
+// of a column-at-a-time substitution, so the runner may split the columns
+// anywhere without changing a bit.
+Result<Matrix> InverseFromPlu(const PackedPlu& plu, const RangeRunner& runner) {
+  const DenseMatrix& lu = plu.lu;
+  const int64_t n = lu.rows();
+  for (int64_t i = 0; i < n; ++i) {
+    if (std::fabs(lu.At(i, i)) < 1e-13) {
+      return Status::NotInvertible("singular matrix");
+    }
+  }
+  DenseMatrix x(n, n);
+  for (int64_t i = 0; i < n; ++i) {
+    x.At(i, plu.perm[static_cast<size_t>(i)]) = 1.0;
+  }
+  const SimdOps& ops = ActiveOps();
+  auto solve = [&](int64_t c0, int64_t c1) {
+    const int64_t width = c1 - c0;
+    for (int64_t i = 0; i < n; ++i) {
+      const double* l_row = lu.row(i);
+      double* x_row = x.row(i) + c0;
+      for (int64_t j = 0; j < i; ++j) {
+        ops.axpy(x_row, x.row(j) + c0, -l_row[j], width);
+      }
+    }
+    for (int64_t i = n - 1; i >= 0; --i) {
+      const double* u_row = lu.row(i);
+      double* x_row = x.row(i) + c0;
+      for (int64_t j = i + 1; j < n; ++j) {
+        ops.axpy(x_row, x.row(j) + c0, -u_row[j], width);
+      }
+      const double pivot = u_row[i];
+      for (int64_t c = 0; c < width; ++c) x_row[c] /= pivot;
+    }
+  };
+  RunRange(runner, n, solve);
+  return Matrix(std::move(x));
+}
+
 }  // namespace
+
+void RunRange(const RangeRunner& runner, int64_t n,
+              const std::function<void(int64_t, int64_t)>& body) {
+  if (runner) {
+    runner(n, body);
+  } else {
+    body(0, n);
+  }
+}
 
 double Matrix::ScalarValue() const {
   HADAD_CHECK_MSG(IsScalar(), "ScalarValue on non-1x1 matrix");
@@ -347,49 +407,12 @@ Matrix Reverse(const Matrix& a) {
   return Matrix(std::move(out));
 }
 
-Result<Matrix> Inverse(const Matrix& a) {
+Result<Matrix> Inverse(const Matrix& a, const RangeRunner& runner) {
   if (!a.IsSquare()) {
     return Status::InvalidArgument("inverse requires a square matrix, got " +
                                    DimStr(a));
   }
-  HADAD_ASSIGN_OR_RETURN(PluResult plu, PluDecompose(a));
-  const int64_t n = a.rows();
-  for (int64_t i = 0; i < n; ++i) {
-    if (std::fabs(plu.u.dense().At(i, i)) < 1e-13) {
-      return Status::NotInvertible("singular matrix");
-    }
-  }
-  // Solve A X = I column by column: A = P^T L U, so L U x = P b.
-  const DenseMatrix& l = plu.l.dense();
-  const DenseMatrix& u = plu.u.dense();
-  DenseMatrix out(n, n);
-  std::vector<double> y(static_cast<size_t>(n));
-  std::vector<double> x(static_cast<size_t>(n));
-  for (int64_t col = 0; col < n; ++col) {
-    // b = I column `col`, permuted.
-    for (int64_t i = 0; i < n; ++i) {
-      y[static_cast<size_t>(i)] =
-          (plu.perm[static_cast<size_t>(i)] == col) ? 1.0 : 0.0;
-    }
-    // Forward substitution L y' = y.
-    for (int64_t i = 0; i < n; ++i) {
-      double s = y[static_cast<size_t>(i)];
-      for (int64_t j = 0; j < i; ++j) {
-        s -= l.At(i, j) * y[static_cast<size_t>(j)];
-      }
-      y[static_cast<size_t>(i)] = s;  // L has unit diagonal.
-    }
-    // Back substitution U x = y'.
-    for (int64_t i = n - 1; i >= 0; --i) {
-      double s = y[static_cast<size_t>(i)];
-      for (int64_t j = i + 1; j < n; ++j) {
-        s -= u.At(i, j) * x[static_cast<size_t>(j)];
-      }
-      x[static_cast<size_t>(i)] = s / u.At(i, i);
-    }
-    for (int64_t i = 0; i < n; ++i) out.At(i, col) = x[static_cast<size_t>(i)];
-  }
-  return Matrix(std::move(out));
+  return InverseFromPlu(FactorPlu(a.ToDense()), runner);
 }
 
 Result<double> Determinant(const Matrix& a) {
@@ -397,10 +420,7 @@ Result<double> Determinant(const Matrix& a) {
     return Status::InvalidArgument(
         "determinant requires a square matrix, got " + DimStr(a));
   }
-  HADAD_ASSIGN_OR_RETURN(PluResult plu, PluDecompose(a));
-  double det = plu.sign;
-  for (int64_t i = 0; i < a.rows(); ++i) det *= plu.u.dense().At(i, i);
-  return det;
+  return DeterminantFromPlu(FactorPlu(a.ToDense()));
 }
 
 Result<double> Trace(const Matrix& a) {
@@ -433,7 +453,7 @@ Result<Matrix> Diag(const Matrix& a) {
   return Matrix(std::move(out));
 }
 
-Result<Matrix> MatrixExp(const Matrix& a) {
+Result<Matrix> MatrixExp(const Matrix& a, const RangeRunner& runner) {
   if (!a.IsSquare()) {
     return Status::InvalidArgument("exp requires a square matrix, got " +
                                    DimStr(a));
@@ -456,7 +476,7 @@ Result<Matrix> MatrixExp(const Matrix& a) {
   DenseMatrix result = DenseMatrix::Identity(n);
   DenseMatrix term = DenseMatrix::Identity(n);
   for (int k = 1; k <= 30; ++k) {
-    term = MultiplyDenseDense(term, scaled);
+    term = MultiplyDenseBlocked(term, scaled, runner);
     const double inv_fact = 1.0 / k;
     bool significant = false;
     for (int64_t i = 0; i < term.size(); ++i) {
@@ -467,7 +487,7 @@ Result<Matrix> MatrixExp(const Matrix& a) {
     if (!significant) break;
   }
   for (int s = 0; s < squarings; ++s) {
-    result = MultiplyDenseDense(result, result);
+    result = MultiplyDenseBlocked(result, result, runner);
   }
   return Matrix(std::move(result));
 }
@@ -479,10 +499,12 @@ Result<Matrix> Adjugate(const Matrix& a) {
   }
   const int64_t n = a.rows();
   if (n == 1) return Matrix::Scalar(1.0);
-  HADAD_ASSIGN_OR_RETURN(double det, Determinant(a));
+  const PackedPlu plu = FactorPlu(a.ToDense());
+  const double det = DeterminantFromPlu(plu);
   if (std::fabs(det) > 1e-10) {
-    // adj(A) = det(A) * A^{-1}.
-    HADAD_ASSIGN_OR_RETURN(Matrix inv, Inverse(a));
+    // adj(A) = det(A) * A^{-1}, both from the one factorization. A pivot
+    // below the inverse's threshold still fails as NotInvertible.
+    HADAD_ASSIGN_OR_RETURN(Matrix inv, InverseFromPlu(plu, nullptr));
     return ScalarMultiply(det, inv);
   }
   if (n > 8) {

@@ -2,6 +2,7 @@
 #define HADAD_MATRIX_MATRIX_H_
 
 #include <cstdint>
+#include <functional>
 #include <variant>
 
 #include "common/status.h"
@@ -9,6 +10,27 @@
 #include "matrix/sparse_matrix.h"
 
 namespace hadad::matrix {
+
+// Partitioning hook the parallel kernels use to split an index range (rows,
+// or columns for the inverse's solves): runner(n, body) must invoke
+// body(begin, end) over a disjoint cover of [0, n), possibly concurrently
+// (exec::ThreadPool::ParallelFor adapts to this signature). A null runner
+// means sequential: body(0, n).
+//
+// Every kernel that takes one assigns each output element to exactly one
+// chunk and keeps that element's operation order independent of the
+// partition, so results are bit-for-bit identical at every thread count.
+using RangeRunner =
+    std::function<void(int64_t n, const std::function<void(int64_t, int64_t)>&)>;
+
+// Recommended partition grain (indices per chunk) for these kernels. Callers
+// adapting a thread pool should split ranges at multiples of this so
+// chunking stays independent of the worker count.
+inline constexpr int64_t kRowGrain = 64;
+
+// Runs `body` over [0, n) through `runner`, or as body(0, n) when it is null.
+void RunRange(const RangeRunner& runner, int64_t n,
+              const std::function<void(int64_t, int64_t)>& body);
 
 // Physical representation wrapper: a matrix is stored dense (row-major) or
 // sparse (CSR). Operations dispatch on representation and pick the natural
@@ -115,8 +137,10 @@ Matrix Transpose(const Matrix& a);
 // Reverses the row order (SystemML's rev, used by MMC_StatAgg rules).
 Matrix Reverse(const Matrix& a);
 
-// Inverse (invM); requires a square, non-singular matrix.
-Result<Matrix> Inverse(const Matrix& a);
+// Inverse (invM); requires a square, non-singular matrix. Solves all n
+// right-hand sides at once on one packed PLU factorization; `runner` splits
+// the columns of the solve.
+Result<Matrix> Inverse(const Matrix& a, const RangeRunner& runner = nullptr);
 
 // Determinant (det); requires square.
 Result<double> Determinant(const Matrix& a);
@@ -128,8 +152,9 @@ Result<double> Trace(const Matrix& a);
 // diagonal as an n x 1 vector (R semantics).
 Result<Matrix> Diag(const Matrix& a);
 
-// Matrix exponential e^A via scaling-and-squaring; requires square.
-Result<Matrix> MatrixExp(const Matrix& a);
+// Matrix exponential e^A via scaling-and-squaring; requires square. The
+// Taylor terms and squarings run on MultiplyDenseBlocked with `runner`.
+Result<Matrix> MatrixExp(const Matrix& a, const RangeRunner& runner = nullptr);
 
 // Adjugate (classical adjoint, adj): adj(A) with A * adj(A) = det(A) * I.
 Result<Matrix> Adjugate(const Matrix& a);

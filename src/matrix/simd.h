@@ -24,7 +24,11 @@ namespace hadad::matrix {
 // independent per element are dispatched; every sequential reduction fold
 // (rowSums/sum epilogues) stays scalar in blocked_kernels.cc. Consequently
 // all tiers produce bit-for-bit identical results, and the existing
-// fusion/thread-count bit-identity suites hold under any tier.
+// fusion/thread-count bit-identity suites hold under any tier. NaN is the
+// one exception: a NaN result is NaN in every tier, but when two NaNs meet
+// in one multiply or add, operand order decides which one propagates, so
+// its sign and payload may differ between the scalar loop and a vector
+// body.
 enum class SimdTier {
   kScalar = 0,  // Portable reference; always available.
   kAvx2 = 1,    // 4-wide doubles (ymm), x86-64 with AVX2.

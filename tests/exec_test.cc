@@ -374,6 +374,10 @@ TEST(ExecEquivalenceTest, DeterministicAcrossThreadCounts) {
       "S %*% (X %*% Y)",
       "S %*% S",  // Parallel Gustavson SpGEMM path.
       "colSums(X %*% Y) %*% rowSums(X %*% Y)",
+      // kGeneric kernels on the pool: the inverse's column-split solves
+      // and exp's blocked products.
+      "inv(t(X) %*% X)",
+      "exp(0.001 * (t(X) %*% X))",
   };
   for (const std::string& text : cases) {
     la::ExprPtr expr = Parse(text);

@@ -1,6 +1,7 @@
 #include "matrix/matrix.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -318,6 +319,34 @@ TEST(AdjugateTest, FundamentalIdentity) {
   double det = Determinant(a).value();
   EXPECT_TRUE(prod->ApproxEquals(ScalarMultiply(det, Matrix::Identity(5)),
                                  1e-6));
+}
+
+TEST(AdjugateTest, EqualsDetTimesInverseBitForBit) {
+  // Adjugate factors once; det and A^{-1} from that one factorization must
+  // be the bits of the separate Determinant and Inverse calls.
+  Rng rng(37);
+  Matrix a = RandomInvertible(rng, 65);
+  auto adj = Adjugate(a);
+  ASSERT_TRUE(adj.ok());
+  auto inv = Inverse(a);
+  ASSERT_TRUE(inv.ok());
+  const DenseMatrix want = ScalarMultiply(Determinant(a).value(), *inv).dense();
+  ASSERT_TRUE(adj->is_dense());
+  const DenseMatrix& got = adj->dense();
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(want.size()) * sizeof(double)),
+            0);
+}
+
+TEST(AdjugateTest, TinyPivotIsNotInvertibleEvenWithLargeDet) {
+  // det = 1e6 passes the det test, but the second pivot (1e-14) is below
+  // the inverse's 1e-13 threshold.
+  Matrix a(Make(2, 2, {1e20, 0, 0, 1e-14}));
+  auto adj = Adjugate(a);
+  ASSERT_FALSE(adj.ok());
+  EXPECT_EQ(adj.status().code(), StatusCode::kNotInvertible);
 }
 
 TEST(AdjugateTest, SingularSmallMatrixViaCofactors) {

@@ -1,13 +1,17 @@
 // SIMD kernel tier: dispatch policy + bit-identity of every vector tier
 // against the scalar reference, at the microkernel level and through the
-// blocked/fused kernels, across odd/tail shapes and thread counts. These
+// blocked/fused kernels and inv/det/PLU/exp, across odd/tail shapes and
+// thread counts. These
 // tests run identically whichever tier the host resolves to — vector cases
 // self-skip on hardware without the tier.
 
 #include "matrix/simd.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +19,7 @@
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "matrix/blocked_kernels.h"
+#include "matrix/decompositions.h"
 #include "matrix/generate.h"
 #include "matrix/matrix.h"
 
@@ -37,11 +42,12 @@ bool BitsEqual(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+// An empty matrix has no data pointer to hand memcmp.
 bool BitsEqual(const DenseMatrix& a, const DenseMatrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.rows() * a.cols()) *
-                         sizeof(double)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<size_t>(a.size()) * sizeof(double)) == 0);
 }
 
 // Tiers at or below the host's capability, scalar always included.
@@ -204,15 +210,11 @@ TEST(SimdOpsTest, ExactAliasingIsSupported) {
 
 class SimdKernelTest : public ::testing::Test {
  protected:
-  // Runs `body` under every available tier and thread count, comparing the
-  // result against the scalar sequential reference via `BitsEqual`.
+  // Runs `body` under every available tier, sequentially and at 2, 4 and 8
+  // threads, comparing each result against `want` via `BitsEqual`.
   template <typename Fn>
-  void CheckAllTiers(const char* what, Fn body) {
+  void CheckAllTiers(const char* what, const DenseMatrix& want, Fn body) {
     matrix::RangeRunner seq;  // Null runner: body(0, n).
-    DenseMatrix want = [&] {
-      ScopedTierOverride scalar(SimdTier::kScalar);
-      return body(seq);
-    }();
     for (SimdTier tier : AvailableTiers()) {
       ScopedTierOverride active(tier);
       EXPECT_TRUE(BitsEqual(want, body(seq)))
@@ -228,6 +230,16 @@ class SimdKernelTest : public ::testing::Test {
             << what << " " << TierName(tier) << " threads=" << threads;
       }
     }
+  }
+
+  // As above, against the scalar tier's sequential result.
+  template <typename Fn>
+  void CheckAllTiers(const char* what, Fn body) {
+    const DenseMatrix want = [&] {
+      ScopedTierOverride scalar(SimdTier::kScalar);
+      return body(matrix::RangeRunner());
+    }();
+    CheckAllTiers(what, want, body);
   }
 };
 
@@ -319,6 +331,224 @@ TEST_F(SimdKernelTest, FusedElementwiseEveryOpcodeAcrossTiers) {
     CheckAllTiers("fused_elementwise", [&](const RangeRunner& r) {
       return EvalFusedElementwise(program, inputs, 37, cols, r);
     });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// inv, det, PLU and exp against the scalar loops they replaced. These are
+// verbatim copies of the former kernels — a column-at-a-time triangular
+// solve, a PLU with a scalar row update, and exp on the naive GEMM — kept
+// as the bit-for-bit oracle for the packed PLU, the row-wise solve and the
+// blocked-GEMM exp.
+// ---------------------------------------------------------------------------
+
+PluResult ScalarLoopPlu(const Matrix& m) {
+  const int64_t n = m.rows();
+  DenseMatrix a = m.ToDense();
+  PluResult out;
+  out.perm.resize(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) out.perm[static_cast<size_t>(i)] = i;
+  out.sign = 1.0;
+  for (int64_t col = 0; col < n; ++col) {
+    int64_t pivot = col;
+    double best = std::fabs(a.At(col, col));
+    for (int64_t r = col + 1; r < n; ++r) {
+      if (std::fabs(a.At(r, col)) > best) {
+        best = std::fabs(a.At(r, col));
+        pivot = r;
+      }
+    }
+    if (pivot != col) {
+      for (int64_t j = 0; j < n; ++j) {
+        std::swap(a.At(col, j), a.At(pivot, j));
+      }
+      std::swap(out.perm[static_cast<size_t>(col)],
+                out.perm[static_cast<size_t>(pivot)]);
+      out.sign = -out.sign;
+    }
+    const double p = a.At(col, col);
+    if (p == 0.0) continue;
+    for (int64_t r = col + 1; r < n; ++r) {
+      const double f = a.At(r, col) / p;
+      a.At(r, col) = f;
+      for (int64_t j = col + 1; j < n; ++j) {
+        a.At(r, j) -= f * a.At(col, j);
+      }
+    }
+  }
+  DenseMatrix l = DenseMatrix::Identity(n);
+  DenseMatrix u(n, n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      if (j < i) {
+        l.At(i, j) = a.At(i, j);
+      } else {
+        u.At(i, j) = a.At(i, j);
+      }
+    }
+  }
+  out.l = Matrix(std::move(l));
+  out.u = Matrix(std::move(u));
+  return out;
+}
+
+Result<Matrix> ScalarLoopInverse(const Matrix& a) {
+  const PluResult plu = ScalarLoopPlu(a);
+  const int64_t n = a.rows();
+  for (int64_t i = 0; i < n; ++i) {
+    if (std::fabs(plu.u.dense().At(i, i)) < 1e-13) {
+      return Status::NotInvertible("singular matrix");
+    }
+  }
+  const DenseMatrix& l = plu.l.dense();
+  const DenseMatrix& u = plu.u.dense();
+  DenseMatrix out(n, n);
+  std::vector<double> y(static_cast<size_t>(n));
+  std::vector<double> x(static_cast<size_t>(n));
+  for (int64_t col = 0; col < n; ++col) {
+    for (int64_t i = 0; i < n; ++i) {
+      y[static_cast<size_t>(i)] =
+          (plu.perm[static_cast<size_t>(i)] == col) ? 1.0 : 0.0;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      double s = y[static_cast<size_t>(i)];
+      for (int64_t j = 0; j < i; ++j) {
+        s -= l.At(i, j) * y[static_cast<size_t>(j)];
+      }
+      y[static_cast<size_t>(i)] = s;
+    }
+    for (int64_t i = n - 1; i >= 0; --i) {
+      double s = y[static_cast<size_t>(i)];
+      for (int64_t j = i + 1; j < n; ++j) {
+        s -= u.At(i, j) * x[static_cast<size_t>(j)];
+      }
+      x[static_cast<size_t>(i)] = s / u.At(i, i);
+    }
+    for (int64_t i = 0; i < n; ++i) out.At(i, col) = x[static_cast<size_t>(i)];
+  }
+  return Matrix(std::move(out));
+}
+
+double ScalarLoopDeterminant(const Matrix& a) {
+  const PluResult plu = ScalarLoopPlu(a);
+  double det = plu.sign;
+  for (int64_t i = 0; i < a.rows(); ++i) det *= plu.u.dense().At(i, i);
+  return det;
+}
+
+DenseMatrix ScalarLoopGemm(const DenseMatrix& a, const DenseMatrix& b) {
+  DenseMatrix out(a.rows(), b.cols());
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    double* out_row = out.row(i);
+    const double* a_row = a.row(i);
+    for (int64_t p = 0; p < a.cols(); ++p) {
+      const double av = a_row[p];
+      if (av == 0.0) continue;
+      const double* b_row = b.row(p);
+      for (int64_t j = 0; j < b.cols(); ++j) out_row[j] += av * b_row[j];
+    }
+  }
+  return out;
+}
+
+DenseMatrix ScalarLoopExp(const Matrix& a) {
+  DenseMatrix d = a.ToDense();
+  const int64_t n = d.rows();
+  double norm = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (int64_t j = 0; j < n; ++j) s += std::fabs(d.At(i, j));
+    norm = std::max(norm, s);
+  }
+  int squarings = 0;
+  while (norm > 0.5 && squarings < 60) {
+    norm /= 2.0;
+    ++squarings;
+  }
+  const double scale = std::ldexp(1.0, -squarings);
+  DenseMatrix scaled(n, n);
+  for (int64_t i = 0; i < d.size(); ++i) {
+    scaled.data()[i] = d.data()[i] * scale;
+  }
+  DenseMatrix result = DenseMatrix::Identity(n);
+  DenseMatrix term = DenseMatrix::Identity(n);
+  for (int k = 1; k <= 30; ++k) {
+    term = ScalarLoopGemm(term, scaled);
+    const double inv_fact = 1.0 / k;
+    bool significant = false;
+    for (int64_t i = 0; i < term.size(); ++i) {
+      term.data()[i] *= inv_fact;
+      result.data()[i] += term.data()[i];
+      if (std::fabs(term.data()[i]) > 1e-17) significant = true;
+    }
+    if (!significant) break;
+  }
+  for (int s = 0; s < squarings; ++s) result = ScalarLoopGemm(result, result);
+  return result;
+}
+
+// A kernel result in CheckAllTiers' currency: the matrix itself, or, for an
+// error, a 0 x (code + 1) matrix, so a status code compares like a result.
+DenseMatrix AsDense(const Result<Matrix>& r) {
+  if (!r.ok()) {
+    return DenseMatrix(0, static_cast<int64_t>(r.status().code()) + 1);
+  }
+  return r->ToDense();
+}
+
+// PluDecompose's l, u, perm and sign stacked into one (2n + 2) x n matrix.
+DenseMatrix AsDense(const PluResult& plu) {
+  const int64_t n = plu.l.rows();
+  DenseMatrix out(2 * n + 2, n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      out.At(i, j) = plu.l.At(i, j);
+      out.At(n + i, j) = plu.u.At(i, j);
+    }
+    out.At(2 * n, i) = static_cast<double>(plu.perm[static_cast<size_t>(i)]);
+  }
+  if (n > 0) out.At(2 * n + 1, 0) = plu.sign;
+  return out;
+}
+
+TEST_F(SimdKernelTest, PluInverseDetExpReproduceTheScalarLoops) {
+  Rng rng(31);
+  for (int64_t n : {1, 2, 7, 8, 9, 17, 63, 64, 65, 129}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Invertible; invertible with a zero first pivot (row swap at step 0);
+    // singular, with an all-zero first column (the elimination skips it
+    // and Inverse reports NotInvertible).
+    const Matrix invertible = RandomInvertible(rng, n);
+    DenseMatrix swapped = RandomInvertible(rng, n).dense();
+    swapped.At(0, 0) = 0.0;
+    DenseMatrix singular = RandomDense(rng, n, n, -1.0, 1.0).dense();
+    for (int64_t i = 0; i < n; ++i) singular.At(i, 0) = 0.0;
+    const Matrix singular_m(std::move(singular));
+    const Result<Matrix> singular_inv = Inverse(singular_m);
+    ASSERT_FALSE(singular_inv.ok());
+    EXPECT_EQ(singular_inv.status().code(), StatusCode::kNotInvertible);
+    for (const Matrix& a : {invertible, Matrix(std::move(swapped)), singular_m}) {
+      CheckAllTiers("plu", AsDense(ScalarLoopPlu(a)), [&](const RangeRunner&) {
+        return AsDense(PluDecompose(a).value());
+      });
+      CheckAllTiers("inv", AsDense(ScalarLoopInverse(a)),
+                    [&](const RangeRunner& r) { return AsDense(Inverse(a, r)); });
+      CheckAllTiers("det", DenseMatrix(1, 1, {ScalarLoopDeterminant(a)}),
+                    [&](const RangeRunner&) {
+                      return DenseMatrix(1, 1, {Determinant(a).value()});
+                    });
+    }
+    // exp of zero is I (no squarings); a dense matrix with a diagonal of 4
+    // has norm >= 4, so exp scales it down and squares back at least 3
+    // times.
+    const Matrix zero(DenseMatrix(n, n));
+    DenseMatrix dense = RandomDense(rng, n, n, -4.0, 4.0).dense();
+    for (int64_t i = 0; i < n; ++i) dense.At(i, i) = 4.0;
+    for (const Matrix& a : {zero, Matrix(std::move(dense))}) {
+      CheckAllTiers("exp", ScalarLoopExp(a), [&](const RangeRunner& r) {
+        return AsDense(MatrixExp(a, r));
+      });
+    }
   }
 }
 
